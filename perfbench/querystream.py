@@ -1,29 +1,30 @@
 """Seeded taboo-query stream for the ``queries-mixed`` workload.
 
-    python perfbench/querystream.py --seed 7 [--part 0] [--queries 120] [--out stream.json]
+``generate(seed, n_queries, part)`` returns one stream; the benchmark
+writes the streams each trial answers to
+``.perfbench/queries-mixed/stream<part>.json``.
 
 A quarter of the queries go to the d = 1 walk {+-1: 0.4, +-2: 0.1},
 three quarters to the d = 2 walk in ``walks/w2.json``.  Near coordinates
-lie in [-6, 6].  A fixed share per walk is far: one of x or y is moved
-from z by a uniform distance, |r| in [64, 5000] in d = 1 (20 % of the
-d = 1 queries; they cost about a millisecond) and a sup-norm distance in
-[20, 100] in d = 2 (5 %; about 0.5 s each).  A fixed 5 % of the d = 1
-queries also ask for ``tail_extract`` (in d = 2 one extraction costs about
-2 s, which would swamp the stream).  With these shares the median query
-computes a few d = 2 shell integrals and the 90th percentile lies inside
-the same class rather than on the edge of a cheaper or a dearer one.
-Far distances are stratified: the k far queries of a walk take one
-distance from each of k equal slices of the range, so the costly far
-class varies little from seed to seed.  The same seed and part give the
-same stream; parts are independent streams of one seed.
+lie in [-6, 6]; nothing else is made to repeat, so a query reuses an
+earlier displacement only as often as that range makes it happen
+(``repeat_displacement_share`` records how often).  A fixed share per
+walk is far: one of x or y is moved from z by a uniform distance, |r| in
+[64, 5000] in d = 1 (20 % of the d = 1 queries) and a sup-norm distance
+in [20, 100] in d = 2 (2.5 %; one costs 0.3 to 0.5 s, as much as five to
+eight near queries).  A fixed 5 % of the d = 1 queries also ask
+for ``tail_extract`` (in d = 2 one extraction costs about 2 s, which
+would swamp the stream).  Far distances are stratified: the k far
+queries of a walk take one distance from each of k equal slices of the
+range, so the costly far class varies little from seed to seed.  The
+same seed and part give the same stream; parts are independent streams
+of one seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
-from pathlib import Path
 
 WALKS = {"d1": "perfbench/walks/ns1.json", "d2": "perfbench/walks/w2.json"}
 DIMS = {"d1": 1, "d2": 2}
@@ -31,11 +32,8 @@ NEAR = 6
 FAR_RANGE = {"d1": (64, 5000), "d2": (20, 100)}
 # shares of the stream; far and extract shares are per walk
 WALK_SHARE = {"d1": 0.25, "d2": 0.75}
-FAR_SHARE = {"d1": 0.20, "d2": 0.05}
+FAR_SHARE = {"d1": 0.20, "d2": 0.025}
 EXTRACT_SHARE = {"d1": 0.05, "d2": 0.0}
-# share of the remaining near queries that re-ask an earlier near query of
-# the same walk verbatim, answered from the library's caches
-REPEAT_SHARE = 0.6
 
 
 def _near_point(rng, d):
@@ -100,41 +98,17 @@ def generate(seed: int, n_queries: int, part: int = 0) -> dict:
         n = round(WALK_SHARE[walk] * n_queries)
         n_far = round(FAR_SHARE[walk] * n)
         n_ext = round(EXTRACT_SHARE[walk] * n)
-        n_rep = round(REPEAT_SHARE * (n - n_far - n_ext))
         kinds = [("far", i) for i in range(n_far)] + [("extract", 0)] * n_ext
-        kinds += [("repeat", 0)] * n_rep + [("near", 0)] * (n - n_far - n_ext - n_rep)
+        kinds += [("near", 0)] * (n - n_far - n_ext)
         rng.shuffle(kinds)
-        asked = []
         for kind, stratum in kinds:
-            if kind == "repeat" and asked:
-                queries.append(dict(rng.choice(asked)))
-            elif kind == "far":
+            if kind == "far":
                 queries.append(_query(rng, walk, True, False, stratum, n_far))
             else:
                 queries.append(_query(rng, walk, False, kind == "extract"))
-                if kind != "extract":
-                    asked.append(queries[-1])
     # interleave the walks without reordering each walk's own queries
     walk_of = [q["walk"] for q in queries]
     rng.shuffle(walk_of)
     per_walk = {w: iter([q for q in queries if q["walk"] == w]) for w in WALKS}
     return {"seed": seed, "part": part, "walks": WALKS,
             "queries": [next(per_walk[w]) for w in walk_of]}
-
-
-def main(argv=None) -> None:
-    p = argparse.ArgumentParser(prog="querystream.py")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--part", type=int, default=0)
-    p.add_argument("--queries", type=int, default=120)
-    p.add_argument("--out")
-    args = p.parse_args(argv)
-    text = json.dumps(generate(args.seed, args.queries, args.part), indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-
-
-if __name__ == "__main__":
-    main()

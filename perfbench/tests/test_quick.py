@@ -3,7 +3,8 @@
     python -m pytest perfbench/tests -q
 
 Asserts that every metric named in BENCHMARK.json is printed with its unit
-for every workload, and that the output checks ran.
+for every workload, that the output checks ran and every gated op passed,
+and that the known-defect probe of queries-mixed was checked apart.
 """
 
 import json
@@ -36,8 +37,11 @@ def test_quick_mode_reports_every_metric(trace, group):
     last, stdout, results = _run(trace)
     assert set(last) == {"correct", "attempted", "failed", "metrics"}
     assert last["attempted"] >= len(WORKLOADS)
+    assert last["correct"] and last["failed"] == 0, stdout[-4000:]
     for res in results:
         assert res["checks_run"] > 0, res["workload"]
+        has_probe = res["workload"] == "queries-mixed"
+        assert (res["probe_attempted"] > 0) == has_probe, res["workload"]
         assert res["environment"]["threads"] <= res["environment"]["nproc"]
         for m in SPEC[group]:
             got = res["metrics"][m["name"]]

@@ -78,7 +78,7 @@ def _manifest(args, command: str, query: dict, extras: dict, outputs: list[str],
         "tool": "taboowalk",
         "version": __version__,
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args._argv,
         "model_file": args.model,
         "model_sha256": _model_sha256(args.model),
         "query": query,
@@ -99,9 +99,9 @@ def _quad_config(args) -> QuadratureConfig | None:
         return None
     base = default_config(getattr(args, "_model_d", 1))
     return QuadratureConfig(
-        points_per_axis=args.points or base.points_per_axis,
+        points_per_axis=base.points_per_axis if args.points is None else args.points,
         refinement_limit=base.refinement_limit,
-        rel_tol=args.rel_tol or base.rel_tol,
+        rel_tol=base.rel_tol if args.rel_tol is None else args.rel_tol,
     )
 
 
@@ -279,18 +279,19 @@ def _cmd_simulate(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _suite_rows_identities(model):
+def _suite_rows_identities(model, cfg):
     rows = []
     for x in range(1, 11):
-        got = trig_identity_check(x)
+        got = trig_identity_check(x, cfg)
         want = 2.0 * np.pi * x
         rows.append((f"trig x={x}", got, want, 1e-8 * want, abs(got - want) <= 1e-8 * want))
     if is_simple_1d(model):
         for x in (1, 3, 7, -5):
-            got = rho(model, (x,))
+            got = rho(model, (x,), cfg)
             rows.append((f"rho({x})", got, abs(x), 1e-6, abs(got - abs(x)) <= 1e-6))
-    rows.append(("rho(0)", rho(model, (0,) * model.d), 1.0, 0.0, rho(model, (0,) * model.d) == 1.0))
-    p0 = transition_probability(model, 0.0, (0,) * model.d, (0,) * model.d).value
+    rho0 = rho(model, (0,) * model.d, cfg)
+    rows.append(("rho(0)", rho0, 1.0, 0.0, rho0 == 1.0))
+    p0 = transition_probability(model, 0.0, (0,) * model.d, (0,) * model.d, cfg).value
     rows.append(("p(0;x,x)", p0, 1.0, 1e-12, abs(p0 - 1.0) <= 1e-12))
     return rows
 
@@ -304,7 +305,7 @@ def _default_queries(model):
     return [TabooQuery(e1, e2, zero)]
 
 
-def _suite_rows_limits(model):
+def _suite_rows_limits(model, cfg):
     rows = []
     radius = {1: 100, 2: 60}.get(model.d, 12)
     if is_simple_1d(model):
@@ -316,7 +317,7 @@ def _suite_rows_limits(model):
             (TabooQuery((7,), (5,), (0,)), 1.0),
         ]
         for q, want in table:
-            got = taboo_limit(model, q)
+            got = taboo_limit(model, q, cfg)
             rows.append((f"limit {q.x+q.y+q.z}", got, want, 0.0, got == want))
             lo, hi = absorption_limit_bracket(model, q, radius)
             rows.append(
@@ -324,7 +325,7 @@ def _suite_rows_limits(model):
             )
     else:
         for q in _default_queries(model):
-            got = taboo_limit(model, q)
+            got = taboo_limit(model, q, cfg)
             lo, hi = absorption_limit_bracket(model, q, radius)
             rows.append(
                 (f"limit-in-bracket {q.x+q.y+q.z}", got, 0.5 * (lo + hi), hi - lo, lo <= got <= hi)
@@ -332,7 +333,7 @@ def _suite_rows_limits(model):
     return rows
 
 
-def _suite_rows_tails(model):
+def _suite_rows_tails(model, cfg):
     rows = []
     if is_simple_1d(model):
         q = TabooQuery((2,), (5,), (0,))
@@ -340,31 +341,31 @@ def _suite_rows_tails(model):
         ts = [10.0 / model.a, 15.0 / model.a, 20.0 / model.a, 30.0 / model.a, horizon]
         sim = SimConfig(horizon=horizon, n_paths=200_000, seed=20240817)
         ests = estimate_taboo_curve(model, q, ts, sim)
-        limit = taboo_limit(model, q)
+        limit = taboo_limit(model, q, cfg)
         samples = [(t, max(limit - e.probability, 1e-12)) for t, e in zip(ts, ests)]
         fit = fit_tail_order(samples)
-        want = taboo_tail(model, q)
+        want = taboo_tail(model, q, cfg)
         rows.append(
             (f"fit order {q.x+q.y+q.z}", fit.order.value, want.order.value, "", fit.order is want.order)
         )
     elif model.d <= 2:
         q = _default_queries(model)[0]
-        closed = taboo_tail(model, q).constant
-        est = tail_extract(model, q).constant
+        closed = taboo_tail(model, q, cfg).constant
+        est = tail_extract(model, q, cfg).constant
         tol = 0.10 * abs(closed)
         rows.append((f"extract {q.x+q.y+q.z}", est, closed, tol, abs(est - closed) <= tol))
     else:
         q = _default_queries(model)[0]
-        c = taboo_tail(model, q).constant
+        c = taboo_tail(model, q, cfg).constant
         rows.append(("C_d positive", c, "> 0", "", c > 0))
     return rows
 
 
-def _suite_rows_curves(model):
+def _suite_rows_curves(model, cfg):
     rows = []
     q = _default_queries(model)[0]
     grid = TimeGrid(step=0.05 / model.a, n_steps=800)
-    cur_a, cur_b = taboo_cdf(model, q, grid)
+    cur_a, cur_b = taboo_cdf(model, q, grid, cfg)
     rows.append(("H(0) = 0", cur_a.values[0], 0.0, 0.0, cur_a.values[0] == 0.0))
     rows.append(("residual", cur_a.residual, 0.0, 1e-8, cur_a.residual <= 1e-8))
     min_inc = float(np.min(np.diff(cur_a.values)))
@@ -386,10 +387,11 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     model = load_model(args.model)
     args._model_d = model.d
+    cfg = _quad_config(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     any_fail = False
     for name in names:
-        rows = _SUITES[name](model)
+        rows = _SUITES[name](model, cfg)
         print(f"== suite: {name} ==")
         for label, got, want, tol, ok in rows:
             any_fail |= not ok
@@ -462,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args._argv = argv
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -16,15 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExtrapolationUnstable, InvalidQuery, StepTooCoarse
-from .kernels import (
-    QuadratureConfig,
-    canonical_diff,
-    default_config,
-    green_function,
-)
+from .kernels import QuadratureConfig, _cfg, canonical_diff, green_function
 from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, hitting_limit, taboo_limit
-from .model import WalkModel, as_vec, char_exponent_grid, is_simple_1d
-from .quadrature import ABS_FLOOR, _axis_offsets, _chunk_rows
+from .model import WalkModel, as_vec, is_simple_1d
+from .quadrature import ABS_FLOOR, phi_chunks
 
 
 @dataclass(frozen=True)
@@ -84,22 +79,15 @@ class CdfCurve:
 
 def _p_values_at(model: WalkModel, r: tuple, times: np.ndarray, n: int) -> np.ndarray:
     """Midpoint estimate of p(t; 0, r) on a vector of times, n points/axis."""
-    d = model.d
     rv = np.asarray(r, dtype=float)
-    ax = _axis_offsets(n) * np.pi
     out = np.zeros(len(times))
-    step = _chunk_rows(n, d)
-    t_block = max(1, (1 << 22) // max(1, step * n ** (d - 1)))
-    for i0 in range(0, n, step):
-        cols = [ax[i0 : min(n, i0 + step)]] + [ax] * (d - 1)
-        mesh = np.meshgrid(*cols, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-        ph = char_exponent_grid(model, pts)
-        w = np.cos(pts @ rv)
+    for u, ph in phi_chunks(model, np.pi, n):
+        w = np.cos(np.pi * (u @ rv))
+        t_block = (1 << 22) // len(ph)
         for j0 in range(0, len(times), t_block):
             tt = times[j0 : j0 + t_block]
             out[j0 : j0 + t_block] += w @ np.exp(np.outer(ph, tt))
-    return out / n**d
+    return out / n**model.d
 
 
 def _p_curve(model: WalkModel, r: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
@@ -159,7 +147,7 @@ def hitting_cdf(
     canonicalizes, so the Lemma-level shift/reflection identities hold
     exactly.  Recommended step <= 0.1/a.
     """
-    cfg = _cfg(model, cfg)
+    cfg = _cfg(model.d, cfg)
     r = canonical_diff(x, y, model.d)
     kern, rhs = _kernel_and_rhs(model, r, grid, cfg)
     warnings = _check_kernel_diagonal(kern, strict)
@@ -171,10 +159,6 @@ def hitting_cdf(
         limit=hitting_limit(model, x, y, cfg),
         warnings=warnings,
     )
-
-
-def _cfg(model: WalkModel, cfg: QuadratureConfig | None) -> QuadratureConfig:
-    return cfg if cfg is not None else default_config(model.d)
 
 
 def _check_kernel_diagonal(kern: np.ndarray, strict: bool) -> tuple[str, ...]:
@@ -209,7 +193,7 @@ def taboo_cdf(
     """
     if q.d != model.d:
         raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
-    cfg = _cfg(model, cfg)
+    cfg = _cfg(model.d, cfg)
     h_xy = hitting_cdf(model, q.x, q.y, grid, cfg, strict)
     h_xz = hitting_cdf(model, q.x, q.z, grid, cfg, strict)
     h_zy = hitting_cdf(model, q.z, q.y, grid, cfg, strict)
@@ -242,9 +226,7 @@ def taboo_cdf(
         (vals_a, db, k_zy, rhs1),
         (vals_b, da, k_yz, rhs2),
     ):
-        conv = np.array(
-            [kern[: k + 1][::-1] @ dother[: k + 1] for k in range(n)]
-        )
+        conv = np.convolve(kern, dother)[:n]
         res = max(res, float(np.max(np.abs(vals[1:] + conv - rhs))))
 
     cur_a = CdfCurve(
@@ -330,7 +312,7 @@ def tail_extract(
         raise InvalidQuery("tail_extract requires a non-simple walk")
     if model.d > 2:
         raise InvalidQuery("tail_extract supports d <= 2 only")
-    cfg = _cfg(model, cfg)
+    cfg = _cfg(model.d, cfg)
     limit = taboo_limit(model, q, cfg)
     lams = model.a * 2.0 ** -np.array(list(_LADDER_KS), dtype=float)
     f_vals = np.array(

@@ -19,45 +19,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergentGreenFunction, NotConverged
-from .model import WalkModel, as_vec, char_exponent_grid, spectral_scalars
+from .model import WalkModel, as_vec, simple_walk_1d, spectral_scalars
 from .quadrature import (
     ABS_FLOOR,
-    box_midpoint_sum,
+    midpoint_sum,
     refine_torus_mean,
     romberg_ladder,
     shell_max_levels,
-    shell_points,
 )
 
 _MAX_SHELLS = 62
 _SHELL_N0 = 16
-
-
-@lru_cache(maxsize=96)
-def _shell_phi(model: WalkModel, s: float, n: int) -> np.ndarray:
-    out = char_exponent_grid(model, shell_points(s, model.d, n))
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=96)
-def _shell_cos(r: tuple, s: float, d: int, n: int) -> np.ndarray:
-    out = np.cos(shell_points(s, d, n) @ np.asarray(r, dtype=float))
-    out.setflags(write=False)
-    return out
-
-
-def _shell_sum(model, s: float, n: int, values_fn, fallback_f) -> float:
-    """One midpoint shell sum, using cached grid/phi/cos arrays when small.
-
-    values_fn(s, n) -> integrand values on the cached shell grid;
-    fallback_f(points) recomputes everything for grids too large to cache.
-    """
-    d = model.d
-    if shell_points(s, d, n) is None:
-        return box_midpoint_sum(fallback_f, s, d, n, exclude_inner_half=True)
-    h = 2.0 * s / n
-    return float(np.sum(values_fn(s, n))) * h**d
 
 
 @dataclass(frozen=True)
@@ -120,6 +92,24 @@ def _not_converged(name, value, err):
     )
 
 
+def _torus_mean(name, model, integrand, r, cfg, n0=None):
+    """(2 pi)^-d * torus integral of integrand(phi, cos(r.theta)).
+
+    The grid doubles from n0 (default cfg.points_per_axis) until successive
+    estimates agree to cfg.rel_tol.  Returns (value, est_error).
+    """
+    norm = (2.0 * np.pi) ** model.d
+    val, err, ok = refine_torus_mean(
+        lambda n: midpoint_sum(model, integrand, r, np.pi, n) / norm,
+        n0 or cfg.points_per_axis,
+        cfg.refinement_limit,
+        cfg.rel_tol,
+    )
+    if not ok:
+        _not_converged(name, val, err)
+    return val, err
+
+
 # ---------------------------------------------------------------------------
 # transition probability p(t; x, y)
 # ---------------------------------------------------------------------------
@@ -137,18 +127,14 @@ def transition_probability(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    cfg = _cfg(model.d, cfg)
     r = canonical_diff(x, y, model.d)
-    rv = np.asarray(r, dtype=float)
-
-    def f(pts):
-        return np.exp(char_exponent_grid(model, pts) * t) * np.cos(pts @ rv)
-
-    val, err, ok = refine_torus_mean(
-        f, model.d, cfg.points_per_axis, cfg.refinement_limit, cfg.rel_tol
+    val, err = _torus_mean(
+        "transition_probability",
+        model,
+        lambda ph, c: np.exp(ph * t) * c,
+        r,
+        _cfg(model.d, cfg),
     )
-    if not ok:
-        _not_converged("transition_probability", val, err)
     return KernelValue(value=min(1.0, max(0.0, val)), est_error=err)
 
 
@@ -157,9 +143,9 @@ def transition_probability(
 # ---------------------------------------------------------------------------
 
 def _shell_integral(
-    model, values_fn, fallback_f, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
+    model, integrand, r, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
 ):
-    """Sum dyadic-shell quadratures of the integrand toward theta = 0.
+    """Sum dyadic-shell quadratures of integrand(phi, cos(r.theta)) toward 0.
 
     core_value_fn(half_width) and core_bound_fn(half_width) supply the
     analytic estimate for the remaining central box and a bound on its
@@ -180,7 +166,7 @@ def _shell_integral(
         s = np.pi * 2.0**-m
         tol_abs = 0.05 * rel_tol * max(abs(total), scale, ABS_FLOOR)
         v, e, conv = romberg_ladder(
-            lambda n: _shell_sum(model, s, n, values_fn, fallback_f),
+            lambda n: midpoint_sum(model, integrand, r, s, n, shell=True),
             tol_abs,
             _SHELL_N0,
             shell_max_levels(d),
@@ -208,17 +194,10 @@ def _shell_integral(
 @lru_cache(maxsize=4096)
 def _green_cached(model: WalkModel, lam: float, r: tuple, cfg: QuadratureConfig) -> KernelValue:
     d = model.d
-    rv = np.asarray(r, dtype=float)
-    rnorm = float(np.linalg.norm(rv))
+    rnorm = float(np.linalg.norm(r))
     sc = spectral_scalars(model)
     eig = np.linalg.eigvalsh(sc.hessian)
     sig_min, sig_max = float(eig[0]), float(eig[-1])
-
-    def f(pts):
-        return np.cos(pts @ rv) / (lam - char_exponent_grid(model, pts))
-
-    def values(s, n):
-        return _shell_cos(r, s, d, n) / (lam - _shell_phi(model, s, n))
 
     if lam > 0.0:
         def core_value(half):
@@ -246,7 +225,8 @@ def _green_cached(model: WalkModel, lam: float, r: tuple, cfg: QuadratureConfig)
     if any(r):
         hint = _green_cached(model, lam, (0,) * d, cfg).value * norm
     total, err, scale, refined = _shell_integral(
-        model, values, f, cfg.rel_tol, core_value, core_bound, scale_hint=hint
+        model, lambda ph, c: c / (lam - ph), r, cfg.rel_tol, core_value, core_bound,
+        scale_hint=hint,
     )
     value, err = total / norm, err / norm
     if not refined and err > max(cfg.rel_tol * scale / norm, ABS_FLOOR):
@@ -298,30 +278,22 @@ def k_kernel(
 # potential kernel rho_d(x)
 # ---------------------------------------------------------------------------
 
+def _rho_integrand(a: float):
+    return lambda ph, c: a * (c - 1.0) / ph
+
+
 @lru_cache(maxsize=4096)
 def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
     a = model.total_rate
-    rv = np.asarray(r, dtype=float)
-
-    def f(pts):
-        return a * (np.cos(pts @ rv) - 1.0) / char_exponent_grid(model, pts)
-
-    def values(s, n):
-        return a * (_shell_cos(r, s, model.d, n) - 1.0) / _shell_phi(model, s, n)
-
+    integrand = _rho_integrand(a)
     if model.d == 1:
         # ratio of analytic functions with matching double zeros: smooth
         # and periodic, so the plain midpoint rule is spectrally accurate
-        val, err, ok = refine_torus_mean(
-            f, 1, cfg.points_per_axis, cfg.refinement_limit, cfg.rel_tol
-        )
-        if not ok:
-            _not_converged("rho", val, err)
-        return val
+        return _torus_mean("rho", model, integrand, r, cfg)[0]
 
     sc = spectral_scalars(model)
     sig_min = float(np.linalg.eigvalsh(sc.hessian)[0])
-    rnorm2 = float(rv @ rv)
+    rnorm2 = float(np.dot(r, r))
 
     def core_value(half):
         return 0.0
@@ -331,7 +303,7 @@ def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
         return (2.0 * half) ** model.d * a * rnorm2 / sig_min
 
     total, err, scale, refined = _shell_integral(
-        model, values, f, cfg.rel_tol, core_value, core_bound
+        model, integrand, r, cfg.rel_tol, core_value, core_bound
     )
     norm = (2.0 * np.pi) ** model.d
     value, err = total / norm, err / norm
@@ -364,18 +336,14 @@ def trig_identity_check(x: int, cfg: QuadratureConfig | None = None) -> float:
 
     The exact value is 2 pi x; the integrand is the degree-(x-1) Fejer-type
     trigonometric polynomial, so the periodic midpoint rule is exact up to
-    rounding once the grid exceeds the degree.
+    rounding once the grid exceeds the degree.  It is the rho integrand of
+    the simple walk with a = 1, whose phi is cos(theta) - 1.
     """
     if not isinstance(x, (int, np.integer)) or x < 1:
         raise ValueError("x must be a positive integer")
-    cfg = cfg if cfg is not None else default_config(1)
-
-    def f(pts):
-        th = pts[:, 0]
-        return (np.sin(x * th / 2.0) / np.sin(th / 2.0)) ** 2
-
+    cfg = _cfg(1, cfg)
     n0 = max(cfg.points_per_axis, 2 * (int(x) + 1))
-    val, err, ok = refine_torus_mean(f, 1, n0, cfg.refinement_limit, cfg.rel_tol)
-    if not ok:
-        _not_converged("trig_identity_check", val, err)
+    val, _ = _torus_mean(
+        "trig_identity_check", simple_walk_1d(1.0), _rho_integrand(1.0), (int(x),), cfg, n0
+    )
     return val * 2.0 * np.pi

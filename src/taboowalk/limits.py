@@ -8,6 +8,7 @@ the nearest-neighbor walk on Z is dispatched to its exact piecewise forms.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -208,7 +209,7 @@ def c1_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     r_yx = rho(model, (y - x,), cfg)
     r_x = rho(model, X, cfg)
     r_y = rho(model, Y, cfg)
-    return (
+    return float(
         (r_yx + r_x - r_y) / (4.0 * a * np.pi * g1)
         + a * np.pi * y * y * g1**3 * (r_yx - r_x - r_y) / r_y**2
         + 2.0 * a * np.pi * x * y * g1**3 / r_y
@@ -219,7 +220,7 @@ def c2_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     a = model.a
     g2 = spectral_scalars(model).gamma_d
     r_yx = rho(model, tuple(b - a_ for a_, b in zip(X, Y)), cfg)
-    return (r_yx + rho(model, X, cfg) - rho(model, Y, cfg)) / (4.0 * a * g2)
+    return float((r_yx + rho(model, X, cfg) - rho(model, Y, cfg)) / (4.0 * a * g2))
 
 
 def cd_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
@@ -231,7 +232,7 @@ def cd_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     g0y = green_function(model, 0.0, zero, Y, cfg).value
     r_yx = rho(model, tuple(b - a_ for a_, b in zip(X, Y)), cfg)
     num = 2.0 * gd * (r_yx + rho(model, X, cfg) - rho(model, Y, cfg))
-    return num / (a * (d - 2) * (g00 + g0y) ** 2)
+    return float(num / (a * (d - 2) * (g00 + g0y) ** 2))
 
 
 def _strip_rate_bound(model: WalkModel, width: int) -> float:
@@ -256,10 +257,10 @@ def taboo_tail(
             return TailAsymptotic(TailOrder.ZERO, 0.0)
         if x == y:
             return TailAsymptotic(
-                TailOrder.INVERSE_SQRT_T, 1.0 / np.sqrt(2.0 * a * np.pi)
+                TailOrder.INVERSE_SQRT_T, 1.0 / math.sqrt(2.0 * a * math.pi)
             )
         if x != 0 and abs(x) > abs(y):
-            const = np.sqrt(2.0) * abs(y - x) / np.sqrt(a * np.pi)
+            const = math.sqrt(2.0) * abs(y - x) / math.sqrt(a * math.pi)
             return TailAsymptotic(TailOrder.INVERSE_SQRT_T, const)
         # x = z, or x strictly between taboo and target: exponential decay
         return TailAsymptotic(

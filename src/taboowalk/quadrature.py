@@ -1,29 +1,38 @@
-"""Midpoint quadrature primitives on the torus and on dyadic boxes.
+"""The midpoint-grid engine behind every torus and shell quadrature.
 
-Two building blocks:
+Every kernel is a sum of integrand(phi(theta), cos(r.theta)) over the
+midpoint grid of a box [-s, s]^d: the torus (s = pi) for smooth
+integrands, or a dyadic shell [-s, s]^d minus [-s/2, s/2]^d for kernels
+that are singular or sharply peaked at the origin, with Richardson
+extrapolation over grid doublings.
 
-* a plain tensor-product midpoint rule on [-pi, pi]^d (spectrally accurate
-  for smooth periodic integrands; the midpoint offsets never sample 0), and
-* midpoint sums over dyadic shells [-s, s]^d minus [-s/2, s/2]^d with
-  Richardson extrapolation, used to resolve kernels that are singular or
-  sharply peaked at the origin.
-
-Evaluation is chunked along the first axis with a fixed partition and
-accumulated with numpy's pairwise summation, so results are bit-identical
+The grid of [-s, s]^d is s times the unit midpoint grid of [-1, 1]^d,
+which is partitioned into fixed row blocks of at most ``_CHUNK_POINTS``
+points; a shell drops the inner half-box from each block.  One rule,
+``CACHE_MAX_POINTS``, decides what is kept: a grid of at most that many
+points keeps its unit chunks (keyed by d, n and shell, so never rebuilt
+for another s) and the walk's phi on them (keyed by model, s, n and
+shell).  Larger grids are rebuilt chunk by chunk on every pass, so memory
+stays bounded; the summing code is the same either way.  Chunk sums are
+combined with numpy's pairwise summation, so results are bit-identical
 from run to run.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+from .model import WalkModel, char_exponent_grid
 
 # Soak up rounding noise when an integrand is essentially zero.
 ABS_FLOOR = 1e-13
 
 _CHUNK_POINTS = 1 << 20
+# Grids of at most this many points keep their unit chunks and phi values.
+CACHE_MAX_POINTS = 1 << 21
 
 
 def _axis_offsets(n: int) -> np.ndarray:
@@ -36,69 +45,85 @@ def _outer_flags(n: int) -> np.ndarray:
     return np.abs(2 * np.arange(n) + 1 - n) * 2 > n
 
 
-def _chunk_rows(n: int, d: int) -> int:
-    rows = max(1, _CHUNK_POINTS // max(1, n ** (d - 1)))
-    return min(rows, n)
+def _build_chunks(d: int, n: int, shell: bool) -> Iterator[np.ndarray]:
+    """Unit midpoint points of [-1, 1]^d in fixed blocks of leading-axis rows.
 
-
-def box_midpoint_sum(
-    f: Callable[[np.ndarray], np.ndarray],
-    s: float,
-    d: int,
-    n: int,
-    exclude_inner_half: bool = False,
-) -> float:
-    """h^d * sum of f over the midpoint grid of [-s, s]^d.
-
-    With ``exclude_inner_half`` the inner box [-s/2, s/2]^d is skipped;
-    n must be divisible by 4 so the inner boundary falls on cell edges.
+    With ``shell`` the inner box [-1/2, 1/2]^d is dropped; n must then be
+    divisible by 4 so the inner boundary falls on cell edges.
     """
-    if exclude_inner_half and n % 4:
+    if shell and n % 4:
         raise ValueError("n must be divisible by 4 for shell sums")
-    ax = _axis_offsets(n) * s
+    ax = _axis_offsets(n)
     out = _outer_flags(n)
-    h = 2.0 * s / n
-    step = _chunk_rows(n, d)
-    chunk_sums = []
-    for i0 in range(0, n, step):
-        i1 = min(n, i0 + step)
-        cols = [ax[i0:i1]] + [ax] * (d - 1)
-        mesh = np.meshgrid(*cols, indexing="ij")
+    rows = max(1, _CHUNK_POINTS // n ** (d - 1))
+    for i0 in range(0, n, rows):
+        mesh = np.meshgrid(ax[i0 : i0 + rows], *([ax] * (d - 1)), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-        if exclude_inner_half:
-            flags = [out[i0:i1]] + [out] * (d - 1)
-            fmesh = np.meshgrid(*flags, indexing="ij")
-            mask = np.zeros(fmesh[0].shape, dtype=bool)
-            for fm in fmesh:
-                mask |= fm
-            pts = pts[mask.reshape(-1)]
-        if pts.shape[0]:
-            chunk_sums.append(np.sum(f(pts)))
-    if not chunk_sums:
-        return 0.0
-    return float(np.sum(np.array(chunk_sums))) * h**d
+        if shell:
+            fmesh = np.meshgrid(out[i0 : i0 + rows], *([out] * (d - 1)), indexing="ij")
+            pts = pts[np.logical_or.reduce([f.reshape(-1) for f in fmesh])]
+        pts.setflags(write=False)
+        yield pts
 
 
-def torus_mean(f: Callable[[np.ndarray], np.ndarray], d: int, n: int) -> float:
-    """Midpoint estimate of (2 pi)^-d * integral of f over [-pi, pi]^d."""
-    return box_midpoint_sum(f, np.pi, d, n) / (2.0 * np.pi) ** d
+@lru_cache(maxsize=32)
+def _unit_chunks(d: int, n: int, shell: bool) -> tuple[np.ndarray, ...]:
+    return tuple(_build_chunks(d, n, shell))
+
+
+@lru_cache(maxsize=96)
+def _phi_cached(model: WalkModel, s: float, n: int, shell: bool) -> tuple[np.ndarray, ...]:
+    out = tuple(char_exponent_grid(model, s * u) for u in _unit_chunks(model.d, n, shell))
+    for ph in out:
+        ph.setflags(write=False)
+    return out
+
+
+def phi_chunks(
+    model: WalkModel, s: float, n: int, shell: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(u, phi(s u)) for each chunk of unit points u of the grid of [-s, s]^d."""
+    if n**model.d <= CACHE_MAX_POINTS:
+        return zip(_unit_chunks(model.d, n, shell), _phi_cached(model, float(s), n, shell))
+    return (
+        (u, char_exponent_grid(model, s * u)) for u in _build_chunks(model.d, n, shell)
+    )
+
+
+def midpoint_sum(
+    model: WalkModel,
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    r: Sequence[int],
+    s: float,
+    n: int,
+    shell: bool = False,
+) -> float:
+    """h^d * sum of integrand(phi, cos(r.theta)) over the midpoint grid of [-s, s]^d.
+
+    h = 2s/n; with ``shell`` the inner box [-s/2, s/2]^d is skipped.
+    """
+    rv = np.asarray(r, dtype=float)
+    sums = [
+        np.sum(integrand(ph, np.cos(s * (u @ rv))))
+        for u, ph in phi_chunks(model, s, n, shell)
+    ]
+    return float(np.sum(sums)) * (2.0 * s / n) ** model.d
 
 
 def refine_torus_mean(
-    f: Callable[[np.ndarray], np.ndarray],
-    d: int,
+    mean_at: Callable[[int], float],
     n0: int,
     refinement_limit: int,
     rel_tol: float,
 ) -> tuple[float, float, bool]:
-    """Double the grid until successive estimates agree to rel_tol.
+    """Double the grid of mean_at(n) until successive estimates agree to rel_tol.
 
     Returns (value, est_error, converged).
     """
-    val = torus_mean(f, d, n0)
+    val = mean_at(n0)
     err = np.inf
     for k in range(1, refinement_limit + 1):
-        new = torus_mean(f, d, n0 * 2**k)
+        new = mean_at(n0 * 2**k)
         err = abs(new - val)
         val = new
         if err <= max(rel_tol * abs(val), ABS_FLOOR):
@@ -143,49 +168,3 @@ def romberg_ladder(
 
 def shell_max_levels(d: int) -> int:
     return {1: 9, 2: 7, 3: 5}.get(d, 3)
-
-
-def shell_romberg(
-    f: Callable[[np.ndarray], np.ndarray],
-    s: float,
-    d: int,
-    tol_abs: float,
-    n0: int = 16,
-    max_levels: int | None = None,
-) -> tuple[float, float]:
-    """Adaptive midpoint + Richardson on the shell [-s,s]^d \\ [-s/2,s/2]^d."""
-    if max_levels is None:
-        max_levels = shell_max_levels(d)
-    best, err, _ = romberg_ladder(
-        lambda n: box_midpoint_sum(f, s, d, n, exclude_inner_half=True),
-        tol_abs,
-        n0,
-        max_levels,
-    )
-    return best, err
-
-
-# Shell grids small enough to keep around; larger ones are rebuilt chunked.
-_SHELL_CACHE_MAX_POINTS = 1 << 21
-
-
-def shell_points(s: float, d: int, n: int) -> np.ndarray | None:
-    """Masked midpoint points of the shell, or None when too large to hold."""
-    if n**d > _SHELL_CACHE_MAX_POINTS:
-        return None
-    return _shell_points_cached(float(s), d, n)
-
-
-@lru_cache(maxsize=64)
-def _shell_points_cached(s: float, d: int, n: int) -> np.ndarray:
-    ax = _axis_offsets(n) * s
-    out = _outer_flags(n)
-    mesh = np.meshgrid(*([ax] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    fmesh = np.meshgrid(*([out] * d), indexing="ij")
-    mask = np.zeros(fmesh[0].shape, dtype=bool)
-    for fm in fmesh:
-        mask |= fm
-    pts = pts[mask.reshape(-1)]
-    pts.setflags(write=False)
-    return pts

@@ -91,6 +91,20 @@ class TestLimitCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NotIrreducible"
 
+    @pytest.mark.parametrize("flag", [["--points", "0"], ["--rel-tol", "0"]])
+    def test_zero_quadrature_flag_exits_2(self, capsys, simple_model_file, flag):
+        code, out = run_cli(
+            capsys, "limit", simple_model_file, "--x", "2", "--y", "5", "--z", "0", *flag
+        )
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_manifest_records_given_argv(self, capsys, simple_model_file):
+        argv = ["limit", simple_model_file, "--x", "2", "--y", "5", "--z", "0"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["manifest"]["argv"] == argv
+
 
 class TestTailCommand:
     def test_squeezed_target(self, capsys, simple_model_file):
@@ -236,8 +250,27 @@ class TestVerifyCommand:
 
     def test_failure_exits_1(self, capsys, simple_model_file, monkeypatch):
         monkeypatch.setitem(
-            cli._SUITES, "identities", lambda model: [("forced", 0.0, 1.0, 0.0, False)]
+            cli._SUITES, "identities", lambda model, cfg: [("forced", 0.0, 1.0, 0.0, False)]
         )
         code, out = run_cli(capsys, "verify", simple_model_file, "--suite", "identities")
         assert code == 1
         assert "FAIL" in out
+
+    def test_invalid_points_exits_2(self, capsys, simple_model_file):
+        code, out = run_cli(
+            capsys, "verify", simple_model_file, "--suite", "identities", "--points", "15"
+        )
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_quadrature_flags_reach_suites(self, capsys, simple_model_file, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            cli._SUITES, "identities", lambda model, cfg: seen.append(cfg) or []
+        )
+        code, _ = run_cli(
+            capsys, "verify", simple_model_file, "--suite", "identities",
+            "--points", "32", "--rel-tol", "1e-9",
+        )
+        assert code == 0
+        assert (seen[0].points_per_axis, seen[0].rel_tol) == (32, 1e-9)

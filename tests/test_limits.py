@@ -225,6 +225,18 @@ class TestTabooTail:
         c_xy = cd_constant(walk3d, y, y)
         assert c_xz == pytest.approx(c_xy, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "walk, q",
+        [
+            ("simple1d", TabooQuery((1,), (4,), (6,))),
+            ("nonsimple1d", TabooQuery((1,), (3,), (0,))),
+            ("walk2d", TabooQuery((1, 0), (0, 1), (0, 0))),
+            ("walk3d", TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))),
+        ],
+    )
+    def test_constant_is_python_float(self, walk, q, request):
+        assert type(taboo_tail(request.getfixturevalue(walk), q).constant) is float
+
 
 class TestC1AgainstTheorem2:
     def test_c1_reproduces_simple_walk_constants(self, simple1d):

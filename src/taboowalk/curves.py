@@ -10,12 +10,11 @@ and H_{x,z,y} to the four plain hitting curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ExtrapolationUnstable, InvalidQuery, StepTooCoarse
+from .errors import ExtrapolationUnstable, InvalidQuery, NotConverged, StepTooCoarse
 from .kernels import QuadratureConfig, _cfg, canonical_diff, green_function
 from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, hitting_limit, taboo_limit
 from .model import WalkModel, as_vec, is_simple_1d
@@ -74,53 +73,61 @@ class CdfCurve:
 
 
 # ---------------------------------------------------------------------------
-# transition-probability curves (precomputed once per displacement and grid)
+# transition-probability curves: every displacement in one pass per chunk
 # ---------------------------------------------------------------------------
 
-def _p_values_at(model: WalkModel, r: tuple, times: np.ndarray, n: int) -> np.ndarray:
-    """Midpoint estimate of p(t; 0, r) on a vector of times, n points/axis."""
-    rv = np.asarray(r, dtype=float)
-    out = np.zeros(len(times))
+# Doubles in one block of exp(phi tau) offsets; bounds the peak memory.
+_EXP_BLOCK = 1 << 22
+
+
+def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int, uniform: bool) -> np.ndarray:
+    """Midpoint estimates of p(t; 0, r), one row per r in rs, n points per axis.
+
+    With ``uniform`` (equally spaced times) exp(phi t) = exp(phi t_b) exp(phi tau)
+    over blocks of B ~ sqrt(T) offsets tau: one exp table per chunk, then one
+    GEMM per block.  Otherwise every time gets a direct exp.
+    """
+    rv = np.asarray(rs, dtype=float)
+    out = np.zeros((len(rs), len(times)))
     for u, ph in phi_chunks(model, np.pi, n):
-        w = np.cos(np.pi * (u @ rv))
-        t_block = (1 << 22) // len(ph)
-        for j0 in range(0, len(times), t_block):
-            tt = times[j0 : j0 + t_block]
-            out[j0 : j0 + t_block] += w @ np.exp(np.outer(ph, tt))
-    return out / n**model.d
+        w = np.cos(np.pi * (rv @ u.T))
+        if not uniform:
+            out += w @ np.exp(np.outer(ph, times))
+            continue
+        b = max(1, min(int(np.ceil(np.sqrt(len(times)))), _EXP_BLOCK // len(ph)))
+        e0 = np.exp(np.outer(ph, times[:b] - times[0]))
+        for j0 in range(0, len(times), b):
+            jb = min(b, len(times) - j0)
+            out[:, j0 : j0 + jb] += (w * np.exp(ph * times[j0])) @ e0[:, :jb]
+    return 2.0 * out / n**model.d
 
 
-def _p_curve(model: WalkModel, r: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """p(t; 0, r) on the given times, refined on probe points until rel_tol."""
+def _p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """p(t; 0, r) on uniform times, one row per r, refined until rel_tol.
+
+    All rows are checked together against a direct-exp probe at twice the
+    grid on 8 probe times, the first and the last among them; raises
+    NotConverged when cfg.refinement_limit doublings do not close the gap.
+    """
     probe_idx = np.unique(np.linspace(0, len(times) - 1, 8).astype(int))
     n = cfg.points_per_axis
-    vals = _p_values_at(model, r, times, n)
-    for _ in range(cfg.refinement_limit):
-        probe = _p_values_at(model, r, times[probe_idx], 2 * n)
-        if np.max(np.abs(probe - vals[probe_idx])) <= max(cfg.rel_tol, ABS_FLOOR):
-            break
+    for _ in range(cfg.refinement_limit + 1):
+        vals = _p_grid_sum(model, rs, times, n, uniform=True)
+        probe = _p_grid_sum(model, rs, times[probe_idx], 2 * n, uniform=False)
+        gap = float(np.max(np.abs(probe - vals[:, probe_idx])))
+        if gap <= max(cfg.rel_tol, ABS_FLOOR):
+            return np.clip(vals, 0.0, 1.0)
         n *= 2
-        vals = _p_values_at(model, r, times, n)
-    return np.clip(vals, 0.0, 1.0)
+    raise NotConverged(f"p-curve refinement limit reached: est_error={gap:.3e}",
+                       value=np.clip(vals, 0.0, 1.0), est_error=gap)
 
 
-@lru_cache(maxsize=256)
-def _kernel_and_rhs(model: WalkModel, r: tuple, grid: TimeGrid, cfg: QuadratureConfig):
-    """Half-grid return-probability kernel and the rhs curve for displacement r.
-
-    Returns (K, rhs) with K[m] = p((m + 1/2) h; 0, 0) and
-    rhs[k] = p(t_{k+1}; 0, r) (minus the no-jump term when r = 0).
-    """
-    h = grid.step
-    half_times = (np.arange(grid.n_steps) + 0.5) * h
-    full_times = grid.times[1:]
-    zero = (0,) * model.d
-    kern = _p_curve(model, zero, half_times, cfg)
-    if not any(r):
-        rhs = _p_curve(model, zero, full_times, cfg) - np.exp(-model.a * full_times)
-    else:
-        rhs = _p_curve(model, r, full_times, cfg)
-    return kern, rhs
+def _grid_p_curves(model: WalkModel, rs, grid: TimeGrid, cfg: QuadratureConfig) -> dict:
+    """p(t; 0, r) for r = 0 and each r in rs on the merged grid t_j = j h/2,
+    j = 1..2N: odd j are the kernel's half-grid times, even j the rhs times."""
+    rs = tuple(dict.fromkeys(((0,) * model.d,) + tuple(rs)))
+    times = np.arange(1, 2 * grid.n_steps + 1) * (0.5 * grid.step)
+    return dict(zip(rs, _p_curves(model, rs, times, cfg)))
 
 
 def _solve_first_kind(kern: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -148,17 +155,22 @@ def hitting_cdf(
     exactly.  Recommended step <= 0.1/a.
     """
     cfg = _cfg(model.d, cfg)
+    p = _grid_p_curves(model, (canonical_diff(x, y, model.d),), grid, cfg)
+    return _hitting_from(model, x, y, grid, cfg, strict, p)
+
+
+def _hitting_from(model, x, y, grid, cfg, strict, p: dict) -> CdfCurve:
+    """H_{x,y} from _grid_p_curves: kernel K[m] = p((m + 1/2) h; 0, 0) and rhs
+    p(t_{k+1}; 0, r), minus the no-jump term when r = 0."""
     r = canonical_diff(x, y, model.d)
-    kern, rhs = _kernel_and_rhs(model, r, grid, cfg)
+    kern = p[(0,) * model.d][0::2]
+    rhs = p[r][1::2]
+    if not any(r):
+        rhs = rhs - np.exp(-model.a * grid.times[1:])
     warnings = _check_kernel_diagonal(kern, strict)
-    dh = _solve_first_kind(kern, rhs)
-    values = np.concatenate([[0.0], np.cumsum(dh)])
-    return CdfCurve(
-        grid=grid,
-        values=values,
-        limit=hitting_limit(model, x, y, cfg),
-        warnings=warnings,
-    )
+    values = np.concatenate([[0.0], np.cumsum(_solve_first_kind(kern, rhs))])
+    return CdfCurve(grid=grid, values=values, limit=hitting_limit(model, x, y, cfg),
+                    warnings=warnings)
 
 
 def _check_kernel_diagonal(kern: np.ndarray, strict: bool) -> tuple[str, ...]:
@@ -188,62 +200,46 @@ def taboo_cdf(
         H_{x,y} = H_{x,y,z} + H_{x,z,y} * H_{z,y}
         H_{x,z} = H_{x,z,y} + H_{x,y,z} * H_{y,z}
 
-    with the four plain hitting curves as inputs on the same grid.  The
-    residual of both identities is recomputed and attached to the curves.
+    with the plain hitting curves as inputs on the same grid.  H_{y,z} has
+    the canonical displacement of H_{z,y}, hence the same kernel, rhs and
+    limit: one solve serves both.  The residual of both identities is
+    recomputed and attached to the curves.
     """
     if q.d != model.d:
         raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
     cfg = _cfg(model.d, cfg)
-    h_xy = hitting_cdf(model, q.x, q.y, grid, cfg, strict)
-    h_xz = hitting_cdf(model, q.x, q.z, grid, cfg, strict)
-    h_zy = hitting_cdf(model, q.z, q.y, grid, cfg, strict)
-    h_yz = hitting_cdf(model, q.y, q.z, grid, cfg, strict)
-    warnings = tuple(
-        dict.fromkeys(h_xy.warnings + h_xz.warnings + h_zy.warnings + h_yz.warnings)
-    )
+    pairs = ((q.x, q.y), (q.x, q.z), (q.z, q.y))
+    p = _grid_p_curves(model, [canonical_diff(a, b, model.d) for a, b in pairs], grid, cfg)
+    h_xy, h_xz, h_zy = (_hitting_from(model, a, b, grid, cfg, strict, p) for a, b in pairs)
+    warnings = tuple(dict.fromkeys(h_xy.warnings + h_xz.warnings + h_zy.warnings))
 
     n = grid.n_steps
-    k_zy = _midpoint_kernel(h_zy.values)
-    k_yz = _midpoint_kernel(h_yz.values)
+    kern = _midpoint_kernel(h_zy.values)
     rhs1 = h_xy.values[1:]
     rhs2 = h_xz.values[1:]
     da = np.empty(n)
     db = np.empty(n)
-    det = 1.0 - k_zy[0] * k_yz[0]
+    det = 1.0 - kern[0] * kern[0]
     for k in range(n):
-        conv1 = k_zy[1 : k + 1][::-1] @ db[:k] if k else 0.0
-        conv2 = k_yz[1 : k + 1][::-1] @ da[:k] if k else 0.0
+        conv1 = kern[1 : k + 1][::-1] @ db[:k] if k else 0.0
+        conv2 = kern[1 : k + 1][::-1] @ da[:k] if k else 0.0
         r1 = rhs1[k] - da[:k].sum() - conv1
         r2 = rhs2[k] - db[:k].sum() - conv2
-        da[k] = (r1 - k_zy[0] * r2) / det
-        db[k] = (r2 - k_yz[0] * r1) / det
+        da[k] = (r1 - kern[0] * r2) / det
+        db[k] = (r2 - kern[0] * r1) / det
     vals_a = np.concatenate([[0.0], np.cumsum(da)])
     vals_b = np.concatenate([[0.0], np.cumsum(db)])
 
     # defect of the two defining identities under the same discretization
     res = 0.0
-    for vals, dother, kern, rhs in (
-        (vals_a, db, k_zy, rhs1),
-        (vals_b, da, k_yz, rhs2),
-    ):
+    for vals, dother, rhs in ((vals_a, db, rhs1), (vals_b, da, rhs2)):
         conv = np.convolve(kern, dother)[:n]
         res = max(res, float(np.max(np.abs(vals[1:] + conv - rhs))))
-
-    cur_a = CdfCurve(
-        grid=grid,
-        values=vals_a,
-        limit=taboo_limit(model, q, cfg),
-        residual=res,
-        warnings=warnings,
+    return tuple(
+        CdfCurve(grid=grid, values=vals, limit=taboo_limit(model, qq, cfg), residual=res,
+                 warnings=warnings)
+        for vals, qq in ((vals_a, q), (vals_b, q.swapped()))
     )
-    cur_b = CdfCurve(
-        grid=grid,
-        values=vals_b,
-        limit=taboo_limit(model, q.swapped(), cfg),
-        residual=res,
-        warnings=warnings,
-    )
-    return cur_a, cur_b
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ integrands, or a dyadic shell [-s, s]^d minus [-s/2, s/2]^d for kernels
 that are singular or sharply peaked at the origin, with Richardson
 extrapolation over grid doublings.
 
+Only the half grid u_0 > 0 is built and summed, then doubled.  The fold is
+exact: every integrand is a function of (phi(theta), cos(r.theta)), both
+even under theta -> -theta for a symmetric walk, and the midpoint grid with
+n even (odd n raises ValueError) is symmetric under u -> -u.
+
 The grid of [-s, s]^d is s times the unit midpoint grid of [-1, 1]^d,
 which is partitioned into fixed row blocks of at most ``_CHUNK_POINTS``
 points; a shell drops the inner half-box from each block.  One rule,
@@ -30,8 +35,8 @@ from .model import WalkModel, char_exponent_grid
 # Soak up rounding noise when an integrand is essentially zero.
 ABS_FLOOR = 1e-13
 
-_CHUNK_POINTS = 1 << 20
-# Grids of at most this many points keep their unit chunks and phi values.
+_CHUNK_POINTS = 1 << 19
+# Grids of at most this many points (n^d) keep their unit chunks and phi values.
 CACHE_MAX_POINTS = 1 << 21
 
 
@@ -46,17 +51,19 @@ def _outer_flags(n: int) -> np.ndarray:
 
 
 def _build_chunks(d: int, n: int, shell: bool) -> Iterator[np.ndarray]:
-    """Unit midpoint points of [-1, 1]^d in fixed blocks of leading-axis rows.
+    """Unit midpoint points of [-1, 1]^d with u_0 > 0, in fixed blocks of leading-axis rows.
 
     With ``shell`` the inner box [-1/2, 1/2]^d is dropped; n must then be
     divisible by 4 so the inner boundary falls on cell edges.
     """
+    if n % 2:
+        raise ValueError("n must be even for the half-grid fold")
     if shell and n % 4:
         raise ValueError("n must be divisible by 4 for shell sums")
     ax = _axis_offsets(n)
     out = _outer_flags(n)
     rows = max(1, _CHUNK_POINTS // n ** (d - 1))
-    for i0 in range(0, n, rows):
+    for i0 in range(n // 2, n, rows):
         mesh = np.meshgrid(ax[i0 : i0 + rows], *([ax] * (d - 1)), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
         if shell:
@@ -82,7 +89,7 @@ def _phi_cached(model: WalkModel, s: float, n: int, shell: bool) -> tuple[np.nda
 def phi_chunks(
     model: WalkModel, s: float, n: int, shell: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(u, phi(s u)) for each chunk of unit points u of the grid of [-s, s]^d."""
+    """(u, phi(s u)) for each chunk of unit points u of the half grid of [-s, s]^d."""
     if n**model.d <= CACHE_MAX_POINTS:
         return zip(_unit_chunks(model.d, n, shell), _phi_cached(model, float(s), n, shell))
     return (
@@ -107,7 +114,7 @@ def midpoint_sum(
         np.sum(integrand(ph, np.cos(s * (u @ rv))))
         for u, ph in phi_chunks(model, s, n, shell)
     ]
-    return float(np.sum(sums)) * (2.0 * s / n) ** model.d
+    return 2.0 * float(np.sum(sums)) * (2.0 * s / n) ** model.d
 
 
 def refine_torus_mean(

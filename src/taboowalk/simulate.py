@@ -226,6 +226,21 @@ def _simple_1d_bracket(model: WalkModel, q: TabooQuery) -> tuple[float, float]:
     return val, val
 
 
+def _solve_spd(system: sp.csr_matrix, rhs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Solve I - P (symmetric for a symmetric walk, positive definite by
+    absorption) by CG; a solution with residual above 1e-12 ||b|| is
+    replaced by a sparse-LU solve, so the bracket is never silently wrong."""
+    lu = None
+    out = []
+    for b in rhs:
+        u, _ = spla.cg(system, b, rtol=1e-13, atol=0.0)
+        if np.linalg.norm(b - system @ u) > 1e-12 * np.linalg.norm(b):
+            lu = lu if lu is not None else spla.splu(system.tocsc())
+            u = lu.solve(b)
+        out.append(u)
+    return out
+
+
 def absorption_limit_bracket(
     model: WalkModel, q: TabooQuery, box_radius: int
 ) -> tuple[float, float]:
@@ -290,12 +305,11 @@ def absorption_limit_bracket(
     mat = sp.csr_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(n_states, n_states)
     )
-    system = (sp.identity(n_states, format="csr") - mat).tocsc()
+    system = sp.identity(n_states, format="csr") - mat
     b_hit[~interior] = 0.0
     b_esc[~interior] = 0.0
-    lu = spla.splu(system)
-    u_hit = lu.solve(b_hit)   # P(absorbed at y inside the box)
-    u_esc = lu.solve(b_esc)   # P(escape through the boundary)
+    # P(absorbed at y inside the box), P(escape through the boundary)
+    u_hit, u_esc = _solve_spd(system, (b_hit, b_esc))
     u_hit[iy] = 1.0
     u_hit[iz] = 0.0
     u_esc[[iy, iz]] = 0.0

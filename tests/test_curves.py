@@ -6,6 +6,8 @@ import pytest
 from taboowalk import (
     ExtrapolationUnstable,
     InvalidQuery,
+    NotConverged,
+    QuadratureConfig,
     SimConfig,
     StepTooCoarse,
     TabooQuery,
@@ -20,8 +22,10 @@ from taboowalk import (
     taboo_cdf,
     tail_extract,
 )
-from taboowalk.curves import _LADDER_KS
+from taboowalk import curves
+from taboowalk.curves import _LADDER_KS, _p_curves
 from taboowalk.limits import c1_constant
+from taboowalk.model import char_exponent_grid
 
 
 def g1d_closed(lam, x, a=1.0):
@@ -124,6 +128,61 @@ class TestTabooCdf:
         for lam in (0.5, 1.0, 2.0):
             numeric = laplace_stieltjes(a, lam)
             assert numeric == pytest.approx(laplace_taboo(nonsimple1d, q, lam), abs=1e-3)
+
+
+def _full_grid_p(model, rs, times, n):
+    """Reference midpoint sum of p(t; 0, r) over the whole (unfolded) torus grid."""
+    ax = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
+    theta = np.stack(np.meshgrid(*[ax] * model.d, indexing="ij"), -1).reshape(-1, model.d)
+    w = np.cos(np.asarray(rs, dtype=float) @ theta.T)
+    return w @ np.exp(np.outer(char_exponent_grid(model, theta), times)) / n**model.d
+
+
+class TestBatchedPCurves:
+    @pytest.mark.parametrize("walk, n", [("nonsimple1d", 64), ("walk2d", 32), ("walk3d", 32)])
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 4.0, 41), 0.25 + 0.1 * np.arange(37)])
+    def test_matches_full_grid_reference(self, walk, n, times, request):
+        model = request.getfixturevalue(walk)
+        d = model.d
+        rs = ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
+        cfg = QuadratureConfig(points_per_axis=n, refinement_limit=0, rel_tol=1e-6)
+        got = _p_curves(model, rs, times, cfg)
+        assert got.shape == (3, len(times))
+        np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
+
+    def test_taboo_cdf_makes_one_pass_plus_probe(self, walk3d, monkeypatch):
+        calls = []
+        grid_sum = curves._p_grid_sum
+
+        def spy(model, rs, times, n, uniform):
+            calls.append((len(rs), len(times), n, uniform))
+            return grid_sum(model, rs, times, n, uniform)
+
+        monkeypatch.setattr(curves, "_p_grid_sum", spy)
+        cfg = QuadratureConfig(points_per_axis=32, refinement_limit=2, rel_tol=1e-6)
+        q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
+        taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=40), cfg)
+        assert calls == [(4, 80, 32, True), (4, 8, 64, False)]
+
+    def test_taboo_cdf_reuses_the_zy_solve(self, nonsimple1d, monkeypatch):
+        grid = TimeGrid(step=0.05, n_steps=200)
+        q = TabooQuery((1,), (3,), (0,))
+        yz = hitting_cdf(nonsimple1d, q.y, q.z, grid)
+        zy = hitting_cdf(nonsimple1d, q.z, q.y, grid)
+        assert np.array_equal(yz.values, zy.values) and yz.limit == zy.limit
+        solves = []
+        solve = curves._solve_first_kind
+        monkeypatch.setattr(
+            curves, "_solve_first_kind", lambda k, r: solves.append(1) or solve(k, r)
+        )
+        taboo_cdf(nonsimple1d, q, grid)
+        assert len(solves) == 3
+
+    def test_unconverged_curve_raises(self, walk3d):
+        cfg = QuadratureConfig(points_per_axis=16, refinement_limit=0)
+        with pytest.raises(NotConverged) as err:
+            hitting_cdf(walk3d, (0, 0, 0), (0, 0, 0), TimeGrid(step=0.1, n_steps=3000), cfg)
+        assert err.value.est_error > cfg.rel_tol
 
 
 class TestLaplace:

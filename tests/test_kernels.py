@@ -188,7 +188,7 @@ class TestKKernel:
         # Simpson on [0, U] plus the gamma_d tail of int_t^inf p beyond U
         from scipy.integrate import simpson
 
-        from taboowalk.curves import _p_curve
+        from taboowalk.curves import _p_curves
 
         lam = 0.5
         got = k_kernel(walk3d, lam, [0, 0, 0])
@@ -197,7 +197,7 @@ class TestKKernel:
         horizon = 300.0
         times = np.linspace(0.0, horizon, 1201)
         cfg = QuadratureConfig(points_per_axis=64, refinement_limit=1, rel_tol=1e-6)
-        p_vals = _p_curve(walk3d, (0, 0, 0), times, cfg)
+        p_vals = _p_curves(walk3d, ((0, 0, 0),), times, cfg)[0]
         body = simpson(p_vals * -np.expm1(-lam * times) / lam, x=times)
         gamma3 = spectral_scalars(walk3d).gamma_d
         tail = gamma3 * 2.0 / (lam * math.sqrt(horizon))

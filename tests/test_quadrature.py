@@ -59,3 +59,8 @@ def test_large_grids_are_not_cached():
 def test_shell_needs_n_divisible_by_4():
     with pytest.raises(ValueError):
         midpoint_sum(simple_walk_1d(), _ones, (0,), 1.0, 18, shell=True)
+
+
+def test_odd_n_is_rejected():
+    with pytest.raises(ValueError):
+        midpoint_sum(simple_walk_1d(), _ones, (0,), math.pi, 17)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from taboowalk import (
     BracketTooWide,
@@ -18,6 +19,7 @@ from taboowalk import (
     taboo_limit,
     taboo_tail,
 )
+from taboowalk import simulate
 from taboowalk.simulate import _mix64_int, _uniforms, estimate_taboo_curve
 
 
@@ -258,6 +260,28 @@ class TestAbsorptionOracle:
         q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
         with pytest.raises(BracketTooWide):
             absorption_limit_oracle(walk3d, q, 6, tol=1e-3)
+
+    @pytest.mark.parametrize("walk, radius", [("walk2d", 10), ("walk3d", 5)])
+    def test_cg_matches_splu_reference(self, walk, radius, request, monkeypatch):
+        model = request.getfixturevalue(walk)
+        d = model.d
+        q = TabooQuery((1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * d)
+        got = absorption_limit_bracket(model, q, radius)
+        monkeypatch.setattr(
+            simulate.spla, "cg", lambda a, b, **kw: (spla.splu(a.tocsc()).solve(b), 0)
+        )
+        want = absorption_limit_bracket(model, q, radius)
+        assert got == pytest.approx(want, abs=1e-10)
+
+    def test_failed_cg_falls_back_to_splu(self, walk2d, monkeypatch):
+        q = TabooQuery((1, 0), (0, 1), (0, 0))
+        want = absorption_limit_bracket(walk2d, q, 10)
+        factorised = []
+        splu = spla.splu
+        monkeypatch.setattr(simulate.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+        monkeypatch.setattr(simulate.spla, "splu", lambda a: factorised.append(a) or splu(a))
+        assert absorption_limit_bracket(walk2d, q, 10) == pytest.approx(want, abs=1e-10)
+        assert len(factorised) == 1
 
 
 class TestFitTailOrder:

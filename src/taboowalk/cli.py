@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .errors import (
     InvalidQuery,
     ModelError,
     NotConverged,
+    QueryOutsideBox,
     TabooWalkError,
 )
 from .kernels import QuadratureConfig, default_config, rho, transition_probability, trig_identity_check
@@ -49,7 +51,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
 
-_INPUT_ERRORS = (ModelError, InvalidQuery, ValueError, OSError, json.JSONDecodeError, KeyError)
+_INPUT_ERRORS = (ModelError, InvalidQuery, QueryOutsideBox, OSError)
 _NUMERICAL_ERRORS = (NotConverged, ExtrapolationUnstable)
 
 
@@ -57,11 +59,39 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _parse_vec(text: str) -> tuple[int, ...]:
+def _parse_vec(text: str, d: int) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        vec = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise InvalidQuery(f"cannot parse lattice point {text!r}: {exc}") from exc
+    if len(vec) != d:
+        raise InvalidQuery(f"lattice point {text!r} is not a {d}-vector")
+    return vec
+
+
+def _checked(convert, ok, what: str):
+    """argparse ``type=`` that converts a flag value and rejects it unless ok."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_POINTS = _checked(int, lambda v: v >= 16 and v % 2 == 0, "an even integer >= 16")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_T_LIST = _checked(
+    lambda text: [float(t) for t in text.split(",")],
+    lambda ts: all(0.0 <= t < math.inf for t in ts) and max(ts) > 0.0,
+    "a comma-separated list of finite times >= 0, one of them > 0",
+)
 
 
 def _emit(obj: dict) -> None:
@@ -119,9 +149,9 @@ def _cmd_limit(args) -> int:
     model = load_model(args.model)
     args._model_d = model.d
     cfg = _quad_config(args)
-    x = _parse_vec(args.x)
-    y = _parse_vec(args.y)
-    z = _parse_vec(args.z) if args.z is not None else None
+    x = _parse_vec(args.x, model.d)
+    y = _parse_vec(args.y, model.d)
+    z = _parse_vec(args.z, model.d) if args.z is not None else None
     record: dict = {"query": _query_dict(x, y, z), "method": "closed-form"}
     if z is None:
         record["limit"] = hitting_limit(model, x, y, cfg)
@@ -176,7 +206,7 @@ def _cmd_tail(args) -> int:
     model = load_model(args.model)
     args._model_d = model.d
     cfg = _quad_config(args)
-    q = TabooQuery(_parse_vec(args.x), _parse_vec(args.y), _parse_vec(args.z))
+    q = TabooQuery(*(_parse_vec(v, model.d) for v in (args.x, args.y, args.z)))
     record = {"query": _query_dict(q.x, q.y, q.z)}
     record.update(_tail_record(model, q, args.minus, cfg))
     code = EXIT_OK
@@ -198,9 +228,9 @@ def _cmd_curve(args) -> int:
     model = load_model(args.model)
     args._model_d = model.d
     cfg = _quad_config(args)
-    x = _parse_vec(args.x)
-    y = _parse_vec(args.y)
-    z = _parse_vec(args.z) if args.z is not None else None
+    x = _parse_vec(args.x, model.d)
+    y = _parse_vec(args.y, model.d)
+    z = _parse_vec(args.z, model.d) if args.z is not None else None
     n_steps = max(2, int(round(args.horizon / args.step)))
     grid = TimeGrid(step=args.step, n_steps=n_steps)
     warnings: list[str] = []
@@ -245,10 +275,8 @@ def _cmd_curve(args) -> int:
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     args._model_d = model.d
-    q = TabooQuery(_parse_vec(args.x), _parse_vec(args.y), _parse_vec(args.z))
-    t_list = [float(t) for t in args.t_list.split(",")]
-    if not t_list or any(t < 0 for t in t_list):
-        raise InvalidQuery(f"bad --t-list {args.t_list!r}")
+    q = TabooQuery(*(_parse_vec(v, model.d) for v in (args.x, args.y, args.z)))
+    t_list = args.t_list
     sim = SimConfig(horizon=max(t_list), n_paths=args.paths, seed=args.seed)
     ests = estimate_taboo_curve(model, q, t_list, sim)
     record = {
@@ -408,8 +436,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # flag values that fail their type check raise ArgumentError, which
+    # main() reports as an invalid-input record
     parser = argparse.ArgumentParser(
         prog="taboowalk",
+        exit_on_error=False,
         description="Hitting-time and taboo-hitting-time probabilities for lattice random walks.",
     )
     parser.add_argument("--version", action="version", version=f"taboowalk {__version__}")
@@ -420,64 +451,69 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x", required=True, help="start point, comma-separated ints")
         p.add_argument("--y", required=True, help="target point")
         p.add_argument("--z", required=need_z, default=None, help="taboo point")
-        p.add_argument("--points", type=int, default=None, help="quadrature points per axis")
-        p.add_argument("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
+        p.add_argument("--points", type=_POINTS, default=None, help="quadrature points per axis")
+        p.add_argument("--rel-tol", type=_POSITIVE, default=None, help="quadrature relative tolerance")
 
-    p = sub.add_parser("limit", help="limit probability H(infinity)")
+    p = sub.add_parser("limit", exit_on_error=False, help="limit probability H(infinity)")
     add_common(p, need_z=False)
     p.add_argument("--minus", action="store_true", help="clock from the first jump")
     p.add_argument("--verify", action="store_true", help="cross-check with oracle and Monte Carlo")
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_COUNT, default=100_000)
     p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--radius", type=int, default=None, help="absorption-oracle box radius")
+    p.add_argument("--radius", type=_COUNT, default=None, help="absorption-oracle box radius")
     p.set_defaults(func=_cmd_limit)
 
-    p = sub.add_parser("tail", help="tail order and constant")
+    p = sub.add_parser("tail", exit_on_error=False, help="tail order and constant")
     add_common(p, need_z=True)
     p.add_argument("--minus", action="store_true")
     p.add_argument("--extract", action="store_true", help="also extract the constant numerically")
     p.set_defaults(func=_cmd_tail)
 
-    p = sub.add_parser("curve", help="c.d.f. curve to CSV")
+    p = sub.add_parser("curve", exit_on_error=False, help="c.d.f. curve to CSV")
     add_common(p, need_z=False)
     p.add_argument("--minus", action="store_true")
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--step", type=_POSITIVE, required=True)
+    p.add_argument("--horizon", type=_POSITIVE, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimates")
+    p = sub.add_parser("simulate", exit_on_error=False, help="Monte Carlo estimates")
     add_common(p, need_z=True)
-    p.add_argument("--t-list", required=True, help="comma-separated times")
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--t-list", type=_T_LIST, required=True, help="comma-separated times")
+    p.add_argument("--paths", type=_COUNT, default=100_000)
     p.add_argument("--seed", type=int, default=20240501)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", exit_on_error=False, help="run a verification suite")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
+    p.add_argument("--points", type=_POINTS, default=None)
+    p.add_argument("--rel-tol", type=_POSITIVE, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
+
+
+def _report(exc: Exception, code: int) -> int:
+    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    return code
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _report(exc, EXIT_INPUT_ERROR)
     args._argv = argv
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_NUMERICAL
+        return _report(exc, EXIT_NUMERICAL)
     except _INPUT_ERRORS as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_INPUT_ERROR
+        return _report(exc, EXIT_INPUT_ERROR)
     except TabooWalkError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_NUMERICAL
+        return _report(exc, EXIT_NUMERICAL)
 
 
 def entrypoint() -> None:

@@ -220,13 +220,16 @@ def taboo_cdf(
     da = np.empty(n)
     db = np.empty(n)
     det = 1.0 - kern[0] * kern[0]
+    sum_a = sum_b = 0.0  # running sums of da[:k], db[:k]
     for k in range(n):
         conv1 = kern[1 : k + 1][::-1] @ db[:k] if k else 0.0
         conv2 = kern[1 : k + 1][::-1] @ da[:k] if k else 0.0
-        r1 = rhs1[k] - da[:k].sum() - conv1
-        r2 = rhs2[k] - db[:k].sum() - conv2
+        r1 = rhs1[k] - sum_a - conv1
+        r2 = rhs2[k] - sum_b - conv2
         da[k] = (r1 - kern[0] * r2) / det
         db[k] = (r2 - kern[0] * r1) / det
+        sum_a += da[k]
+        sum_b += db[k]
     vals_a = np.concatenate([[0.0], np.cumsum(da)])
     vals_b = np.concatenate([[0.0], np.cumsum(db)])
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     AsymmetricRates,
     EmptySupport,
+    ModelError,
     NonpositiveRate,
     NotIrreducible,
     SingularHessian,
@@ -236,8 +237,12 @@ def model_from_dict(obj: dict) -> WalkModel:
 
 
 def load_model(path) -> WalkModel:
+    """Read a model file; malformed content raises ModelError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except (ValueError, TypeError) as exc:
+            raise ModelError(f"malformed model file {path}: {exc}") from exc
 
 
 def save_model(model: WalkModel, path) -> None:

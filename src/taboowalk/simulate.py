@@ -2,7 +2,9 @@
 
 The path sampler draws every random number from a counter-based hash of
 (seed, path index, step index), so estimates are bit-identical however the
-paths are sharded, and a path can be replayed in isolation.
+paths are split into blocks, and a path can be replayed in isolation.
+scipy.sparse is imported by the absorption solves only, so that importing
+the package does not pay for it.
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import BracketTooWide, DegenerateSamples, QueryOutsideBox
+from .errors import BracketTooWide, DegenerateSamples, InvalidQuery, QueryOutsideBox
 from .limits import TabooQuery, TailAsymptotic, TailOrder
 from .model import WalkModel, is_simple_1d
 
@@ -42,32 +42,45 @@ def _mix64_int(z: int) -> int:
 _MASK64 = (1 << 64) - 1
 
 
-def _uniforms(seed_hash: np.uint64, path_ids: np.ndarray, step: int, sub: int) -> np.ndarray:
-    """U[0,1) keyed by (seed, path, step, sub); 53-bit mantissa."""
+def _path_keys(seed_hash: np.uint64, path_ids: np.ndarray) -> np.ndarray:
+    """Per-path stream keys: fixed for the life of a path."""
+    return _mix64(path_ids * _GOLDEN + seed_hash)
+
+
+def _draw(keys: np.ndarray, step: int, sub: int) -> np.ndarray:
+    """U[0,1) for draw ``sub`` of jump ``step`` on each key's stream; 53-bit mantissa."""
     # counter mixing in exact Python ints, then wrapped to uint64
     counter = _U64(((2 * step + sub) * 0xD1342543DE82EF95 + 0x9E3779B97F4A7C15) & _MASK64)
-    z = _mix64(path_ids * _GOLDEN + seed_hash)
-    z = _mix64(z ^ counter)
-    return (z >> _U64(11)).astype(np.float64) * 2.0**-53
+    return (_mix64(keys ^ counter) >> _U64(11)).astype(np.float64) * 2.0**-53
+
+
+def _uniforms(seed_hash: np.uint64, path_ids: np.ndarray, step: int, sub: int) -> np.ndarray:
+    """U[0,1) keyed by (seed, path, step, sub)."""
+    return _draw(_path_keys(seed_hash, path_ids), step, sub)
+
+
+# Paths simulated together; bounds the sampler's memory whatever n_paths is.
+_BLOCK_PATHS = 1 << 18
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run parameters; n_shards never affects the result."""
+    """Monte Carlo run parameters.
+
+    Paths run in fixed-size blocks, so memory does not grow with n_paths;
+    the block size never affects the result.
+    """
 
     horizon: float
     n_paths: int
     seed: int
     max_jumps: int = 1_000_000
-    n_shards: int = 1
 
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be > 0")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,59 +100,82 @@ class McEstimate:
     undecided_paths: int = 0
 
 
-def _simulate_hit_times(
-    model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bool
-) -> tuple[np.ndarray, int, int]:
-    """Per-path taboo-hitting times (inf when the event fails by the horizon).
+def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bool):
+    """Yield (path ids, hit times, truncated, undecided) per block of paths.
 
     The walk jumps at exponential(a) epochs; hitting and taboo are checked
     at jump epochs, which is exact for piecewise-constant paths.  With
     ``minus_clock`` the first holding time does not count toward the clock.
+    Only paths that hit y before z and by the horizon are listed.  The
+    state of the paths still running is kept compacted: a path that
+    passes the horizon or reaches y or z leaves every column at once.
     """
+    if q.d != model.d:
+        raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
     a = model.total_rate
-    support = model.support
-    jump_cdf = model.jump_cdf
-    y = np.asarray(q.y, dtype=np.int64)
-    z = np.asarray(q.z, dtype=np.int64)
+    axis_jumps = [np.ascontiguousarray(col) for col in model.support.T]
+    # u < 1 = jump_cdf[-1], so the jump index is the number of cuts <= u
+    cuts = model.jump_cdf[:-1]
     seed_hash = _U64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
 
-    hit_times = np.full(sim.n_paths, np.inf)
-    truncated = 0
-    undecided = 0
-    shard_edges = [sim.n_paths * i // sim.n_shards for i in range(sim.n_shards + 1)]
-    for lo, hi in zip(shard_edges[:-1], shard_edges[1:]):
-        if hi == lo:
-            continue
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        pos = np.tile(np.asarray(q.x, dtype=np.int64), (hi - lo, 1))
-        clock = np.zeros(hi - lo)
-        alive = np.arange(hi - lo)
+    for lo in range(0, sim.n_paths, _BLOCK_PATHS):
+        ids = np.arange(lo, min(lo + _BLOCK_PATHS, sim.n_paths), dtype=np.uint64)
+        keys = _path_keys(seed_hash, ids)
+        clock = np.zeros(ids.size)
+        pos = [np.full(ids.size, c, dtype=np.int64) for c in q.x]
+        hit_ids, hit_times = [], []
+        truncated = undecided = 0
         step = 0
-        while alive.size:
+        while ids.size:
             if step >= sim.max_jumps:
-                truncated += alive.size
-                undecided += alive.size
+                truncated = ids.size
+                undecided += ids.size
                 break
-            u_time = _uniforms(seed_hash, ids[alive], step, 0)
-            u_jump = _uniforms(seed_hash, ids[alive], step, 1)
             if not (minus_clock and step == 0):
-                clock[alive] += -np.log1p(-u_time) / a
-            over = clock[alive] > sim.horizon
+                clock += -np.log1p(-_draw(keys, step, 0)) / a
+            over = clock > sim.horizon
+            u = _draw(keys, step, 1)
+            jump = np.zeros(ids.size, dtype=np.intp)
+            for c in cuts:
+                jump += u >= c
+            for p, col in zip(pos, axis_jumps):
+                p += col[jump]
+            at_y = np.logical_and.reduce([p == c for p, c in zip(pos, q.y)])
+            at_z = np.logical_and.reduce([p == c for p, c in zip(pos, q.z)])
+            stay = ~(over | at_y | at_z)
+            hit = at_y & ~over
             undecided += int(np.count_nonzero(over))
-            live = alive[~over]
-            pos[live] += support[np.searchsorted(jump_cdf, u_jump[~over], side="right")]
-            at_y = np.all(pos[live] == y, axis=1)
-            hit = live[at_y]
-            hit_times[ids[hit].astype(np.int64)] = clock[hit]
-            dead = at_y | np.all(pos[live] == z, axis=1)
-            alive = live[~dead]
+            if hit.any():
+                hit_ids.append(ids[hit])
+                hit_times.append(clock[hit])
+            if not stay.all():
+                ids, keys, clock = ids[stay], keys[stay], clock[stay]
+                pos = [p[stay] for p in pos]
             step += 1
+        yield (
+            np.concatenate(hit_ids or [ids[:0]]),
+            np.concatenate(hit_times or [clock[:0]]),
+            truncated,
+            undecided,
+        )
+
+
+def _simulate_hit_times(
+    model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bool
+) -> tuple[np.ndarray, int, int]:
+    """Per-path taboo-hitting times (inf when the event fails by the horizon),
+    for replaying paths one by one; holds one float per path."""
+    hit_times = np.full(sim.n_paths, np.inf)
+    truncated = undecided = 0
+    for ids, times, trunc, und in _hit_blocks(model, q, sim, minus_clock):
+        hit_times[ids.astype(np.int64)] = times
+        truncated += trunc
+        undecided += und
     return hit_times, truncated, undecided
 
 
-def _estimate_at(hit_times, t, sim, truncated, undecided) -> McEstimate:
+def _estimate_at(hits: int, sim: SimConfig, truncated: int, undecided: int) -> McEstimate:
     n = sim.n_paths
-    hits = int(np.count_nonzero(hit_times <= t))
     p = hits / n
     return McEstimate(
         probability=p,
@@ -151,6 +187,18 @@ def _estimate_at(hit_times, t, sim, truncated, undecided) -> McEstimate:
     )
 
 
+def _estimate_curve(model, q, t_list, sim, minus_clock) -> list[McEstimate]:
+    """Estimates at each time in t_list, counting hits block by block."""
+    _check_times(t_list, sim)
+    hits = [0] * len(t_list)
+    truncated = undecided = 0
+    for _, times, trunc, und in _hit_blocks(model, q, sim, minus_clock):
+        hits = [h + int(np.count_nonzero(times <= t)) for h, t in zip(hits, t_list)]
+        truncated += trunc
+        undecided += und
+    return [_estimate_at(h, sim, truncated, undecided) for h in hits]
+
+
 def estimate_taboo_cdf(model: WalkModel, q: TabooQuery, t: float, sim: SimConfig) -> McEstimate:
     """Monte Carlo estimate of H_{x,y,z}(t); requires t <= sim.horizon."""
     return estimate_taboo_curve(model, q, [t], sim)[0]
@@ -160,9 +208,7 @@ def estimate_taboo_curve(
     model: WalkModel, q: TabooQuery, t_list: Sequence[float], sim: SimConfig
 ) -> list[McEstimate]:
     """Estimates at several times from one shared set of paths (monotone in t)."""
-    _check_times(t_list, sim)
-    hit_times, trunc, und = _simulate_hit_times(model, q, sim, minus_clock=False)
-    return [_estimate_at(hit_times, t, sim, trunc, und) for t in t_list]
+    return _estimate_curve(model, q, t_list, sim, minus_clock=False)
 
 
 def estimate_minus_cdf(model: WalkModel, q: TabooQuery, t: float, sim: SimConfig) -> McEstimate:
@@ -173,9 +219,7 @@ def estimate_minus_cdf(model: WalkModel, q: TabooQuery, t: float, sim: SimConfig
 def estimate_minus_curve(
     model: WalkModel, q: TabooQuery, t_list: Sequence[float], sim: SimConfig
 ) -> list[McEstimate]:
-    _check_times(t_list, sim)
-    hit_times, trunc, und = _simulate_hit_times(model, q, sim, minus_clock=True)
-    return [_estimate_at(hit_times, t, sim, trunc, und) for t in t_list]
+    return _estimate_curve(model, q, t_list, sim, minus_clock=True)
 
 
 def _check_times(t_list, sim):
@@ -192,6 +236,9 @@ def _simple_1d_bracket(model: WalkModel, q: TabooQuery) -> tuple[float, float]:
     """Exact value for the nearest-neighbor walk: with unit steps a path on
     the far side of z must hit z before y (and vice versa), so only the
     open strip between the absorbers needs a linear solve."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     y, z = q.y[0], q.z[0]
     lo_pt, hi_pt = min(y, z), max(y, z)
     interior = np.arange(lo_pt + 1, hi_pt)
@@ -226,10 +273,13 @@ def _simple_1d_bracket(model: WalkModel, q: TabooQuery) -> tuple[float, float]:
     return val, val
 
 
-def _solve_spd(system: sp.csr_matrix, rhs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Solve I - P (symmetric for a symmetric walk, positive definite by
-    absorption) by CG; a solution with residual above 1e-12 ||b|| is
-    replaced by a sparse-LU solve, so the bracket is never silently wrong."""
+def _solve_spd(system, rhs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Solve the sparse I - P (symmetric for a symmetric walk, positive
+    definite by absorption) by CG; a solution with residual above
+    1e-12 ||b|| is replaced by a sparse-LU solve, so the bracket is never
+    silently wrong."""
+    import scipy.sparse.linalg as spla
+
     lu = None
     out = []
     for b in rhs:
@@ -266,6 +316,7 @@ def absorption_limit_bracket(
             raise QueryOutsideBox(f"{point} outside box of radius {r}")
     if is_simple_1d(model):
         return _simple_1d_bracket(model, q)
+    import scipy.sparse as sp
 
     shape = (2 * r + 1,) * d
     n_states = (2 * r + 1) ** d

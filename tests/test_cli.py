@@ -106,6 +106,67 @@ class TestLimitCommand:
         assert json.loads(out)["manifest"]["argv"] == argv
 
 
+class TestInputContract:
+    """Bad input exits 2 with an error record; anything else is not input."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["limit", "--x", "2", "--y", "5", "--z", "0", "--verify", "--paths", "0"],
+            ["limit", "--x", "2", "--y", "5", "--z", "0", "--points", "18.5"],
+            ["limit", "--x", "2", "--y", "5", "--z", "0", "--rel-tol", "nan"],
+            ["limit", "--x", "2", "--y", "5", "--z", "0", "--verify", "--radius", "0"],
+            ["curve", "--x", "0", "--y", "1", "--step", "0", "--horizon", "5", "--out", "c.csv"],
+            ["curve", "--x", "0", "--y", "1", "--step", "0.1", "--horizon=-5", "--out", "c.csv"],
+            ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list=-1,5"],
+            ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "0"],
+            ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "5,x"],
+        ],
+    )
+    def test_bad_flag_value_exits_2(self, capsys, simple_model_file, args):
+        code, out = run_cli(capsys, args[0], simple_model_file, *args[1:])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ArgumentError"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"d": 1, "jumps": [', "ModelError"),
+            ('{"d": 1}', "ModelError"),
+            ('{"d": 1, "jumps": [{"z": ["a"], "rate": 0.5}]}', "ModelError"),
+            ('{"d": 1, "jumps": [{"z": [1], "rate": null}]}', "ModelError"),
+        ],
+    )
+    def test_malformed_model_file_exits_2(self, capsys, tmp_path, text, error):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out = run_cli(capsys, "limit", str(bad), "--x", "0", "--y", "2", "--z", "4")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == error
+
+    def test_wrong_dimension_exits_2(self, capsys, simple_model_file):
+        code, out = run_cli(capsys, "limit", simple_model_file, "--x", "2,0", "--y", "5")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidQuery"
+
+    def test_query_outside_box_exits_2(self, capsys, simple_model_file):
+        code, out = run_cli(
+            capsys, "limit", simple_model_file, "--x", "200", "--y", "5", "--z", "0",
+            "--verify", "--radius", "100", "--paths", "10",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "QueryOutsideBox"
+
+    def test_internal_value_error_propagates(self, capsys, simple_model_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "taboo_limit", broken)
+        with pytest.raises(ValueError, match="internal"):
+            cli.main(["limit", simple_model_file, "--x", "2", "--y", "5", "--z", "0"])
+        assert capsys.readouterr().out == ""
+
+
 class TestTailCommand:
     def test_squeezed_target(self, capsys, simple_model_file):
         code, out = run_cli(capsys, "tail", simple_model_file, "--x", "1", "--y", "4", "--z", "6")

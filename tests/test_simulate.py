@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import scipy.sparse.linalg as spla
 from taboowalk import (
     BracketTooWide,
     DegenerateSamples,
+    InvalidQuery,
     QueryOutsideBox,
     SimConfig,
     TabooQuery,
@@ -19,8 +25,9 @@ from taboowalk import (
     taboo_limit,
     taboo_tail,
 )
+import taboowalk
 from taboowalk import simulate
-from taboowalk.simulate import _mix64_int, _uniforms, estimate_taboo_curve
+from taboowalk.simulate import _mix64_int, _simulate_hit_times, _uniforms, estimate_taboo_curve
 
 
 class TestRngStream:
@@ -55,13 +62,30 @@ class TestTabooEstimates:
         est = estimate_taboo_cdf(simple1d, q, 200.0, sim)
         assert abs(est.probability - 0.4) <= 3 * est.std_error
 
-    def test_shard_invariance_bitwise(self, simple1d):
+    def test_shard_invariance_bitwise(self, simple1d, monkeypatch):
         q = TabooQuery((0,), (3,), (0,))
+        sim = SimConfig(horizon=30.0, n_paths=30_000, seed=99)
         results = []
-        for shards in (1, 3, 17):
-            sim = SimConfig(horizon=30.0, n_paths=30_000, seed=99, n_shards=shards)
+        for block in (1000, 7000, sim.n_paths):
+            monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
             results.append(estimate_taboo_cdf(simple1d, q, 30.0, sim))
         assert results[0] == results[1] == results[2]
+
+    def test_memory_flat_in_path_count(self, walk3d, monkeypatch):
+        # the traced peak is set by the block size, not by n_paths
+        block = 2000
+        monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
+        q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
+        peaks = []
+        for n_blocks in (4, 16):
+            sim = SimConfig(horizon=5.0, n_paths=n_blocks * block, seed=3)
+            tracemalloc.start()
+            try:
+                estimate_taboo_curve(walk3d, q, [2.0, 5.0], sim)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_monotone_in_t_shared_paths(self, simple1d):
         q = TabooQuery((2,), (5,), (0,))
@@ -83,6 +107,34 @@ class TestTabooEstimates:
         assert np.array_equal(np.isinf(hit), np.isinf(got))
         finite = np.isfinite(hit)
         assert np.allclose(hit[finite], got[finite], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "walk, minus_clock",
+        [("walk2d", False), ("walk3d", False), ("walk3d", True), ("simple1d", True)],
+    )
+    def test_blocked_kernel_matches_reference(self, walk, minus_clock, request, monkeypatch):
+        # several blocks with a short last one; outcomes exact, times to 1e-12
+        model = request.getfixturevalue(walk)
+        monkeypatch.setattr(simulate, "_BLOCK_PATHS", 300)
+        q = {
+            1: TabooQuery((1,), (3,), (0,)),
+            2: TabooQuery((1, 0), (0, 1), (0, 0)),
+            3: TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+        }[model.d]
+        sim = SimConfig(horizon=12.0, n_paths=1000, seed=77, max_jumps=8)
+        want = _simulate_reference(model, q, sim, minus_clock)
+        got = _simulate_hit_times(model, q, sim, minus_clock)
+        assert got[1:] == want[1:]
+        assert want[1] > 0 and np.isfinite(want[0]).any()
+        assert np.array_equal(np.isinf(want[0]), np.isinf(got[0]))
+        finite = np.isfinite(want[0])
+        assert np.allclose(want[0][finite], got[0][finite], rtol=1e-12, atol=0.0)
+
+    def test_query_dimension_must_match(self, walk2d):
+        with pytest.raises(InvalidQuery):
+            estimate_taboo_cdf(
+                walk2d, TabooQuery((1,), (2,), (0,)), 1.0, SimConfig(horizon=1.0, n_paths=10, seed=0)
+            )
 
     def test_epoch_checks_equal_dense_monitoring(self, simple1d):
         # reconstruct full trajectories for 10^3 paths and monitor the taboo
@@ -163,7 +215,7 @@ def _dense_monitor(jumps, states, q, horizon, dt):
     return math.inf
 
 
-def _simulate_reference(model, q, sim):
+def _simulate_reference(model, q, sim, minus_clock=False):
     """Straight-line per-path reference implementation (same RNG keys)."""
     from taboowalk.simulate import _mix64_int, _uniforms
 
@@ -185,7 +237,8 @@ def _simulate_reference(model, q, sim):
             pid = np.array([i], dtype=np.uint64)
             u1 = float(_uniforms(seed_hash, pid, step, 0)[0])
             u2 = float(_uniforms(seed_hash, pid, step, 1)[0])
-            clock += -math.log1p(-u1) / a
+            if not (minus_clock and step == 0):
+                clock += -math.log1p(-u1) / a
             if clock > sim.horizon:
                 und += 1
                 break
@@ -267,9 +320,7 @@ class TestAbsorptionOracle:
         d = model.d
         q = TabooQuery((1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * d)
         got = absorption_limit_bracket(model, q, radius)
-        monkeypatch.setattr(
-            simulate.spla, "cg", lambda a, b, **kw: (spla.splu(a.tocsc()).solve(b), 0)
-        )
+        monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (spla.splu(a.tocsc()).solve(b), 0))
         want = absorption_limit_bracket(model, q, radius)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -278,8 +329,8 @@ class TestAbsorptionOracle:
         want = absorption_limit_bracket(walk2d, q, 10)
         factorised = []
         splu = spla.splu
-        monkeypatch.setattr(simulate.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
-        monkeypatch.setattr(simulate.spla, "splu", lambda a: factorised.append(a) or splu(a))
+        monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+        monkeypatch.setattr(spla, "splu", lambda a: factorised.append(a) or splu(a))
         assert absorption_limit_bracket(walk2d, q, 10) == pytest.approx(want, abs=1e-10)
         assert len(factorised) == 1
 
@@ -321,3 +372,13 @@ class TestFitTailOrder:
         assert fit.order is TailOrder.INVERSE_SQRT_T
         want = taboo_tail(simple1d, q).constant
         assert abs(fit.constant - want) <= 0.25 * want
+
+
+def test_import_leaves_out_scipy_sparse():
+    src = str(Path(taboowalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, taboowalk; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -59,6 +59,13 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _csv_rows(cols, consts) -> list[str]:
+    """CSV rows of the array columns cols, each followed by the constant
+    columns consts; every number formatted as by _fmt."""
+    row = ",".join(["%.17g"] * len(cols) + [_fmt(c) for c in consts])
+    return [row % vals for vals in zip(*(c.tolist() for c in cols))]
+
+
 def _parse_vec(text: str, d: int) -> tuple[int, ...]:
     try:
         vec = tuple(int(part) for part in text.split(","))
@@ -152,6 +159,8 @@ def _cmd_limit(args) -> int:
     x = _parse_vec(args.x, model.d)
     y = _parse_vec(args.y, model.d)
     z = _parse_vec(args.z, model.d) if args.z is not None else None
+    if args.verify and z is None:
+        raise InvalidQuery("--verify needs --z")
     record: dict = {"query": _query_dict(x, y, z), "method": "closed-form"}
     if z is None:
         record["limit"] = hitting_limit(model, x, y, cfg)
@@ -166,7 +175,7 @@ def _cmd_limit(args) -> int:
         else:
             record["limit"] = taboo_limit(model, q, cfg)
             record["variant"] = Variant.PLUS.value
-    if args.verify and z is not None:
+    if args.verify:
         q = TabooQuery(x, y, z)
         radius = args.radius or {1: 100, 2: 60}.get(model.d, 15)
         lo, hi = absorption_limit_bracket(model, q, radius)
@@ -241,8 +250,7 @@ def _cmd_curve(args) -> int:
             curve = minus_from_plus(curve, model, strict=False)
         warnings.extend(curve.warnings)
         lines.append("t,H_xy,limit_xy")
-        for t, v in zip(curve.times, curve.values):
-            lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(curve.limit)}")
+        lines.extend(_csv_rows((curve.times, curve.values), (curve.limit,)))
         lines.append(f"# limit_xy={_fmt(curve.limit)}")
     else:
         q = TabooQuery(x, y, z)
@@ -252,10 +260,7 @@ def _cmd_curve(args) -> int:
             cur_b = minus_from_plus(cur_b, model, strict=False)
         warnings.extend(cur_a.warnings)
         lines.append("t,H_xyz,H_xzy,limit_xyz,limit_xzy")
-        for t, va, vb in zip(cur_a.times, cur_a.values, cur_b.values):
-            lines.append(
-                f"{_fmt(t)},{_fmt(va)},{_fmt(vb)},{_fmt(cur_a.limit)},{_fmt(cur_b.limit)}"
-            )
+        lines.extend(_csv_rows((cur_a.times, cur_a.values, cur_b.values), (cur_a.limit, cur_b.limit)))
         lines.append(f"# limit_xyz={_fmt(cur_a.limit)} limit_xzy={_fmt(cur_b.limit)}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = _manifest(
@@ -396,11 +401,11 @@ def _suite_rows_curves(model, cfg):
     cur_a, cur_b = taboo_cdf(model, q, grid, cfg)
     rows.append(("H(0) = 0", cur_a.values[0], 0.0, 0.0, cur_a.values[0] == 0.0))
     rows.append(("residual", cur_a.residual, 0.0, 1e-8, cur_a.residual <= 1e-8))
-    min_inc = float(np.min(np.diff(cur_a.values)))
-    rows.append(("monotone", min_inc, ">= -1e-9", 1e-9, min_inc >= -1e-9))
-    bound = cur_a.limit + 1e-6
-    rows.append(("bounded by limit", float(np.max(cur_a.values)), cur_a.limit, 1e-6,
-                 float(np.max(cur_a.values)) <= bound))
+    for tag, cur in (("", cur_a), (" H_xzy", cur_b)):
+        min_inc = float(np.min(np.diff(cur.values)))
+        rows.append((f"monotone{tag}", min_inc, ">= -1e-9", 1e-9, min_inc >= -1e-9))
+        top = float(np.max(cur.values))
+        rows.append((f"bounded by limit{tag}", top, cur.limit, 1e-6, top <= cur.limit + 1e-6))
     return rows
 
 

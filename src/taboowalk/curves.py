@@ -2,9 +2,13 @@
 
 The hitting-time c.d.f. solves a first-kind Volterra equation whose kernel
 is the return probability p(t; y, y); since p(0; y, y) = 1 the product-
-midpoint time-stepping is well conditioned without regularization.  The
+midpoint discretization is well conditioned without regularization.  The
 taboo c.d.f.s solve the two-equation convolution system tying H_{x,y,z}
-and H_{x,z,y} to the four plain hitting curves.
+and H_{x,z,y} to the plain hitting curves; in the sum and the difference
+of the two unknowns it splits into two scalar equations.  Every discrete
+equation is a lower-triangular Toeplitz system, solved by one routine
+that halves recursively and carries each half's effect forward with an
+FFT convolution, O(n log^2 n) for n time steps.
 """
 
 from __future__ import annotations
@@ -130,14 +134,48 @@ def _grid_p_curves(model: WalkModel, rs, grid: TimeGrid, cfg: QuadratureConfig) 
     return dict(zip(rs, _p_curves(model, rs, times, cfg)))
 
 
+# Unknowns per leaf of the Toeplitz solver's halving recursion.
+_LEAF = 128
+
+
+def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix with first column c."""
+    idx = np.subtract.outer(np.arange(len(c)), np.arange(len(c)))
+    return np.where(idx >= 0, c[np.maximum(idx, 0)], 0.0)
+
+
+def _conv_head(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """First m terms of the linear convolution a * b (len(a) >= m), by real FFT."""
+    b = b[:m]
+    size = 1 << (m + len(b) - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a[:m], size) * np.fft.rfft(b, size), size)[:m]
+
+
 def _solve_first_kind(kern: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Increments dH from sum_{j<=k} kern[k-j] dH_j = rhs[k] (unit-ish diagonal)."""
+    """x from sum_{j<=k} kern[k-j] x_j = rhs[k], k < n (kern[0] != 0), in O(n log^2 n).
+
+    Recursive halving: solve the first half, subtract its effect on the second
+    half's rhs with one FFT convolution, solve the second half.  A leaf of at
+    most _LEAF unknowns is one matvec with the inverse of the leading leaf
+    block: the lower-triangular Toeplitz matrix of the first _LEAF terms of
+    the reciprocal series of kern, built once per solve.
+    """
     n = len(rhs)
-    dh = np.empty(n)
-    for k in range(n):
-        acc = rhs[k] - (kern[1 : k + 1][::-1] @ dh[:k] if k else 0.0)
-        dh[k] = acc / kern[0]
-    return dh
+    leaf = min(n, _LEAF)
+    inv = _lower_toeplitz(np.linalg.solve(_lower_toeplitz(kern[:leaf]), np.eye(leaf, 1))[:, 0])
+    x = np.array(rhs, dtype=float)  # rhs, overwritten by the solution block by block
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= leaf:
+            x[lo:hi] = inv[: hi - lo, : hi - lo] @ x[lo:hi]
+            return
+        mid = lo + leaf * (-(-(hi - lo) // leaf) // 2)  # half the leaves, rounded down
+        solve(lo, mid)
+        x[mid:hi] -= _conv_head(kern, x[lo:mid], hi - lo)[mid - lo :]
+        solve(mid, hi)
+
+    solve(0, n)
+    return x
 
 
 def hitting_cdf(
@@ -148,7 +186,7 @@ def hitting_cdf(
     cfg: QuadratureConfig | None = None,
     strict: bool = True,
 ) -> CdfCurve:
-    """H_{x,y}(t) on the grid by product-midpoint Volterra time-stepping.
+    """H_{x,y}(t) on the grid from the product-midpoint Volterra equation.
 
     Depends on x, y only through y - x up to sign, which the implementation
     canonicalizes, so the Lemma-level shift/reflection identities hold
@@ -202,7 +240,9 @@ def taboo_cdf(
 
     with the plain hitting curves as inputs on the same grid.  H_{y,z} has
     the canonical displacement of H_{z,y}, hence the same kernel, rhs and
-    limit: one solve serves both.  The residual of both identities is
+    limit: one solve serves both.  The sum and the difference of the two
+    equations are scalar Toeplitz systems in S = H_{x,y,z} + H_{x,z,y} and
+    D = H_{x,y,z} - H_{x,z,y}.  The residual of both identities is
     recomputed and attached to the curves.
     """
     if q.d != model.d:
@@ -217,26 +257,18 @@ def taboo_cdf(
     kern = _midpoint_kernel(h_zy.values)
     rhs1 = h_xy.values[1:]
     rhs2 = h_xz.values[1:]
-    da = np.empty(n)
-    db = np.empty(n)
-    det = 1.0 - kern[0] * kern[0]
-    sum_a = sum_b = 0.0  # running sums of da[:k], db[:k]
-    for k in range(n):
-        conv1 = kern[1 : k + 1][::-1] @ db[:k] if k else 0.0
-        conv2 = kern[1 : k + 1][::-1] @ da[:k] if k else 0.0
-        r1 = rhs1[k] - sum_a - conv1
-        r2 = rhs2[k] - sum_b - conv2
-        da[k] = (r1 - kern[0] * r2) / det
-        db[k] = (r2 - kern[0] * r1) / det
-        sum_a += da[k]
-        sum_b += db[k]
+    # with S = da + db and D = da - db the system splits into two scalar
+    # Toeplitz solves on the kernels 1 + K and 1 - K
+    s = _solve_first_kind(1.0 + kern, rhs1 + rhs2)
+    dd = _solve_first_kind(1.0 - kern, rhs1 - rhs2)
+    da, db = 0.5 * (s + dd), 0.5 * (s - dd)
     vals_a = np.concatenate([[0.0], np.cumsum(da)])
     vals_b = np.concatenate([[0.0], np.cumsum(db)])
 
     # defect of the two defining identities under the same discretization
     res = 0.0
     for vals, dother, rhs in ((vals_a, db, rhs1), (vals_b, da, rhs2)):
-        conv = np.convolve(kern, dother)[:n]
+        conv = _conv_head(kern, dother, n)
         res = max(res, float(np.max(np.abs(vals[1:] + conv - rhs))))
     return tuple(
         CdfCurve(grid=grid, values=vals, limit=taboo_limit(model, qq, cfg), residual=res,

@@ -2,12 +2,23 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 import taboowalk.cli as cli
-from taboowalk import ExtrapolationUnstable, save_model, simple_walk_1d, validate_model
+from taboowalk import (
+    ExtrapolationUnstable,
+    TabooQuery,
+    TimeGrid,
+    hitting_cdf,
+    load_model,
+    save_model,
+    simple_walk_1d,
+    taboo_cdf,
+    validate_model,
+)
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -149,6 +160,11 @@ class TestInputContract:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InvalidQuery"
 
+    def test_verify_without_z_exits_2(self, capsys, simple_model_file):
+        code, out = run_cli(capsys, "limit", simple_model_file, "--x", "2", "--y", "5", "--verify")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidQuery", "message": "--verify needs --z"}
+
     def test_query_outside_box_exits_2(self, capsys, simple_model_file):
         code, out = run_cli(
             capsys, "limit", simple_model_file, "--x", "200", "--y", "5", "--z", "0",
@@ -269,6 +285,34 @@ class TestCurveCommand:
         )
         assert code == 0
         assert out_file.read_text().splitlines()[0] == "t,H_xy,limit_xy"
+
+    @pytest.mark.parametrize("z", [["--z", "0"], []], ids=["taboo", "hitting"])
+    def test_rows_match_per_value_format(self, capsys, tmp_path, nonsimple_model_file, z):
+        out_file = tmp_path / "c.csv"
+        code, _ = run_cli(
+            capsys,
+            "curve", nonsimple_model_file,
+            "--x", "2", "--y", "5", *z,
+            "--step", "0.05", "--horizon", "3", "--out", str(out_file),
+        )
+        assert code == 0
+        model = load_model(nonsimple_model_file)
+        grid = TimeGrid(step=0.05, n_steps=60)
+        if z:
+            curves = taboo_cdf(model, TabooQuery((2,), (5,), (0,)), grid, strict=False)
+        else:
+            curves = (hitting_cdf(model, (2,), (5,), grid, strict=False),)
+        limits = [c.limit for c in curves]
+        want = [
+            ",".join(cli._fmt(v) for v in (*row, *limits))
+            for row in zip(grid.times, *(c.values for c in curves))
+        ]
+        assert out_file.read_text().splitlines()[1:-1] == want
+
+    def test_row_format_matches_fmt_on_edge_values(self):
+        col = np.array([0.0, -0.0, 1e-300, 5e-324, -1.5e300, 0.1, 1 / 3, np.inf, np.nan])
+        want = [f"{cli._fmt(v)},{cli._fmt(v)},{cli._fmt(0.1)}" for v in col]
+        assert cli._csv_rows((col, col), (0.1,)) == want
 
 
 class TestSimulateCommand:

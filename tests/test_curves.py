@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from taboowalk import (
     ExtrapolationUnstable,
@@ -24,6 +25,7 @@ from taboowalk import (
 )
 from taboowalk import curves
 from taboowalk.curves import _LADDER_KS, _p_curves
+from taboowalk.kernels import default_config
 from taboowalk.limits import c1_constant
 from taboowalk.model import char_exponent_grid
 
@@ -138,6 +140,88 @@ def _full_grid_p(model, rs, times, n):
     return w @ np.exp(np.outer(char_exponent_grid(model, theta), times)) / n**model.d
 
 
+def _coupled_reference(kern, rhs1, rhs2):
+    """The coupled 2x2 forward substitution the Toeplitz solver replaced:
+    da + K * db = rhs1 - prefix sums, db + K * da = rhs2 - prefix sums."""
+    n = len(rhs1)
+    da, db = np.empty(n), np.empty(n)
+    det = 1.0 - kern[0] * kern[0]
+    sum_a = sum_b = 0.0
+    for k in range(n):
+        conv1 = kern[1 : k + 1][::-1] @ db[:k] if k else 0.0
+        conv2 = kern[1 : k + 1][::-1] @ da[:k] if k else 0.0
+        r1 = rhs1[k] - sum_a - conv1
+        r2 = rhs2[k] - sum_b - conv2
+        da[k] = (r1 - kern[0] * r2) / det
+        db[k] = (r2 - kern[0] * r1) / det
+        sum_a += da[k]
+        sum_b += db[k]
+    return np.cumsum(da), np.cumsum(db)
+
+
+_TOEPLITZ_QUERIES = {"simple1d": TabooQuery((2,), (5,), (0,)), "nonsimple1d": TabooQuery((1,), (3,), (0,))}
+
+
+@pytest.fixture(scope="module")
+def volterra_kernels(simple1d, nonsimple1d):
+    """Return kernels p(.;0,0) and taboo kernels 1 +- K of both d = 1 walks on 5003 steps."""
+    grid = TimeGrid(step=0.05, n_steps=5003)
+    kernels = {}
+    for name, model in (("simple1d", simple1d), ("nonsimple1d", nonsimple1d)):
+        kernels[f"p00 {name}"] = curves._grid_p_curves(model, (), grid, default_config(1))[(0,)][0::2]
+        q = _TOEPLITZ_QUERIES[name]
+        k = curves._midpoint_kernel(hitting_cdf(model, q.z, q.y, grid).values)
+        kernels[f"1+K {name}"] = 1.0 + k
+        kernels[f"1-K {name}"] = 1.0 - k
+    return kernels
+
+
+class TestToeplitzSolver:
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1000, 5003])
+    @pytest.mark.parametrize("kind", ["p00", "1+K", "1-K"])
+    @pytest.mark.parametrize("walk", ["simple1d", "nonsimple1d"])
+    def test_matches_dense_triangular_solve(self, volterra_kernels, walk, kind, n):
+        kern = volterra_kernels[f"{kind} {walk}"][:n]
+        rhs = np.random.default_rng(n).standard_normal(n)
+        # the transpose of the lower-triangular Toeplitz matrix: solved with
+        # trans="T", it reaches LAPACK in column-major order without a copy
+        first_col = np.zeros(n)
+        first_col[0] = kern[0]
+        upper = scipy.linalg.toeplitz(first_col, kern)
+        want = scipy.linalg.solve_triangular(upper, rhs, trans="T", check_finite=False)
+        del upper
+        got = curves._solve_first_kind(kern, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 128, 1000])
+    def test_conv_head_matches_direct_convolution(self, m):
+        rng = np.random.default_rng(m)
+        a, b = rng.standard_normal(m + 3), rng.standard_normal(m // 2 + 1)
+        np.testing.assert_allclose(
+            curves._conv_head(a, b, m), np.convolve(a, b)[:m], rtol=0, atol=1e-13 * m
+        )
+
+    @pytest.mark.parametrize("walk", ["simple1d", "nonsimple1d"])
+    def test_taboo_cdf_matches_coupled_forward_substitution(self, walk, request):
+        model = request.getfixturevalue(walk)
+        q = _TOEPLITZ_QUERIES[walk]
+        grid = TimeGrid(step=0.05, n_steps=3000)
+        a, b = taboo_cdf(model, q, grid)
+        h_xy, h_xz, h_zy = (hitting_cdf(model, u, v, grid) for u, v in ((q.x, q.y), (q.x, q.z), (q.z, q.y)))
+        want_a, want_b = _coupled_reference(
+            curves._midpoint_kernel(h_zy.values), h_xy.values[1:], h_xz.values[1:]
+        )
+        assert np.max(np.abs(a.values[1:] - want_a)) <= 1e-12
+        assert np.max(np.abs(b.values[1:] - want_b)) <= 1e-12
+
+    def test_long_horizon_taboo_cdf(self, nonsimple1d):
+        a, b = taboo_cdf(nonsimple1d, _TOEPLITZ_QUERIES["nonsimple1d"], TimeGrid(step=0.05, n_steps=100_000))
+        assert a.residual <= 1e-12
+        for cur in (a, b):
+            assert np.min(np.diff(cur.values)) >= -1e-9
+            assert np.max(cur.values) <= cur.limit + 1e-6
+
+
 class TestBatchedPCurves:
     @pytest.mark.parametrize("walk, n", [("nonsimple1d", 64), ("walk2d", 32), ("walk3d", 32)])
     @pytest.mark.parametrize("times", [np.linspace(0.0, 4.0, 41), 0.25 + 0.1 * np.arange(37)])
@@ -171,9 +255,9 @@ class TestBatchedPCurves:
         zy = hitting_cdf(nonsimple1d, q.z, q.y, grid)
         assert np.array_equal(yz.values, zy.values) and yz.limit == zy.limit
         solves = []
-        solve = curves._solve_first_kind
+        hitting_from = curves._hitting_from
         monkeypatch.setattr(
-            curves, "_solve_first_kind", lambda k, r: solves.append(1) or solve(k, r)
+            curves, "_hitting_from", lambda *args: solves.append(args[1:3]) or hitting_from(*args)
         )
         taboo_cdf(nonsimple1d, q, grid)
         assert len(solves) == 3

@@ -84,8 +84,7 @@ from .simulate import (
     SimConfig,
     absorption_limit_bracket,
     absorption_limit_oracle,
-    estimate_minus_cdf,
-    estimate_taboo_cdf,
+    estimate_taboo_curve,
     fit_tail_order,
 )
 

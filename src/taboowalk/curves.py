@@ -22,7 +22,7 @@ from .errors import ExtrapolationUnstable, InvalidQuery, NotConverged, StepTooCo
 from .kernels import QuadratureConfig, _cfg, canonical_diff, green_function
 from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, hitting_limit, taboo_limit
 from .model import WalkModel, as_vec, is_simple_1d
-from .quadrature import ABS_FLOOR, phi_chunks
+from .quadrature import ABS_FLOOR, cos_weights, phi_blocks
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class CdfCurve:
 
 
 # ---------------------------------------------------------------------------
-# transition-probability curves: every displacement in one pass per chunk
+# transition-probability curves: every displacement in one pass per block
 # ---------------------------------------------------------------------------
 
 # Doubles in one block of exp(phi tau) offsets; bounds the peak memory.
@@ -88,13 +88,12 @@ def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int, uniform:
     """Midpoint estimates of p(t; 0, r), one row per r in rs, n points per axis.
 
     With ``uniform`` (equally spaced times) exp(phi t) = exp(phi t_b) exp(phi tau)
-    over blocks of B ~ sqrt(T) offsets tau: one exp table per chunk, then one
-    GEMM per block.  Otherwise every time gets a direct exp.
+    over blocks of B ~ sqrt(T) offsets tau: one exp table per grid block, then
+    one GEMM per time block.  Otherwise every time gets a direct exp.
     """
-    rv = np.asarray(rs, dtype=float)
     out = np.zeros((len(rs), len(times)))
-    for u, ph in phi_chunks(model, np.pi, n):
-        w = np.cos(np.pi * (rv @ u.T))
+    for i0, rows, _, ph in phi_blocks(model, np.pi, n):
+        w = cos_weights(rs, np.pi, n, i0, rows)
         if not uniform:
             out += w @ np.exp(np.outer(ph, times))
             continue

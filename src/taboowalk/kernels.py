@@ -22,6 +22,7 @@ from .errors import DivergentGreenFunction, NotConverged
 from .model import WalkModel, as_vec, simple_walk_1d, spectral_scalars
 from .quadrature import (
     ABS_FLOOR,
+    Integrand,
     midpoint_sum,
     refine_torus_mean,
     romberg_ladder,
@@ -92,16 +93,18 @@ def _not_converged(name, value, err):
     )
 
 
-def _torus_mean(name, model, integrand, r, cfg, n0=None):
-    """(2 pi)^-d * torus integral of integrand(phi, cos(r.theta)).
+def _torus_mean(name, model, integrand, r, cfg):
+    """(2 pi)^-d * torus integral of the integrand at displacement r.
 
-    The grid doubles from n0 (default cfg.points_per_axis) until successive
-    estimates agree to cfg.rel_tol.  Returns (value, est_error).
+    The grid doubles until successive estimates agree to cfg.rel_tol.  It
+    starts at n0 = max(cfg.points_per_axis, 4 max|r_j|) points per axis:
+    below n = |r_j| the midpoint rule aliases r_j to r_j mod n, and both
+    levels of the check alias alike.  Returns (value, est_error).
     """
     norm = (2.0 * np.pi) ** model.d
     val, err, ok = refine_torus_mean(
         lambda n: midpoint_sum(model, integrand, r, np.pi, n) / norm,
-        n0 or cfg.points_per_axis,
+        max(cfg.points_per_axis, 4 * max(abs(c) for c in r)),
         cfg.refinement_limit,
         cfg.rel_tol,
     )
@@ -128,13 +131,8 @@ def transition_probability(
     if t < 0:
         raise ValueError("t must be >= 0")
     r = canonical_diff(x, y, model.d)
-    val, err = _torus_mean(
-        "transition_probability",
-        model,
-        lambda ph, c: np.exp(ph * t) * c,
-        r,
-        _cfg(model.d, cfg),
-    )
+    p = Integrand(("p", float(t)), lambda ph: np.exp(ph * t))
+    val, err = _torus_mean("transition_probability", model, p, r, _cfg(model.d, cfg))
     return KernelValue(value=min(1.0, max(0.0, val)), est_error=err)
 
 
@@ -143,23 +141,21 @@ def transition_probability(
 # ---------------------------------------------------------------------------
 
 def _shell_integral(
-    model, integrand, r, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
+    name, model, integrand, r, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
 ):
-    """Sum dyadic-shell quadratures of integrand(phi, cos(r.theta)) toward 0.
+    """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand at r toward 0.
 
     core_value_fn(half_width) and core_bound_fn(half_width) supply the
     analytic estimate for the remaining central box and a bound on its
-    error; shelling stops once that bound is negligible at rel_tol.
-    Returns (raw integral, error estimate, scale, refined), where scale
-    tracks the largest running total (seeded by scale_hint): for
+    error; shelling stops once that bound is negligible at rel_tol.  The
+    scale tracks the largest running total (seeded by scale_hint): for
     oscillatory numerators the value may be exponentially smaller than the
     mass actually integrated, and accuracy is only meaningful relative to
-    that mass.  ``refined`` is False when some shell or the final core
-    bound hit its refinement cap before meeting its tolerance.
+    that mass.  When some shell or the final core bound hit its refinement
+    cap and the error exceeds rel_tol times the scale, raises NotConverged.
+    Returns (value, est_error).
     """
-    d = model.d
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     scale = float(scale_hint)
     refined = True
     for m in range(_MAX_SHELLS + 1):
@@ -169,26 +165,25 @@ def _shell_integral(
             lambda n: midpoint_sum(model, integrand, r, s, n, shell=True),
             tol_abs,
             _SHELL_N0,
-            shell_max_levels(d),
+            shell_max_levels(model.d),
             tol_rel=0.05 * rel_tol,
         )
         total += v
         err += e
         refined &= conv
         scale = max(scale, abs(total))
-        half = s / 2.0
-        core_bound = core_bound_fn(half)
-        if core_bound <= 0.02 * rel_tol * max(scale, ABS_FLOOR):
-            total += core_value_fn(half)
+        core_bound = core_bound_fn(s / 2.0)
+        done = core_bound <= 0.02 * rel_tol * max(scale, ABS_FLOOR)
+        if done or m == _MAX_SHELLS:
+            refined &= done
+            total += core_value_fn(s / 2.0)
             err += core_bound
             scale = max(scale, abs(total))
             break
-        if m == _MAX_SHELLS:
-            refined = False
-            total += core_value_fn(half)
-            err += core_bound
-            scale = max(scale, abs(total))
-    return total, err, scale, refined
+    norm = (2.0 * np.pi) ** model.d
+    if not refined and err > max(rel_tol * scale, ABS_FLOOR * norm):
+        _not_converged(name, total / norm, err / norm)
+    return total / norm, err / norm
 
 
 @lru_cache(maxsize=4096)
@@ -218,19 +213,15 @@ def _green_cached(model: WalkModel, lam: float, r: tuple, cfg: QuadratureConfig)
             rad = half * np.sqrt(d)
             return (2.0 / sig_min) * omega * rad ** (d - 2) / (d - 2)
 
-    norm = (2.0 * np.pi) ** d
     # the unsigned integrand mass is the r = 0 value; seeding the scale with
     # it keeps oscillatory displacements from over-refining the outer shells
     hint = 0.0
     if any(r):
-        hint = _green_cached(model, lam, (0,) * d, cfg).value * norm
-    total, err, scale, refined = _shell_integral(
-        model, lambda ph, c: c / (lam - ph), r, cfg.rel_tol, core_value, core_bound,
-        scale_hint=hint,
+        hint = _green_cached(model, lam, (0,) * d, cfg).value * (2.0 * np.pi) ** d
+    value, err = _shell_integral(
+        "green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)), r,
+        cfg.rel_tol, core_value, core_bound, scale_hint=hint,
     )
-    value, err = total / norm, err / norm
-    if not refined and err > max(cfg.rel_tol * scale / norm, ABS_FLOOR):
-        _not_converged("green_function", value, err)
     return KernelValue(value=value, est_error=err)
 
 
@@ -278,14 +269,11 @@ def k_kernel(
 # potential kernel rho_d(x)
 # ---------------------------------------------------------------------------
 
-def _rho_integrand(a: float):
-    return lambda ph, c: a * (c - 1.0) / ph
-
-
 @lru_cache(maxsize=4096)
 def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
     a = model.total_rate
-    integrand = _rho_integrand(a)
+    # a (cos(r.theta) - 1) / phi
+    integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
     if model.d == 1:
         # ratio of analytic functions with matching double zeros: smooth
         # and periodic, so the plain midpoint rule is spectrally accurate
@@ -302,14 +290,7 @@ def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
         # |1 - cos(x.theta)| / (-phi) <= a |x|^2 / sig_min near 0
         return (2.0 * half) ** model.d * a * rnorm2 / sig_min
 
-    total, err, scale, refined = _shell_integral(
-        model, integrand, r, cfg.rel_tol, core_value, core_bound
-    )
-    norm = (2.0 * np.pi) ** model.d
-    value, err = total / norm, err / norm
-    if not refined and err > max(cfg.rel_tol * scale / norm, ABS_FLOOR):
-        _not_converged("rho", value, err)
-    return value
+    return _shell_integral("rho", model, integrand, r, cfg.rel_tol, core_value, core_bound)[0]
 
 
 def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None) -> float:
@@ -319,12 +300,8 @@ def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None)
     the integrand has a finite limit at theta = 0 which the midpoint grids
     never sample.
     """
-    r = as_vec(x, model.d)
-    if not any(r):
-        return 1.0
-    cfg = _cfg(model.d, cfg)
-    neg = tuple(-c for c in r)
-    return _rho_cached(model, max(r, neg), cfg)
+    r = canonical_diff((0,) * model.d, x, model.d)
+    return _rho_cached(model, r, _cfg(model.d, cfg)) if any(r) else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +313,9 @@ def trig_identity_check(x: int, cfg: QuadratureConfig | None = None) -> float:
 
     The exact value is 2 pi x; the integrand is the degree-(x-1) Fejer-type
     trigonometric polynomial, so the periodic midpoint rule is exact up to
-    rounding once the grid exceeds the degree.  It is the rho integrand of
-    the simple walk with a = 1, whose phi is cos(theta) - 1.
+    rounding once the grid exceeds the degree.  It is 2 pi rho(x) for the
+    simple walk with a = 1, whose phi is cos(theta) - 1.
     """
     if not isinstance(x, (int, np.integer)) or x < 1:
         raise ValueError("x must be a positive integer")
-    cfg = _cfg(1, cfg)
-    n0 = max(cfg.points_per_axis, 2 * (int(x) + 1))
-    val, _ = _torus_mean(
-        "trig_identity_check", simple_walk_1d(1.0), _rho_integrand(1.0), (int(x),), cfg, n0
-    )
-    return val * 2.0 * np.pi
+    return rho(simple_walk_1d(1.0), (int(x),), cfg) * 2.0 * np.pi

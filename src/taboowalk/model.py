@@ -187,14 +187,14 @@ def char_exponent(model: WalkModel, theta: Sequence[float]) -> float:
     th = np.asarray(theta, dtype=float)
     if th.shape != (model.d,):
         raise ValueError(f"theta must be a {model.d}-vector, got shape {th.shape}")
-    half = model.support @ th / 2.0
-    return float(-2.0 * model.rates @ np.sin(half) ** 2)
+    return float(char_exponent_grid(model, th[None, :])[0])
 
 
 def char_exponent_grid(model: WalkModel, theta: np.ndarray) -> np.ndarray:
-    """Vectorized phi over an (m, d) array of angles."""
-    half = theta @ model.support.T / 2.0
-    return -2.0 * np.sin(half) ** 2 @ model.rates
+    """phi over an (m, d) array of angles; z and -z give equal terms, so each
+    pair is summed once (z > -z as tuples) at twice the rate."""
+    keep = [z > tuple(-c for c in z) for z, _ in model.jumps]
+    return -4.0 * np.sin(theta @ model.support[keep].T / 2.0) ** 2 @ model.rates[keep]
 
 
 def spectral_scalars(model: WalkModel) -> SpectralScalars:

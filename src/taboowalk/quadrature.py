@@ -1,32 +1,36 @@
 """The midpoint-grid engine behind every torus and shell quadrature.
 
-Every kernel is a sum of integrand(phi(theta), cos(r.theta)) over the
-midpoint grid of a box [-s, s]^d: the torus (s = pi) for smooth
-integrands, or a dyadic shell [-s, s]^d minus [-s/2, s/2]^d for kernels
-that are singular or sharply peaked at the origin, with Richardson
-extrapolation over grid doublings.
+Every kernel is a midpoint sum over the grid of a box [-s, s]^d: the torus
+(s = pi) for smooth integrands, or dyadic shells [-s, s]^d minus
+[-s/2, s/2]^d with Richardson extrapolation for kernels singular or
+peaked at the origin.  Each integrand is affine in c = cos(r.theta), a
+pair (g, k) of functions of phi summed as sum g(phi) c + sum k(phi).  As
+exp(i s u.r) = prod_j exp(i s r_j u_j) on the tensor grid, the c-part is a
+contraction of the array g(phi), which does not depend on r, with d
+per-axis vectors of n phases (sum factorisation, Orszag 1980): no
+cos(r.theta) is evaluated on the grid.
 
-Only the half grid u_0 > 0 is built and summed, then doubled.  The fold is
-exact: every integrand is a function of (phi(theta), cos(r.theta)), both
-even under theta -> -theta for a symmetric walk, and the midpoint grid with
-n even (odd n raises ValueError) is symmetric under u -> -u.
+Only the half grid u_0 > 0 is summed, then doubled: phi, g, k and c are
+even for a symmetric walk, and the midpoint grid with n even (odd n raises
+ValueError) is symmetric.  It is cut into dense blocks of at most
+``_BLOCK_POINTS`` points along the leading axis; on a shell, phi is
+evaluated at shell points only and g is zero on the inner box.
 
-The grid of [-s, s]^d is s times the unit midpoint grid of [-1, 1]^d,
-which is partitioned into fixed row blocks of at most ``_CHUNK_POINTS``
-points; a shell drops the inner half-box from each block.  One rule,
-``CACHE_MAX_POINTS``, decides what is kept: a grid of at most that many
-points keeps its unit chunks (keyed by d, n and shell, so never rebuilt
-for another s) and the walk's phi on them (keyed by model, s, n and
-shell).  Larger grids are rebuilt chunk by chunk on every pass, so memory
-stays bounded; the summing code is the same either way.  Chunk sums are
-combined with numpy's pairwise summation, so results are bit-identical
-from run to run.
+One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks and,
+per integrand key, g blocks with the sum of g + k.  phi enters at the
+eviction end, so it stays only while there is room or a second kernel
+reads it.  A grid with more than a quarter of the budget in one array is
+streamed block by block and never kept.  Block sums are added exactly
+(math.fsum), so results repeat bit for bit.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+import math
+import threading
+from collections import OrderedDict
+from functools import lru_cache, reduce
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,86 +39,168 @@ from .model import WalkModel, char_exponent_grid
 # Soak up rounding noise when an integrand is essentially zero.
 ABS_FLOOR = 1e-13
 
-_CHUNK_POINTS = 1 << 19
-# Grids of at most this many points (n^d) keep their unit chunks and phi values.
-CACHE_MAX_POINTS = 1 << 21
+# Points per block: 512 KB per float array keeps the temporaries of a block,
+# and with them the peak memory of a streamed grid, small.
+_BLOCK_POINTS = 1 << 16
+# Bytes of phi and g blocks the grid cache may hold.
+CACHE_BYTES = 64 << 20
 
 
+class Integrand(NamedTuple):
+    """g(phi) cos(r.theta) + k(phi), k = 0 when None; ``key`` names it in the cache."""
+
+    key: Hashable
+    g: Callable[[np.ndarray], np.ndarray]
+    k: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+class _GridCache:
+    """Block tuples keyed by grid, least recently used out, under a byte budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, d: int, n: int, build: Callable, cold: bool = False):
+        """The blocks build() yields for a grid of n^d points, or a stream of
+        them when one array over the half grid exceeds a quarter of the
+        budget.  A ``cold`` value enters at the eviction end."""
+        if 8 * (n**d // 2) > self.budget // 4:
+            return build()
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key][0]
+        value = tuple(build())
+        size = sum(a.nbytes for block in value for a in block if isinstance(a, np.ndarray))
+        with self._lock:
+            if key not in self._items:  # another thread may have built it meanwhile
+                self._items[key] = (value, size)
+                self.nbytes += size
+                self._items.move_to_end(key, last=not cold)
+            while self.nbytes > self.budget:
+                self.nbytes -= self._items.popitem(last=False)[1][1]
+        return value
+
+
+_CACHE = _GridCache(CACHE_BYTES)
+
+
+@lru_cache(maxsize=64)
 def _axis_offsets(n: int) -> np.ndarray:
-    """Midpoint offsets in (-1, 1): -1 + (i + 1/2) * 2/n, i = 0..n-1."""
-    return -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+    """Midpoint offsets (2i + 1 - n)/n in (-1, 1), i = 0..n-1, each within half an
+    ulp: the form -1 + (i + 1/2) 2/n errs by an ulp of 1 next to 0."""
+    ax = (2 * np.arange(n) + 1 - n) / n
+    ax.setflags(write=False)
+    return ax
 
 
-def _outer_flags(n: int) -> np.ndarray:
-    """Per-axis flag |offset| > 1/2, computed in exact integer arithmetic."""
-    return np.abs(2 * np.arange(n) + 1 - n) * 2 > n
+def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
+    """(i0, rows, mask, phi) for each block of rows i0..i0+rows of the half grid.
 
-
-def _build_chunks(d: int, n: int, shell: bool) -> Iterator[np.ndarray]:
-    """Unit midpoint points of [-1, 1]^d with u_0 > 0, in fixed blocks of leading-axis rows.
-
-    With ``shell`` the inner box [-1/2, 1/2]^d is dropped; n must then be
-    divisible by 4 so the inner boundary falls on cell edges.
+    phi is phi(s u) at the block's shell points (``mask``; None: all), in C
+    order.  A shell needs n divisible by 4, so its inner box ends on cell edges.
     """
     if n % 2:
         raise ValueError("n must be even for the half-grid fold")
     if shell and n % 4:
         raise ValueError("n must be divisible by 4 for shell sums")
-    ax = _axis_offsets(n)
-    out = _outer_flags(n)
-    rows = max(1, _CHUNK_POINTS // n ** (d - 1))
-    for i0 in range(n // 2, n, rows):
-        mesh = np.meshgrid(ax[i0 : i0 + rows], *([ax] * (d - 1)), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-        if shell:
-            fmesh = np.meshgrid(out[i0 : i0 + rows], *([out] * (d - 1)), indexing="ij")
-            pts = pts[np.logical_or.reduce([f.reshape(-1) for f in fmesh])]
-        pts.setflags(write=False)
-        yield pts
+    d, ax = model.d, _axis_offsets(n)
+    outer = np.abs(2 * np.arange(n) + 1 - n) * 2 > n  # |offset| > 1/2, in integers
+    step = max(1, _BLOCK_POINTS // n ** (d - 1))
+
+    def build():
+        for i0 in range(n // 2, n, step):
+            rows = slice(i0, min(i0 + step, n))
+            mask = None
+            if shell:
+                flags = np.meshgrid(outer[rows], *[outer] * (d - 1), indexing="ij", sparse=True)
+                mask = reduce(np.logical_or, flags)
+                mask = None if mask.all() else mask
+            mesh = np.meshgrid(ax[rows], *[ax] * (d - 1), indexing="ij")
+            pts = np.stack([m.ravel() if mask is None else m[mask] for m in mesh], axis=-1)
+            ph = char_exponent_grid(model, s * pts)
+            ph.setflags(write=False)
+            yield i0, rows.stop - i0, mask, ph
+
+    return _CACHE.get(("phi", model, float(s), n, shell), d, n, build, cold=True)
 
 
-@lru_cache(maxsize=32)
-def _unit_chunks(d: int, n: int, shell: bool) -> tuple[np.ndarray, ...]:
-    return tuple(_build_chunks(d, n, shell))
+def _g_blocks(model: WalkModel, f: Integrand, s: float, n: int, shell: bool):
+    """(i0, dense g block, sum of g + k over the block's points) for each block."""
+
+    def build():
+        for i0, rows, mask, ph in phi_blocks(model, s, n, shell):
+            vals = f.g(ph)
+            if mask is None:
+                g = vals.reshape((rows,) + (n,) * (model.d - 1))
+            else:
+                g = np.zeros(mask.shape)
+                g[mask] = vals
+            g.setflags(write=False)
+            yield i0, g, float(np.sum(vals if f.k is None else vals + f.k(ph)))
+
+    return _CACHE.get(("g", model, s, n, shell, f.key), model.d, n, build)
 
 
-@lru_cache(maxsize=96)
-def _phi_cached(model: WalkModel, s: float, n: int, shell: bool) -> tuple[np.ndarray, ...]:
-    out = tuple(char_exponent_grid(model, s * u) for u in _unit_chunks(model.d, n, shell))
-    for ph in out:
-        ph.setflags(write=False)
-    return out
+def _phases(r, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e, e - 1), e = exp(i s r_j u) on the axis offsets u: (d, n), or (m, d, n)
+    for m displacements; e - 1 = -2 sin^2(x/2) + i sin(x) stays accurate near 0.
+
+    The offsets are odd about the middle, so only the upper half is evaluated
+    and the lower half is its mirrored conjugate.
+    """
+    x = np.multiply.outer(np.asarray(r, dtype=float), s * _axis_offsets(n)[n // 2 :])
+    up = -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
+    em1 = np.concatenate([up[..., ::-1].conj(), up], axis=-1)
+    return em1 + 1.0, em1
 
 
-def phi_chunks(
-    model: WalkModel, s: float, n: int, shell: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(u, phi(s u)) for each chunk of unit points u of the half grid of [-s, s]^d."""
-    if n**model.d <= CACHE_MAX_POINTS:
-        return zip(_unit_chunks(model.d, n, shell), _phi_cached(model, float(s), n, shell))
-    return (
-        (u, char_exponent_grid(model, s * u)) for u in _build_chunks(model.d, n, shell)
-    )
+def cos_weights(rs: Sequence[Sequence[int]], s: float, n: int, i0: int, rows: int) -> np.ndarray:
+    """cos(s u.r) on the block of rows i0..i0+rows, one row per r in rs: outer
+    products of the per-axis phases, real from the last axis on."""
+    e = _phases(rs, s, n)[0]
+    a = e[:, 0, i0 : i0 + rows]
+    for j in range(1, e.shape[1] - 1):
+        a = (a[:, :, None] * e[:, j, None, :]).reshape(len(rs), -1)
+    if e.shape[1] == 1:
+        return a.real
+    w = a.real[:, :, None] * e[:, -1, None, :].real
+    w -= a.imag[:, :, None] * e[:, -1, None, :].imag
+    return w.reshape(len(rs), -1)
 
 
 def midpoint_sum(
-    model: WalkModel,
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    r: Sequence[int],
-    s: float,
-    n: int,
-    shell: bool = False,
+    model: WalkModel, integrand: Integrand, r: Sequence[int], s: float, n: int, shell: bool = False
 ) -> float:
-    """h^d * sum of integrand(phi, cos(r.theta)) over the midpoint grid of [-s, s]^d.
+    """h^d * sum of g(phi) cos(r.theta) + k(phi) over the midpoint grid of [-s, s]^d.
 
-    h = 2s/n; with ``shell`` the inner box [-s/2, s/2]^d is skipped.
+    h = 2s/n; ``shell`` skips the inner box [-s/2, s/2]^d.  The sum is taken
+    as sum g (c - 1) + sum (g + k): for rho, g and k grow as theta^-2 at 0
+    and would cancel to a result hundreds of times smaller.  prod_j e_j - 1
+    telescopes into sum_j (prod_{i<j} e_i)(e_j - 1), so each block contracts
+    from the last axis down, one real GEMM against (Re(e-1), Im(e-1), 1),
+    with two partial sums: ``acc`` for the terms past their (e_j - 1) axis,
+    ``ones`` for those still summing ones.
     """
-    rv = np.asarray(r, dtype=float)
-    sums = [
-        np.sum(integrand(ph, np.cos(s * (u @ rv))))
-        for u, ph in phi_chunks(model, s, n, shell)
-    ]
-    return 2.0 * float(np.sum(sums)) * (2.0 * s / n) ** model.d
+    e, em1 = _phases(r, s, n)
+    if model.d > 1:
+        last = np.stack([em1[-1].real, em1[-1].imag, np.ones(n)], axis=1)
+    parts = []
+    for i0, g, gk in _g_blocks(model, integrand, float(s), n, shell):
+        rows = slice(i0, i0 + g.shape[0])
+        if g.ndim == 1:  # d = 1: the contraction is one dot product
+            parts.append(float(g @ em1[0, rows].real) + gk)
+            continue
+        v = g.reshape(-1, n) @ last
+        acc = (v[:, 0] + 1j * v[:, 1]).reshape(g.shape[:-1])
+        ones = v[:, 2].reshape(g.shape[:-1])
+        for ej, emj in zip([e[0, rows], *e[1:-1]][::-1], [em1[0, rows], *em1[1:-1]][::-1]):
+            acc, ones = acc @ ej + ones @ emj, ones.sum(axis=-1)
+        parts.append(float(acc.real) + gk)
+    return 2.0 * math.fsum(parts) * (2.0 * s / n) ** model.d
 
 
 def refine_torus_mean(

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketTooWide, DegenerateSamples, InvalidQuery, QueryOutsideBox
-from .limits import TabooQuery, TailAsymptotic, TailOrder
+from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant
 from .model import WalkModel, is_simple_1d
 
 _U64 = np.uint64
@@ -187,45 +187,29 @@ def _estimate_at(hits: int, sim: SimConfig, truncated: int, undecided: int) -> M
     )
 
 
-def _estimate_curve(model, q, t_list, sim, minus_clock) -> list[McEstimate]:
-    """Estimates at each time in t_list, counting hits block by block."""
-    _check_times(t_list, sim)
+def estimate_taboo_curve(
+    model: WalkModel,
+    q: TabooQuery,
+    t_list: Sequence[float],
+    sim: SimConfig,
+    variant: Variant = Variant.PLUS,
+) -> list[McEstimate]:
+    """Monte Carlo estimates of H_{x,y,z}(t) at each t in t_list (t <= sim.horizon).
+
+    All times share one set of paths, counted block by block, so the
+    estimates are monotone in t.  Variant.MINUS estimates H^-_{x,y,z}(t),
+    whose clock starts at the first jump.
+    """
+    for t in t_list:
+        if t < 0 or t > sim.horizon:
+            raise ValueError(f"t = {t} outside [0, horizon = {sim.horizon}]")
     hits = [0] * len(t_list)
     truncated = undecided = 0
-    for _, times, trunc, und in _hit_blocks(model, q, sim, minus_clock):
+    for _, times, trunc, und in _hit_blocks(model, q, sim, variant is Variant.MINUS):
         hits = [h + int(np.count_nonzero(times <= t)) for h, t in zip(hits, t_list)]
         truncated += trunc
         undecided += und
     return [_estimate_at(h, sim, truncated, undecided) for h in hits]
-
-
-def estimate_taboo_cdf(model: WalkModel, q: TabooQuery, t: float, sim: SimConfig) -> McEstimate:
-    """Monte Carlo estimate of H_{x,y,z}(t); requires t <= sim.horizon."""
-    return estimate_taboo_curve(model, q, [t], sim)[0]
-
-
-def estimate_taboo_curve(
-    model: WalkModel, q: TabooQuery, t_list: Sequence[float], sim: SimConfig
-) -> list[McEstimate]:
-    """Estimates at several times from one shared set of paths (monotone in t)."""
-    return _estimate_curve(model, q, t_list, sim, minus_clock=False)
-
-
-def estimate_minus_cdf(model: WalkModel, q: TabooQuery, t: float, sim: SimConfig) -> McEstimate:
-    """Monte Carlo estimate of H^-_{x,y,z}(t): the clock starts at the first jump."""
-    return estimate_minus_curve(model, q, [t], sim)[0]
-
-
-def estimate_minus_curve(
-    model: WalkModel, q: TabooQuery, t_list: Sequence[float], sim: SimConfig
-) -> list[McEstimate]:
-    return _estimate_curve(model, q, t_list, sim, minus_clock=True)
-
-
-def _check_times(t_list, sim):
-    for t in t_list:
-        if t < 0 or t > sim.horizon:
-            raise ValueError(f"t = {t} outside [0, horizon = {sim.horizon}]")
 
 
 # ---------------------------------------------------------------------------

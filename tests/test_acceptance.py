@@ -15,9 +15,9 @@ from taboowalk import (
     TabooQuery,
     TailOrder,
     TimeGrid,
+    Variant,
     absorption_limit_bracket,
-    estimate_minus_cdf,
-    estimate_taboo_cdf,
+    estimate_taboo_curve,
     fit_tail_order,
     hitting_cdf,
     hitting_limit,
@@ -139,9 +139,9 @@ def test_criterion_03_theorem2_table(simple):
             # a 5% allowance on the predicted deficit absorbs the next order
             tail = taboo_tail(simple, q)
             deficit = tail.deficit_at(horizon)
-            est = estimate_taboo_cdf(
-                simple, q, horizon, SimConfig(horizon=horizon, n_paths=1_000_000, seed=42)
-            )
+            est = estimate_taboo_curve(
+                simple, q, [horizon], SimConfig(horizon=horizon, n_paths=1_000_000, seed=42)
+            )[0]
             sigma = math.hypot(est.std_error, 0.05 * deficit)
             diff = abs(est.probability - (want - deficit))
             c.expect(
@@ -169,9 +169,9 @@ def test_criterion_05_theorem1_d3_limit(lattice3d):
         hit = hitting_limit(lattice3d, q.x, q.y)
         c.expect(0.0 < val <= hit, f"taboo limit {val} vs hitting limit {hit}")
         horizon = 200.0 / lattice3d.a
-        est = estimate_taboo_cdf(
-            lattice3d, q, horizon, SimConfig(horizon=horizon, n_paths=400_000, seed=7)
-        )
+        est = estimate_taboo_curve(
+            lattice3d, q, [horizon], SimConfig(horizon=horizon, n_paths=400_000, seed=7)
+        )[0]
         escape = est.undecided_paths / est.n_paths
         c.expect(
             est.probability - 3 * est.std_error
@@ -231,8 +231,6 @@ def test_criterion_09_exponential_tail_fit(simple):
         # requires, placed where the deficit still clears Monte Carlo noise
         q = TabooQuery((2,), (5,), (0,))
         ts = [4.0, 6.0, 8.0, 10.0, 14.0, 20.0]
-        from taboowalk.simulate import estimate_taboo_curve
-
         ests = estimate_taboo_curve(
             simple, q, ts, SimConfig(horizon=max(ts), n_paths=1_000_000, seed=99)
         )
@@ -260,16 +258,17 @@ def test_criterion_10_minus_variants(simple):
         c.expect(minus.limit == plus.limit, "curve limit changed")
         c.expect(abs(minus.values[0] - 0.5) <= 1e-2, f"curve atom {minus.values[0]:.4f}")
 
-        atom_est = estimate_minus_cdf(
-            simple, q, 0.0, SimConfig(horizon=1.0, n_paths=400_000, seed=17)
-        )
+        atom_est = estimate_taboo_curve(
+            simple, q, [0.0], SimConfig(horizon=1.0, n_paths=400_000, seed=17), Variant.MINUS,
+        )[0]
         c.expect(
             abs(atom_est.probability - 0.5) <= 3 * atom_est.std_error,
             f"MC atom {atom_est.probability:.5f}",
         )
-        lim_est = estimate_minus_cdf(
-            simple, q, 200.0, SimConfig(horizon=200.0, n_paths=400_000, seed=18)
-        )
+        lim_est = estimate_taboo_curve(
+            simple, q, [200.0], SimConfig(horizon=200.0, n_paths=400_000, seed=18),
+            Variant.MINUS,
+        )[0]
         c.expect(
             abs(lim_est.probability - lv.value) <= 3 * lim_est.std_error,
             f"MC minus limit {lim_est.probability:.5f} vs {lv.value}",

@@ -15,7 +15,7 @@ from taboowalk import (
     TailOrder,
     TimeGrid,
     Variant,
-    estimate_taboo_cdf,
+    estimate_taboo_curve,
     hitting_cdf,
     laplace_hitting,
     laplace_taboo,
@@ -90,7 +90,7 @@ class TestHittingCdf:
         q = TabooQuery((0,), (0,), (10**6,))
         sim = SimConfig(horizon=10.0, n_paths=1_000_000, seed=91)
         for t in (1.0, 5.0, 10.0):
-            est = estimate_taboo_cdf(simple1d, q, t, sim)
+            est = estimate_taboo_curve(simple1d, q, [t], sim)[0]
             assert abs(curve.at(t) - est.probability) <= 3 * est.std_error
 
     def test_step_too_coarse(self, simple1d):

@@ -2,18 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from taboowalk import (
     DivergentGreenFunction,
     NotConverged,
     QuadratureConfig,
+    TabooQuery,
+    char_exponent,
     green_function,
     k_kernel,
     rho,
+    simple_walk_1d,
     spectral_scalars,
+    taboo_limit,
     tilde_gamma,
     transition_probability,
     trig_identity_check,
+    validate_model,
 )
 
 # Watson's integral: G_0(0,0) for the 6-neighbor rate-1/6 walk on Z^3
@@ -180,6 +188,59 @@ class TestRho:
                 - green_function(walk3d, 0.0, zero, x).value
             )
             assert rho(walk3d, x) == pytest.approx(walk3d.a * g_diff, rel=1e-5)
+
+
+def rho_asymptote_1d(model):
+    """(slope, beta) of rho(x) = slope |x| + beta + O(|zeta|^|x|), finite-range d = 1.
+
+    slope = a/B with B = sum a(z) z^2 (Spitzer, Principles of Random Walk,
+    sections 28-29); beta = (a/pi) int_0^pi [1/(-phi) - 2/(B t^2)] dt
+    - 2a/(pi^2 B), integrated adaptively, independently of the grids.
+    """
+    a = model.total_rate
+    b = float(sum(r * z[0] ** 2 for z, r in model.jumps))
+    b4 = float(sum(r * z[0] ** 4 for z, r in model.jumps))
+
+    def f(t):
+        if t < 1e-3:  # series limit, avoids cancellation
+            return b4 / (6.0 * b * b)
+        return 1.0 / -char_exponent(model, [t]) - 2.0 / (b * t * t)
+
+    integral, _ = quad(f, 0.0, math.pi, epsabs=1e-14, epsrel=1e-13, limit=200)
+    return a / b, (a / math.pi) * integral - 2.0 * a / (math.pi**2 * b)
+
+
+NONSIMPLE_1D = validate_model(1, {(1,): 0.4, (2,): 0.1})
+FAR = st.integers(64, 10**4).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+class TestFarDisplacements1d:
+    """Displacements far beyond the default grid: the torus grid starts at 4 |x|."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.integers(-(10**4), 10**4).filter(bool))
+    @example(x=5000)
+    def test_simple_walk_rho_is_abs(self, x):
+        assert rho(simple_walk_1d(), (x,)) == pytest.approx(abs(x), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=FAR)
+    @example(x=3949)
+    def test_nonsimple_rho_follows_its_asymptote(self, x):
+        slope, beta = rho_asymptote_1d(NONSIMPLE_1D)
+        want = slope * abs(x) + beta
+        assert rho(NONSIMPLE_1D, (x,)) == pytest.approx(want, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(far=FAR, near=st.integers(-6, 6), z=st.integers(-6, 6), far_x=st.booleans(),
+           simple=st.booleans())
+    def test_taboo_limits_lie_in_unit_interval(self, far, near, z, far_x, simple):
+        model = simple_walk_1d() if simple else NONSIMPLE_1D
+        x, y = (far, near) if far_x else (near, far)
+        if len({x, y, z}) < 3:
+            return
+        for q in (TabooQuery((x,), (y,), (z,)), TabooQuery((x,), (z,), (y,))):
+            assert 0.0 <= taboo_limit(model, q) <= 1.0
 
 
 class TestKKernel:

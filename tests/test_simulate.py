@@ -17,10 +17,9 @@ from taboowalk import (
     SimConfig,
     TabooQuery,
     TailOrder,
+    Variant,
     absorption_limit_bracket,
     absorption_limit_oracle,
-    estimate_minus_cdf,
-    estimate_taboo_cdf,
     fit_tail_order,
     taboo_limit,
     taboo_tail,
@@ -52,14 +51,15 @@ class TestRngStream:
 class TestTabooEstimates:
     def test_structurally_impossible_query(self, simple1d):
         q = TabooQuery((-1,), (2,), (0,))
-        est = estimate_taboo_cdf(simple1d, q, 50.0, SimConfig(horizon=50.0, n_paths=5000, seed=1))
+        sim = SimConfig(horizon=50.0, n_paths=5000, seed=1)
+        est = estimate_taboo_curve(simple1d, q, [50.0], sim)[0]
         assert est.probability == 0.0
         assert est.std_error == 0.0
 
     def test_gambler_limit(self, simple1d):
         q = TabooQuery((2,), (5,), (0,))
         sim = SimConfig(horizon=200.0, n_paths=200_000, seed=11)
-        est = estimate_taboo_cdf(simple1d, q, 200.0, sim)
+        est = estimate_taboo_curve(simple1d, q, [200.0], sim)[0]
         assert abs(est.probability - 0.4) <= 3 * est.std_error
 
     def test_shard_invariance_bitwise(self, simple1d, monkeypatch):
@@ -68,7 +68,7 @@ class TestTabooEstimates:
         results = []
         for block in (1000, 7000, sim.n_paths):
             monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
-            results.append(estimate_taboo_cdf(simple1d, q, 30.0, sim))
+            results.append(estimate_taboo_curve(simple1d, q, [30.0], sim)[0])
         assert results[0] == results[1] == results[2]
 
     def test_memory_flat_in_path_count(self, walk3d, monkeypatch):
@@ -132,8 +132,8 @@ class TestTabooEstimates:
 
     def test_query_dimension_must_match(self, walk2d):
         with pytest.raises(InvalidQuery):
-            estimate_taboo_cdf(
-                walk2d, TabooQuery((1,), (2,), (0,)), 1.0, SimConfig(horizon=1.0, n_paths=10, seed=0)
+            estimate_taboo_curve(
+                walk2d, TabooQuery((1,), (2,), (0,)), [1.0], SimConfig(horizon=1.0, n_paths=10, seed=0)
             )
 
     def test_epoch_checks_equal_dense_monitoring(self, simple1d):
@@ -157,7 +157,7 @@ class TestTabooEstimates:
     def test_rejects_time_beyond_horizon(self, simple1d):
         q = TabooQuery((2,), (5,), (0,))
         with pytest.raises(ValueError):
-            estimate_taboo_cdf(simple1d, q, 60.0, SimConfig(horizon=50.0, n_paths=10, seed=0))
+            estimate_taboo_curve(simple1d, q, [60.0], SimConfig(horizon=50.0, n_paths=10, seed=0))
 
     def test_unbiased_against_absorption_truth(self, simple1d):
         # mean over many independent seeds vs the exact gambler's-ruin value
@@ -167,7 +167,7 @@ class TestTabooEstimates:
         probs = []
         for seed in range(n_seeds):
             sim = SimConfig(horizon=120.0, n_paths=n_paths, seed=seed)
-            probs.append(estimate_taboo_cdf(simple1d, q, 120.0, sim).probability)
+            probs.append(estimate_taboo_curve(simple1d, q, [120.0], sim)[0].probability)
         mean = float(np.mean(probs))
         combined_se = math.sqrt(truth * (1 - truth) / (n_seeds * n_paths))
         assert abs(mean - truth) <= 4 * combined_se
@@ -259,19 +259,20 @@ class TestMinusEstimates:
     def test_atom_at_zero(self, simple1d):
         q = TabooQuery((4,), (5,), (0,))
         sim = SimConfig(horizon=1.0, n_paths=100_000, seed=21)
-        est = estimate_minus_cdf(simple1d, q, 0.0, sim)
+        est = estimate_taboo_curve(simple1d, q, [0.0], sim, Variant.MINUS)[0]
         assert abs(est.probability - 0.5) <= 3 * est.std_error
 
     def test_zero_case(self, simple1d):
         q = TabooQuery((-1,), (2,), (0,))
-        est = estimate_minus_cdf(simple1d, q, 20.0, SimConfig(horizon=20.0, n_paths=5000, seed=2))
+        sim = SimConfig(horizon=20.0, n_paths=5000, seed=2)
+        est = estimate_taboo_curve(simple1d, q, [20.0], sim, Variant.MINUS)[0]
         assert est.probability == 0.0
 
     def test_limits_agree_with_plus(self, simple1d):
         q = TabooQuery((2,), (5,), (0,))
         sim = SimConfig(horizon=200.0, n_paths=100_000, seed=31)
-        plus = estimate_taboo_cdf(simple1d, q, 200.0, sim)
-        minus = estimate_minus_cdf(simple1d, q, 200.0, sim)
+        plus = estimate_taboo_curve(simple1d, q, [200.0], sim)[0]
+        minus = estimate_taboo_curve(simple1d, q, [200.0], sim, Variant.MINUS)[0]
         combined = math.hypot(plus.std_error, minus.std_error)
         assert abs(plus.probability - minus.probability) <= 3 * combined + 1e-12
 

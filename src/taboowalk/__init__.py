@@ -64,6 +64,8 @@ from .limits import (
     Variant,
     hitting_limit,
     hitting_tail,
+    laplace_hitting,
+    laplace_taboo,
     taboo_limit,
     taboo_limit_minus,
     taboo_tail,
@@ -73,8 +75,6 @@ from .curves import (
     CdfCurve,
     TimeGrid,
     hitting_cdf,
-    laplace_hitting,
-    laplace_taboo,
     minus_from_plus,
     taboo_cdf,
     tail_extract,

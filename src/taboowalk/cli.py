@@ -109,8 +109,7 @@ def _model_sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(args, command: str, query: dict, extras: dict, outputs: list[str], warnings: list[str]) -> dict:
-    cfg = _quad_config(args)
+def _manifest(args, cfg, command: str, query: dict, extras: dict, outputs: list[str], warnings: list[str]) -> dict:
     return {
         "tool": "taboowalk",
         "version": __version__,
@@ -131,15 +130,13 @@ def _write_manifest(path: str, manifest: dict) -> None:
     Path(side).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _quad_config(args) -> QuadratureConfig | None:
-    if getattr(args, "points", None) is None and getattr(args, "rel_tol", None) is None:
+def _quad_config(args, d: int) -> QuadratureConfig | None:
+    """default_config(d) with the --points/--rel-tol overrides; None without them."""
+    if args.points is None and args.rel_tol is None:
         return None
-    base = default_config(getattr(args, "_model_d", 1))
-    return QuadratureConfig(
-        points_per_axis=base.points_per_axis if args.points is None else args.points,
-        refinement_limit=base.refinement_limit,
-        rel_tol=base.rel_tol if args.rel_tol is None else args.rel_tol,
-    )
+    base = default_config(d)
+    return dataclasses.replace(base, points_per_axis=args.points or base.points_per_axis,
+                               rel_tol=args.rel_tol or base.rel_tol)
 
 
 def _query_dict(x, y, z=None) -> dict:
@@ -152,10 +149,7 @@ def _query_dict(x, y, z=None) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_limit(args) -> int:
-    model = load_model(args.model)
-    args._model_d = model.d
-    cfg = _quad_config(args)
+def _cmd_limit(args, model, cfg) -> int:
     x = _parse_vec(args.x, model.d)
     y = _parse_vec(args.y, model.d)
     z = _parse_vec(args.z, model.d) if args.z is not None else None
@@ -195,7 +189,7 @@ def _cmd_limit(args) -> int:
                 "undecided_paths": est.undecided_paths,
             },
         }
-    record["manifest"] = _manifest(args, "limit", record["query"], {"seed": args.seed}, [], [])
+    record["manifest"] = _manifest(args, cfg, "limit", record["query"], {"seed": args.seed}, [], [])
     _emit(record)
     return EXIT_OK
 
@@ -211,10 +205,7 @@ def _tail_record(model, q, minus, cfg) -> dict:
     return rec
 
 
-def _cmd_tail(args) -> int:
-    model = load_model(args.model)
-    args._model_d = model.d
-    cfg = _quad_config(args)
+def _cmd_tail(args, model, cfg) -> int:
     q = TabooQuery(*(_parse_vec(v, model.d) for v in (args.x, args.y, args.z)))
     record = {"query": _query_dict(q.x, q.y, q.z)}
     record.update(_tail_record(model, q, args.minus, cfg))
@@ -228,15 +219,12 @@ def _cmd_tail(args) -> int:
             record["extraction_error"] = str(exc)
             record["partial_estimates"] = exc.estimates
             code = EXIT_NUMERICAL
-    record["manifest"] = _manifest(args, "tail", record["query"], {"seed": None}, [], [])
+    record["manifest"] = _manifest(args, cfg, "tail", record["query"], {"seed": None}, [], [])
     _emit(record)
     return code
 
 
-def _cmd_curve(args) -> int:
-    model = load_model(args.model)
-    args._model_d = model.d
-    cfg = _quad_config(args)
+def _cmd_curve(args, model, cfg) -> int:
     x = _parse_vec(args.x, model.d)
     y = _parse_vec(args.y, model.d)
     z = _parse_vec(args.z, model.d) if args.z is not None else None
@@ -265,6 +253,7 @@ def _cmd_curve(args) -> int:
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = _manifest(
         args,
+        cfg,
         "curve",
         _query_dict(x, y, z),
         {"grid": {"step": grid.step, "n_steps": grid.n_steps}, "seed": None, "minus": args.minus},
@@ -277,9 +266,7 @@ def _cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    args._model_d = model.d
+def _cmd_simulate(args, model, cfg) -> int:
     q = TabooQuery(*(_parse_vec(v, model.d) for v in (args.x, args.y, args.z)))
     t_list = args.t_list
     sim = SimConfig(horizon=max(t_list), n_paths=args.paths, seed=args.seed)
@@ -300,7 +287,7 @@ def _cmd_simulate(args) -> int:
         ],
     }
     record["manifest"] = _manifest(
-        args, "simulate", record["query"],
+        args, cfg, "simulate", record["query"],
         {"seed": args.seed, "sim": {"horizon": sim.horizon, "n_paths": sim.n_paths, "max_jumps": sim.max_jumps}},
         [], [],
     )
@@ -417,10 +404,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
-    model = load_model(args.model)
-    args._model_d = model.d
-    cfg = _quad_config(args)
+def _cmd_verify(args, model, cfg) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     any_fail = False
     for name in names:
@@ -512,7 +496,8 @@ def main(argv=None) -> int:
         return _report(exc, EXIT_INPUT_ERROR)
     args._argv = argv
     try:
-        return args.func(args)
+        model = load_model(args.model)
+        return args.func(args, model, _quad_config(args, model.d))
     except _NUMERICAL_ERRORS as exc:
         return _report(exc, EXIT_NUMERICAL)
     except _INPUT_ERRORS as exc:

@@ -1,4 +1,4 @@
-"""Time-domain c.d.f. curves and Laplace-domain evaluators.
+"""Time-domain c.d.f. curves and the Laplace-ladder tail extraction.
 
 The hitting-time c.d.f. solves a first-kind Volterra equation whose kernel
 is the return probability p(t; y, y); since p(0; y, y) = 1 the product-
@@ -8,7 +8,9 @@ and H_{x,z,y} to the plain hitting curves; in the sum and the difference
 of the two unknowns it splits into two scalar equations.  Every discrete
 equation is a lower-triangular Toeplitz system, solved by one routine
 that halves recursively and carries each half's effect forward with an
-FFT convolution, O(n log^2 n) for n time steps.
+FFT convolution, O(n log^2 n) for n time steps.  The Laplace transforms
+themselves live in limits.py, whose lambda = 0 values are the d >= 3 limits;
+tail_extract reads them on a lambda -> 0 ladder.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExtrapolationUnstable, InvalidQuery, NotConverged, StepTooCoarse
-from .kernels import QuadratureConfig, _cfg, canonical_diff, green_function
-from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, hitting_limit, taboo_limit
-from .model import WalkModel, as_vec, is_simple_1d
+from .kernels import QuadratureConfig, _cfg, _torus_points, canonical_diff
+from .limits import (TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims, hitting_limit,
+                     laplace_taboo, taboo_limit)
+from .model import WalkModel, is_simple_1d
 from .quadrature import ABS_FLOOR, cos_weights, phi_blocks
 
 
@@ -108,12 +111,13 @@ def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int, uniform:
 def _p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
     """p(t; 0, r) on uniform times, one row per r, refined until rel_tol.
 
-    All rows are checked together against a direct-exp probe at twice the
-    grid on 8 probe times, the first and the last among them; raises
-    NotConverged when cfg.refinement_limit doublings do not close the gap.
+    The grid starts at kernels._torus_points, so no row aliases.  All rows
+    are checked together against a direct-exp probe at twice the grid on 8
+    probe times, the first and the last among them; raises NotConverged
+    when cfg.refinement_limit doublings do not close the gap.
     """
     probe_idx = np.unique(np.linspace(0, len(times) - 1, 8).astype(int))
-    n = cfg.points_per_axis
+    n = _torus_points(cfg, rs)
     for _ in range(cfg.refinement_limit + 1):
         vals = _p_grid_sum(model, rs, times, n, uniform=True)
         probe = _p_grid_sum(model, rs, times[probe_idx], 2 * n, uniform=False)
@@ -244,8 +248,7 @@ def taboo_cdf(
     D = H_{x,y,z} - H_{x,z,y}.  The residual of both identities is
     recomputed and attached to the curves.
     """
-    if q.d != model.d:
-        raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
+    _check_dims(model, q)
     cfg = _cfg(model.d, cfg)
     pairs = ((q.x, q.y), (q.x, q.z), (q.z, q.y))
     p = _grid_p_curves(model, [canonical_diff(a, b, model.d) for a, b in pairs], grid, cfg)
@@ -277,44 +280,6 @@ def taboo_cdf(
 
 
 # ---------------------------------------------------------------------------
-# Laplace-domain evaluators
-# ---------------------------------------------------------------------------
-
-def laplace_hitting(
-    model: WalkModel,
-    x: Sequence[int],
-    y: Sequence[int],
-    lam: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Laplace-Stieltjes transform of H_{x,y}: closed form via G_lambda."""
-    if not lam > 0.0:
-        raise ValueError("lambda must be > 0")
-    xv, yv = as_vec(x, model.d), as_vec(y, model.d)
-    zero = (0,) * model.d
-    g00 = green_function(model, lam, zero, zero, cfg).value
-    if xv == yv:
-        return 1.0 - 1.0 / ((lam + model.a) * g00)
-    return green_function(model, lam, xv, yv, cfg).value / g00
-
-
-def laplace_taboo(
-    model: WalkModel,
-    q: TabooQuery,
-    lam: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Laplace-Stieltjes transform of H_{x,y,z} from the linear system."""
-    if q.d != model.d:
-        raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
-    h_xy = laplace_hitting(model, q.x, q.y, lam, cfg)
-    h_xz = laplace_hitting(model, q.x, q.z, lam, cfg)
-    h_zy = laplace_hitting(model, q.z, q.y, lam, cfg)
-    h_yz = laplace_hitting(model, q.y, q.z, lam, cfg)
-    return (h_xy - h_xz * h_zy) / (1.0 - h_zy * h_yz)
-
-
-# ---------------------------------------------------------------------------
 # tail-constant extraction from the lambda -> 0 ladder
 # ---------------------------------------------------------------------------
 
@@ -336,8 +301,7 @@ def tail_extract(
     Only non-simple walks in d <= 2 are supported; d >= 3 would require
     higher Laplace derivatives.
     """
-    if q.d != model.d:
-        raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
+    _check_dims(model, q)
     if is_simple_1d(model):
         raise InvalidQuery("tail_extract requires a non-simple walk")
     if model.d > 2:

@@ -3,10 +3,12 @@
 All four are Fourier integrals over [-pi, pi]^d built from the walk's
 characteristic exponent phi.  Smooth integrands (the heat kernel p, the
 d = 1 potential kernel, the Lemma-5 identity) go through the periodic
-midpoint rule with grid doubling.  Green's functions and the d >= 2
+midpoint rule with grid doubling.  Green's functions and the d = 2
 potential kernel are singular or sharply peaked at theta = 0 and are
 integrated over dyadic shells that telescope toward the origin, with an
-analytic estimate and error bound for the remaining core box.
+analytic estimate and error bound for the remaining core box.  In d >= 3
+the walk is transient and rho_d(x) = a (G_0(0) - G_0(x)) (Spitzer,
+Principles of Random Walk), taken from the cached G_0 shells.
 """
 
 from __future__ import annotations
@@ -93,18 +95,23 @@ def _not_converged(name, value, err):
     )
 
 
+def _torus_points(cfg: QuadratureConfig, rs) -> int:
+    """Points per axis a torus grid for the displacements rs starts at:
+    max(cfg.points_per_axis, 4 max|r_j|).  Below n = |r_j| the midpoint rule
+    aliases r_j to r_j mod n, and every refinement level aliases alike."""
+    return max(cfg.points_per_axis, 4 * max(abs(c) for r in rs for c in r))
+
+
 def _torus_mean(name, model, integrand, r, cfg):
     """(2 pi)^-d * torus integral of the integrand at displacement r.
 
-    The grid doubles until successive estimates agree to cfg.rel_tol.  It
-    starts at n0 = max(cfg.points_per_axis, 4 max|r_j|) points per axis:
-    below n = |r_j| the midpoint rule aliases r_j to r_j mod n, and both
-    levels of the check alias alike.  Returns (value, est_error).
+    The grid starts at _torus_points and doubles until successive estimates
+    agree to cfg.rel_tol.  Returns (value, est_error).
     """
     norm = (2.0 * np.pi) ** model.d
     val, err, ok = refine_torus_mean(
         lambda n: midpoint_sum(model, integrand, r, np.pi, n) / norm,
-        max(cfg.points_per_axis, 4 * max(abs(c) for c in r)),
+        _torus_points(cfg, (r,)),
         cfg.refinement_limit,
         cfg.rel_tol,
     )
@@ -126,11 +133,13 @@ def transition_probability(
 ) -> KernelValue:
     """p(t;x,y) = (2 pi)^-d * integral of exp(phi(theta) t) cos(theta, y-x).
 
-    The imaginary part vanishes by symmetry and is never computed.
+    The imaginary part vanishes by symmetry; at t = 0 it is delta_xy exactly.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     r = canonical_diff(x, y, model.d)
+    if t == 0:
+        return KernelValue(value=0.0 if any(r) else 1.0, est_error=0.0)
     p = Integrand(("p", float(t)), lambda ph: np.exp(ph * t))
     val, err = _torus_mean("transition_probability", model, p, r, _cfg(model.d, cfg))
     return KernelValue(value=min(1.0, max(0.0, val)), est_error=err)
@@ -272,6 +281,9 @@ def k_kernel(
 @lru_cache(maxsize=4096)
 def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
     a = model.total_rate
+    if model.d >= 3:  # transient: a (G_0(0) - G_0(r)) from the cached G_0 shells
+        g00 = _green_cached(model, 0.0, (0,) * model.d, cfg).value
+        return a * (g00 - _green_cached(model, 0.0, r, cfg).value)
     # a (cos(r.theta) - 1) / phi
     integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
     if model.d == 1:
@@ -298,7 +310,7 @@ def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None)
 
     For x != 0 this is a (2 pi)^-d integral of a (cos(x,theta) - 1)/phi(theta);
     the integrand has a finite limit at theta = 0 which the midpoint grids
-    never sample.
+    never sample.  In d >= 3 it equals a (G_0(0) - G_0(x)), from the G_0 shells.
     """
     r = canonical_diff((0,) * model.d, x, model.d)
     return _rho_cached(model, r, _cfg(model.d, cfg)) if any(r) else 1.0

@@ -1,8 +1,11 @@
-"""Closed-form limits and tail-asymptotic constants for (taboo) hitting times.
+"""Closed-form limits, tail-asymptotic constants and Laplace transforms.
 
 Everything here is a finite arithmetic combination of the potential kernel
 rho_d, the spectral scalar gamma_d, and (for d >= 3) Green's-function values;
 the nearest-neighbor walk on Z is dispatched to its exact piecewise forms.
+The Laplace-Stieltjes transforms of the hitting and taboo c.d.f.s come from
+G_lambda.  In d >= 3, G_0 is finite, and the transforms at lambda = 0 are
+the limits: hitting_limit and taboo_limit take them from there.
 """
 
 from __future__ import annotations
@@ -120,15 +123,10 @@ def hitting_limit(
     y: Sequence[int],
     cfg: QuadratureConfig | None = None,
 ) -> float:
-    """P(tau_y < infinity | start x): 1 in d <= 2, Green's ratio in d >= 3."""
+    """P(tau_y < infinity | start x): 1 in d <= 2, laplace_hitting at
+    lambda = 0 in d >= 3."""
     xv, yv = as_vec(x, model.d), as_vec(y, model.d)
-    if model.d <= 2:
-        return 1.0
-    zero = (0,) * model.d
-    g00 = green_function(model, 0.0, zero, zero, cfg).value
-    if xv == yv:
-        return 1.0 - 1.0 / (model.a * g00)
-    return green_function(model, 0.0, xv, yv, cfg).value / g00
+    return 1.0 if model.d <= 2 else laplace_hitting(model, xv, yv, 0.0, cfg)
 
 
 def hitting_tail(
@@ -178,24 +176,65 @@ def taboo_limit(
     """H_{x,y,z}(infinity).
 
     Nearest-neighbor walk on Z: exact rational dispatch.  Otherwise the
-    rho-ratio formula in d <= 2 and the Green's-weighted version in d >= 3,
-    with rho_d(0) = 1 covering x = z and x = y without special cases.
+    rho-ratio formula in d <= 2, with rho_d(0) = 1 covering x = z and x = y
+    without special cases, and laplace_taboo at lambda = 0 in d >= 3.
     """
     _check_dims(model, q)
     X, Y = q.rel_x, q.rel_y
     if is_simple_1d(model):
         return _simple_taboo_limit(X[0], Y[0])
-    rho_x = rho(model, X, cfg)
+    if model.d >= 3:
+        return laplace_taboo(model, q, 0.0, cfg)
+    rho_yx = rho(model, tuple(b - a for a, b in zip(X, Y)), cfg)
     rho_y = rho(model, Y, cfg)
-    r_yx = tuple(b - a for a, b in zip(X, Y))
-    rho_yx = rho(model, r_yx, cfg)
-    if model.d <= 2:
-        return (rho_x + rho_y - rho_yx) / (2.0 * rho_y)
+    return (rho(model, X, cfg) + rho_y - rho_yx) / (2.0 * rho_y)
+
+
+# ---------------------------------------------------------------------------
+# Laplace-domain evaluators
+# ---------------------------------------------------------------------------
+
+def laplace_hitting(
+    model: WalkModel,
+    x: Sequence[int],
+    y: Sequence[int],
+    lam: float,
+    cfg: QuadratureConfig | None = None,
+) -> float:
+    """Laplace-Stieltjes transform of H_{x,y}: closed form via G_lambda.
+
+    lambda = 0 gives P(tau_y < infinity) and needs a finite G_0, so d >= 3.
+    """
+    if not (lam > 0.0 or (lam == 0.0 and model.d >= 3)):
+        raise ValueError(f"lambda must be > 0 (>= 0 in d >= 3), got {lam!r}")
+    xv, yv = as_vec(x, model.d), as_vec(y, model.d)
     zero = (0,) * model.d
-    g00 = green_function(model, 0.0, zero, zero, cfg).value
-    gyz = green_function(model, 0.0, q.y, q.z, cfg).value
-    num = g00 * rho_y - g00 * rho_yx + gyz * rho_x
-    return num / (rho_y * (g00 + gyz))
+    g00 = green_function(model, lam, zero, zero, cfg).value
+    if xv == yv:
+        return 1.0 - 1.0 / ((lam + model.a) * g00)
+    return green_function(model, lam, xv, yv, cfg).value / g00
+
+
+def laplace_taboo(
+    model: WalkModel,
+    q: TabooQuery,
+    lam: float,
+    cfg: QuadratureConfig | None = None,
+) -> float:
+    """Laplace-Stieltjes transform of H_{x,y,z} from the two-point system.
+
+    At lambda = 0 in d >= 3, with g = G_0(0), G_v = G_0(v), X = x - z and
+    Y = y - z, it is (g G_{Y-X} - G_X G_Y) / (g^2 - G_Y^2): Theorem 1's
+    (g rho_Y - g rho_{Y-X} + G_Y rho_X) / (rho_Y (g + G_Y)) with rho_v =
+    a (g - G_v).  The return transform 1 - 1/(a g) makes the x = z and
+    x = y cases agree with that formula at rho(0) = 1.
+    """
+    _check_dims(model, q)
+    h_xy = laplace_hitting(model, q.x, q.y, lam, cfg)
+    h_xz = laplace_hitting(model, q.x, q.z, lam, cfg)
+    h_zy = laplace_hitting(model, q.z, q.y, lam, cfg)
+    h_yz = laplace_hitting(model, q.y, q.z, lam, cfg)
+    return (h_xy - h_xz * h_zy) / (1.0 - h_zy * h_yz)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketTooWide, DegenerateSamples, InvalidQuery, QueryOutsideBox
-from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant
+from .errors import BracketTooWide, DegenerateSamples, QueryOutsideBox
+from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims
 from .model import WalkModel, is_simple_1d
 
 _U64 = np.uint64
@@ -110,8 +110,7 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
     state of the paths still running is kept compacted: a path that
     passes the horizon or reaches y or z leaves every column at once.
     """
-    if q.d != model.d:
-        raise InvalidQuery(f"query dimension {q.d} != model dimension {model.d}")
+    _check_dims(model, q)
     a = model.total_rate
     axis_jumps = [np.ascontiguousarray(col) for col in model.support.T]
     # u < 1 = jump_cdf[-1], so the jump index is the number of cuts <= u
@@ -292,8 +291,7 @@ def absorption_limit_bracket(
     * otherwise (d = 1 non-simple, d >= 3): escape counts as failure in
       the lower bound and success in the upper bound.
     """
-    if q.d != model.d:
-        raise QueryOutsideBox(f"query dimension {q.d} != model dimension {model.d}")
+    _check_dims(model, q)
     d, r = model.d, int(box_radius)
     for point in (q.x, q.y, q.z):
         if any(abs(c) > r for c in point):

@@ -25,7 +25,7 @@ from taboowalk import (
 )
 from taboowalk import curves
 from taboowalk.curves import _LADDER_KS, _p_curves
-from taboowalk.kernels import default_config
+from taboowalk.kernels import _torus_points, default_config, transition_probability
 from taboowalk.limits import c1_constant
 from taboowalk.model import char_exponent_grid
 
@@ -234,6 +234,22 @@ class TestBatchedPCurves:
         assert got.shape == (3, len(times))
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
 
+    def test_far_displacement_does_not_alias(self, simple1d):
+        # on 256 points per axis r = 1000 aliased to r = 24, and the curve
+        # ended at H_{0,24}(100) = 0.0166 instead of about 1.7e-17
+        curve = hitting_cdf(simple1d, (0,), (1000,), TimeGrid(0.05, 2000))
+        assert np.max(np.abs(curve.values)) <= 1e-12
+        times = 10.0 * np.arange(1, 11)
+        row = _p_curves(simple1d, ((1000,),), times, default_config(1))[0]
+        want = [transition_probability(simple1d, t, (0,), (1000,)).value for t in times]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+    def test_near_displacements_keep_their_grid(self):
+        assert _torus_points(default_config(1), ((0,), (64,), (-3,))) == 256
+        assert _torus_points(default_config(2), ((64, -64),)) == 256
+        assert _torus_points(default_config(3), ((16, -2, 0),)) == 64
+        assert _torus_points(default_config(1), ((1000,),)) == 4000
+
     def test_taboo_cdf_makes_one_pass_plus_probe(self, walk3d, monkeypatch):
         calls = []
         grid_sum = curves._p_grid_sum
@@ -304,9 +320,14 @@ class TestLaplace:
         # lams descend, so the transform values must ascend
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_nonpositive_lambda(self, simple1d):
+    def test_rejects_nonpositive_lambda(self, simple1d, walk2d, walk3d):
+        # lambda = 0 is the limit, finite only for transient walks (d >= 3)
         with pytest.raises(ValueError):
             laplace_hitting(simple1d, [0], [1], 0.0)
+        with pytest.raises(ValueError):
+            laplace_taboo(walk2d, TabooQuery((1, 0), (0, 1), (0, 0)), 0.0)
+        with pytest.raises(ValueError):
+            laplace_hitting(walk3d, (0, 0, 0), (1, 0, 0), -1e-3)
 
 
 class TestTailExtract:

@@ -43,10 +43,19 @@ def g1d_closed(lam, x, a=1.0):
 
 
 class TestTransitionProbability:
-    def test_time_zero_is_delta(self, simple1d, walk2d):
+    def test_time_zero_is_delta(self, simple1d, walk2d, walk3d, monkeypatch):
+        import taboowalk.quadrature as quad
+
+        def no_grid(*args):
+            raise AssertionError("a grid was summed for p(0; x, y)")
+
+        monkeypatch.setattr(quad, "_g_blocks", no_grid)
         assert transition_probability(simple1d, 0.0, [0], [0]).value == 1.0
-        assert transition_probability(simple1d, 0.0, [0], [3]).value <= 1e-14
+        assert transition_probability(simple1d, 0.0, [0], [3]).value == 0.0
         assert transition_probability(walk2d, 0.0, [1, 1], [1, 1]).value == 1.0
+        for y, want in (((0, 0, 0), 1.0), ((40, -3, 2), 0.0)):
+            got = transition_probability(walk3d, 0.0, (0, 0, 0), y)
+            assert (got.value, got.est_error) == (want, 0.0)
 
     def test_bessel_oracle(self, simple1d):
         for t in (0.3, 1.0, 2.5):
@@ -188,6 +197,22 @@ class TestRho:
                 - green_function(walk3d, 0.0, zero, x).value
             )
             assert rho(walk3d, x) == pytest.approx(walk3d.a * g_diff, rel=1e-5)
+
+    @pytest.mark.parametrize("walk, x", [("nonsimple1d", (3,)), ("walk2d", (2, 1)), ("walk3d", (1, 1, 0))])
+    def test_generator_equation(self, walk, x, request):
+        # rho~ = rho with rho~(0) = 0 solves sum_z a(z) rho~(v + z) - a rho~(v) = a delta_{v,0};
+        # no Green's function enters this check
+        model = request.getfixturevalue(walk)
+        tol = 1e-8 if model.d <= 2 else 1e-6
+
+        def rt(v):
+            return rho(model, v) if any(v) else 0.0
+
+        for v in ((0,) * model.d, x):
+            terms = [rate * rt(tuple(a + b for a, b in zip(v, z))) for z, rate in model.jumps]
+            lhs = math.fsum(terms) - model.a * rt(v)
+            want = 0.0 if any(v) else model.a
+            assert abs(lhs - want) <= tol * math.fsum(terms)
 
 
 def rho_asymptote_1d(model):

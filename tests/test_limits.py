@@ -5,11 +5,14 @@ import pytest
 
 from taboowalk import (
     InvalidQuery,
+    QuadratureConfig,
     TabooQuery,
     TailOrder,
     Variant,
     hitting_limit,
     hitting_tail,
+    laplace_hitting,
+    laplace_taboo,
     rho,
     spectral_scalars,
     taboo_limit,
@@ -63,6 +66,43 @@ class TestHittingLimit:
         ret = hitting_limit(walk3d, [0, 0, 0], [0, 0, 0])
         nb = hitting_limit(walk3d, [0, 0, 0], [1, 0, 0])
         assert nb == pytest.approx(ret, abs=1e-5)
+
+
+class TestGreenRoute:
+    """In d >= 3 the limits are the Laplace transforms at lambda = 0."""
+
+    QUERIES = [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 0)),
+        ((0, 1, 0), (0, 1, 0), (0, 0, 0)),
+        ((1, 1, 0), (2, 0, 1), (1, 0, 0)),
+    ]
+
+    def test_limits_are_transforms_at_zero(self, walk3d):
+        for x, y, z in self.QUERIES:
+            q = TabooQuery(x, y, z)
+            assert taboo_limit(walk3d, q) == laplace_taboo(walk3d, q, 0.0)
+            assert hitting_limit(walk3d, x, y) == laplace_hitting(walk3d, x, y, 0.0)
+
+    def test_d3_sums_no_rho_integrand(self, walk3d, monkeypatch):
+        import taboowalk.quadrature as quad
+
+        keys = []
+        g_blocks = quad._g_blocks
+
+        def spy(model, f, *args):
+            keys.append(f.key)
+            return g_blocks(model, f, *args)
+
+        monkeypatch.setattr(quad, "_g_blocks", spy)
+        # a config no other test uses, so no cached kernel value hides a quadrature
+        cfg = QuadratureConfig(points_per_axis=64, refinement_limit=4, rel_tol=2e-6)
+        for x, y, z in self.QUERIES:
+            q = TabooQuery(x, y, z)
+            taboo_limit(walk3d, q, cfg)
+            taboo_tail(walk3d, q, cfg)
+            hitting_tail(walk3d, x, y, cfg)
+        assert keys and not any(k[0] == "rho" for k in keys)
 
 
 class TestHittingTail:

@@ -310,6 +310,10 @@ class TestAbsorptionOracle:
         with pytest.raises(QueryOutsideBox):
             absorption_limit_bracket(simple1d, TabooQuery((200,), (5,), (0,)), 100)
 
+    def test_query_dimension_is_invalid_query(self, walk2d):
+        with pytest.raises(InvalidQuery):
+            absorption_limit_bracket(walk2d, TabooQuery((1,), (2,), (0,)), 10)
+
     def test_bracket_too_wide(self, walk3d):
         q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
         with pytest.raises(BracketTooWide):

@@ -1,8 +1,11 @@
 """Command-line interface: limits, tails, curves, simulation, verification.
 
 Exit codes: 0 success (or verified), 1 verification-suite failure,
-2 invalid input, 3 numerical non-convergence.  Every file output gets a
-sidecar ``<file>.manifest.json``; stdout records embed the manifest.
+2 invalid input, 3 numerical non-convergence.  ``main`` parses --x/--y/--z
+once and writes every result: the subcommand returns its record body and
+manifest extras, and main emits ``{"query": ..., **record, "manifest": ...}``
+on stdout or, for a file output, writes the sidecar ``<file>.manifest.json``.
+``verify`` takes no points and prints a text report.
 All numbers are emitted with repr/%.17g formatting, locale-independent.
 """
 
@@ -36,7 +39,6 @@ from .limits import (
     taboo_limit,
     taboo_limit_minus,
     taboo_tail,
-    taboo_tail_minus,
 )
 from .model import is_simple_1d, load_model
 from .simulate import (
@@ -105,29 +107,20 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _model_sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _manifest(args, cfg, command: str, query: dict, extras: dict, outputs: list[str], warnings: list[str]) -> dict:
+def _manifest(args, cfg, query: dict, extras: dict, outputs: list[str], warnings: list[str]) -> dict:
     return {
         "tool": "taboowalk",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": args._argv,
         "model_file": args.model,
-        "model_sha256": _model_sha256(args.model),
+        "model_sha256": hashlib.sha256(Path(args.model).read_bytes()).hexdigest(),
         "query": query,
         "quadrature": dataclasses.asdict(cfg) if cfg is not None else None,
         "outputs": outputs,
         "warnings": warnings,
         **extras,
     }
-
-
-def _write_manifest(path: str, manifest: dict) -> None:
-    side = path + ".manifest.json"
-    Path(side).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _quad_config(args, d: int) -> QuadratureConfig | None:
@@ -139,38 +132,25 @@ def _quad_config(args, d: int) -> QuadratureConfig | None:
                                rel_tol=args.rel_tol or base.rel_tol)
 
 
-def _query_dict(x, y, z=None) -> dict:
-    out = {"x": list(x), "y": list(y)}
-    out["z"] = list(z) if z is not None else None
-    return out
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed points and returns (record body,
+# manifest extras, exit code, output files, warnings) for main to write
 # ---------------------------------------------------------------------------
 
-def _cmd_limit(args, model, cfg) -> int:
-    x = _parse_vec(args.x, model.d)
-    y = _parse_vec(args.y, model.d)
-    z = _parse_vec(args.z, model.d) if args.z is not None else None
+def _cmd_limit(args, model, cfg, x, y, z):
     if args.verify and z is None:
         raise InvalidQuery("--verify needs --z")
-    record: dict = {"query": _query_dict(x, y, z), "method": "closed-form"}
+    record: dict = {"method": "closed-form"}
     if z is None:
-        record["limit"] = hitting_limit(model, x, y, cfg)
-        record["variant"] = Variant.PLUS.value
+        record.update(limit=hitting_limit(model, x, y, cfg), variant=Variant.PLUS.value)
     else:
         q = TabooQuery(x, y, z)
         if args.minus:
             lv = taboo_limit_minus(model, q, cfg)
-            record["limit"] = lv.value
-            record["variant"] = lv.variant.value
-            record["atom_at_zero"] = lv.atom_at_zero
+            record.update(limit=lv.value, variant=lv.variant.value, atom_at_zero=lv.atom_at_zero)
         else:
-            record["limit"] = taboo_limit(model, q, cfg)
-            record["variant"] = Variant.PLUS.value
+            record.update(limit=taboo_limit(model, q, cfg), variant=Variant.PLUS.value)
     if args.verify:
-        q = TabooQuery(x, y, z)
         radius = args.radius or {1: 100, 2: 60}.get(model.d, 15)
         lo, hi = absorption_limit_bracket(model, q, radius)
         horizon = 200.0 / model.a
@@ -189,90 +169,52 @@ def _cmd_limit(args, model, cfg) -> int:
                 "undecided_paths": est.undecided_paths,
             },
         }
-    record["manifest"] = _manifest(args, cfg, "limit", record["query"], {"seed": args.seed}, [], [])
-    _emit(record)
-    return EXIT_OK
+    return record, {"seed": args.seed}, EXIT_OK, [], []
 
 
-def _tail_record(model, q, minus, cfg) -> dict:
-    tail = taboo_tail_minus(model, q, cfg) if minus else taboo_tail(model, q, cfg)
-    rec = {"order": tail.order.value, "constant": tail.constant}
+def _cmd_tail(args, model, cfg, x, y, z):
+    q = TabooQuery(x, y, z)
+    tail = taboo_tail(model, q, cfg)  # the minus variant has the same tail
+    record = {"order": tail.order.value, "constant": tail.constant}
     if tail.exponent is not None:
-        rec["exponent"] = tail.exponent
+        record["exponent"] = tail.exponent
     if tail.rate_bound is not None:
-        rec["rate_bound"] = tail.rate_bound
-    rec["variant"] = Variant.MINUS.value if minus else Variant.PLUS.value
-    return rec
-
-
-def _cmd_tail(args, model, cfg) -> int:
-    q = TabooQuery(*(_parse_vec(v, model.d) for v in (args.x, args.y, args.z)))
-    record = {"query": _query_dict(q.x, q.y, q.z)}
-    record.update(_tail_record(model, q, args.minus, cfg))
+        record["rate_bound"] = tail.rate_bound
+    record["variant"] = (Variant.MINUS if args.minus else Variant.PLUS).value
     code = EXIT_OK
     if args.extract:
         try:
-            est = tail_extract(model, q, cfg)
-            record["extracted_constant"] = est.constant
+            record["extracted_constant"] = tail_extract(model, q, cfg).constant
         except ExtrapolationUnstable as exc:
             record["extracted_constant"] = None
             record["extraction_error"] = str(exc)
             record["partial_estimates"] = exc.estimates
             code = EXIT_NUMERICAL
-    record["manifest"] = _manifest(args, cfg, "tail", record["query"], {"seed": None}, [], [])
-    _emit(record)
-    return code
+    return record, {"seed": None}, code, [], []
 
 
-def _cmd_curve(args, model, cfg) -> int:
-    x = _parse_vec(args.x, model.d)
-    y = _parse_vec(args.y, model.d)
-    z = _parse_vec(args.z, model.d) if args.z is not None else None
-    n_steps = max(2, int(round(args.horizon / args.step)))
-    grid = TimeGrid(step=args.step, n_steps=n_steps)
-    warnings: list[str] = []
-    lines = []
+def _cmd_curve(args, model, cfg, x, y, z):
+    grid = TimeGrid(step=args.step, n_steps=max(2, int(round(args.horizon / args.step))))
     if z is None:
-        curve = hitting_cdf(model, x, y, grid, cfg, strict=False)
-        if args.minus:
-            curve = minus_from_plus(curve, model, strict=False)
-        warnings.extend(curve.warnings)
-        lines.append("t,H_xy,limit_xy")
-        lines.extend(_csv_rows((curve.times, curve.values), (curve.limit,)))
-        lines.append(f"# limit_xy={_fmt(curve.limit)}")
+        names, curves = ["xy"], [hitting_cdf(model, x, y, grid, cfg, strict=False)]
     else:
-        q = TabooQuery(x, y, z)
-        cur_a, cur_b = taboo_cdf(model, q, grid, cfg, strict=False)
-        if args.minus:
-            cur_a = minus_from_plus(cur_a, model, strict=False)
-            cur_b = minus_from_plus(cur_b, model, strict=False)
-        warnings.extend(cur_a.warnings)
-        lines.append("t,H_xyz,H_xzy,limit_xyz,limit_xzy")
-        lines.extend(_csv_rows((cur_a.times, cur_a.values, cur_b.values), (cur_a.limit, cur_b.limit)))
-        lines.append(f"# limit_xyz={_fmt(cur_a.limit)} limit_xzy={_fmt(cur_b.limit)}")
+        names, curves = ["xyz", "xzy"], list(taboo_cdf(model, TabooQuery(x, y, z), grid, cfg, strict=False))
+    if args.minus:
+        curves = [minus_from_plus(c, model, strict=False) for c in curves]
+    limits = [c.limit for c in curves]
+    lines = [",".join(["t", *(f"H_{n}" for n in names), *(f"limit_{n}" for n in names)])]
+    lines.extend(_csv_rows((grid.times, *(c.values for c in curves)), limits))
+    lines.append("# " + " ".join(f"limit_{n}={_fmt(v)}" for n, v in zip(names, limits)))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest = _manifest(
-        args,
-        cfg,
-        "curve",
-        _query_dict(x, y, z),
-        {"grid": {"step": grid.step, "n_steps": grid.n_steps}, "seed": None, "minus": args.minus},
-        [args.out],
-        list(dict.fromkeys(warnings)),
-    )
-    _write_manifest(args.out, manifest)
-    for w in dict.fromkeys(warnings):
-        print(f"warning: {w}", file=sys.stderr)
-    return EXIT_OK
+    warnings = list(dict.fromkeys(w for c in curves for w in c.warnings))
+    extras = {"grid": {"step": grid.step, "n_steps": grid.n_steps}, "seed": None, "minus": args.minus}
+    return {}, extras, EXIT_OK, [args.out], warnings
 
 
-def _cmd_simulate(args, model, cfg) -> int:
-    q = TabooQuery(*(_parse_vec(v, model.d) for v in (args.x, args.y, args.z)))
-    t_list = args.t_list
-    sim = SimConfig(horizon=max(t_list), n_paths=args.paths, seed=args.seed)
-    ests = estimate_taboo_curve(model, q, t_list, sim)
+def _cmd_simulate(args, model, cfg, x, y, z):
+    sim = SimConfig(horizon=max(args.t_list), n_paths=args.paths, seed=args.seed)
+    ests = estimate_taboo_curve(model, TabooQuery(x, y, z), args.t_list, sim)
     record = {
-        "query": _query_dict(q.x, q.y, q.z),
         "seed": args.seed,
         "n_paths": args.paths,
         "estimates": [
@@ -283,16 +225,11 @@ def _cmd_simulate(args, model, cfg) -> int:
                 "truncated_paths": e.truncated_paths,
                 "undecided_paths": e.undecided_paths,
             }
-            for t, e in zip(t_list, ests)
+            for t, e in zip(args.t_list, ests)
         ],
     }
-    record["manifest"] = _manifest(
-        args, cfg, "simulate", record["query"],
-        {"seed": args.seed, "sim": {"horizon": sim.horizon, "n_paths": sim.n_paths, "max_jumps": sim.max_jumps}},
-        [], [],
-    )
-    _emit(record)
-    return EXIT_OK
+    extras = {"seed": args.seed, "sim": {"horizon": sim.horizon, "n_paths": sim.n_paths, "max_jumps": sim.max_jumps}}
+    return record, extras, EXIT_OK, [], []
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +434,21 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         model = load_model(args.model)
-        return args.func(args, model, _quad_config(args, model.d))
+        cfg = _quad_config(args, model.d)
+        if args.command == "verify":
+            return args.func(args, model, cfg)
+        x, y = _parse_vec(args.x, model.d), _parse_vec(args.y, model.d)
+        z = _parse_vec(args.z, model.d) if args.z is not None else None
+        record, extras, code, outputs, warnings = args.func(args, model, cfg, x, y, z)
+        query = {"x": list(x), "y": list(y), "z": list(z) if z is not None else None}
+        manifest = _manifest(args, cfg, query, extras, outputs, warnings)
+        if outputs:
+            Path(outputs[0] + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        else:
+            _emit({"query": query, **record, "manifest": manifest})
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        return code
     except _NUMERICAL_ERRORS as exc:
         return _report(exc, EXIT_NUMERICAL)
     except _INPUT_ERRORS as exc:

@@ -36,8 +36,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be > 0")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be finite and > 0")
         if self.n_steps < 2:
             raise ValueError("n_steps must be >= 2")
 

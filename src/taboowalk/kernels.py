@@ -48,8 +48,8 @@ class QuadratureConfig:
             raise ValueError("points_per_axis must be even and >= 16")
         if self.refinement_limit < 0:
             raise ValueError("refinement_limit must be >= 0")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0.0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def transition_probability(
 
     The imaginary part vanishes by symmetry; at t = 0 it is delta_xy exactly.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < np.inf:
+        raise ValueError("t must be finite and >= 0")
     r = canonical_diff(x, y, model.d)
     if t == 0:
         return KernelValue(value=0.0 if any(r) else 1.0, est_error=0.0)
@@ -246,8 +246,8 @@ def green_function(
     lambda = 0 (the Green's function proper) is finite only for d >= 3;
     requesting it in d <= 2 raises DivergentGreenFunction.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and >= 0")
     if lam == 0.0 and model.d <= 2:
         raise DivergentGreenFunction(
             f"G_0 diverges for d = {model.d} (recurrent walk)"

@@ -142,12 +142,12 @@ def hitting_tail(
     r = tuple(b - c for b, c in zip(yv, xv))
     rho_r = rho(model, r, cfg)
     if model.d == 1:
-        return TailAsymptotic(TailOrder.INVERSE_SQRT_T, rho_r / (a * gamma * np.pi))
+        return TailAsymptotic(TailOrder.INVERSE_SQRT_T, float(rho_r / (a * gamma * np.pi)))
     if model.d == 2:
-        return TailAsymptotic(TailOrder.INVERSE_LOG_T, rho_r / (a * gamma))
+        return TailAsymptotic(TailOrder.INVERSE_LOG_T, float(rho_r / (a * gamma)))
     zero = (0,) * model.d
     g00 = green_function(model, 0.0, zero, zero, cfg).value
-    const = 2.0 * gamma * rho_r / (a * (model.d - 2) * g00**2)
+    const = float(2.0 * gamma * rho_r / (a * (model.d - 2) * g00**2))
     return TailAsymptotic(TailOrder.INVERSE_POW_T, const, exponent=model.d / 2.0 - 1.0)
 
 

@@ -77,8 +77,8 @@ class SimConfig:
     max_jumps: int = 1_000_000
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be finite and > 0")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
 
@@ -200,7 +200,7 @@ def estimate_taboo_curve(
     whose clock starts at the first jump.
     """
     for t in t_list:
-        if t < 0 or t > sim.horizon:
+        if not 0.0 <= t <= sim.horizon:
             raise ValueError(f"t = {t} outside [0, horizon = {sim.horizon}]")
     hits = [0] * len(t_list)
     truncated = undecided = 0

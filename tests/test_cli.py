@@ -14,6 +14,7 @@ from taboowalk import (
     TimeGrid,
     hitting_cdf,
     load_model,
+    minus_from_plus,
     save_model,
     simple_walk_1d,
     taboo_cdf,
@@ -309,10 +310,60 @@ class TestCurveCommand:
         ]
         assert out_file.read_text().splitlines()[1:-1] == want
 
+    def test_minus_warnings_come_from_both_curves(self, capsys, tmp_path, nonsimple_model_file):
+        out_file = tmp_path / "m.csv"
+        code = cli.main([
+            "curve", nonsimple_model_file, "--x=-2", "--y", "3", "--z", "1",
+            "--step", "0.25", "--horizon", "20", "--minus", "--out", str(out_file),
+        ])
+        assert code == 0
+        model = load_model(nonsimple_model_file)
+        plus = taboo_cdf(model, TabooQuery((-2,), (3,), (1,)), TimeGrid(step=0.25, n_steps=80), strict=False)
+        xyz, xzy = (minus_from_plus(c, model, strict=False) for c in plus)
+        want = list(dict.fromkeys(xyz.warnings + xzy.warnings))
+        assert len(want) > len(xyz.warnings)  # H_xzy adds its own noise warning
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["warnings"] == want
+        assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in want]
+
     def test_row_format_matches_fmt_on_edge_values(self):
         col = np.array([0.0, -0.0, 1e-300, 5e-324, -1.5e300, 0.1, 1 / 3, np.inf, np.nan])
         want = [f"{cli._fmt(v)},{cli._fmt(v)},{cli._fmt(0.1)}" for v in col]
         assert cli._csv_rows((col, col), (0.1,)) == want
+
+
+class TestRecordPath:
+    """Every record and manifest is written by one path in main."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limit", "--x", "2", "--y", "5", "--z", "0"],
+            ["limit", "--x", "2", "--y", "5"],
+            ["tail", "--x", "1", "--y", "4", "--z", "6", "--minus"],
+            ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "5,10", "--paths", "200"],
+        ],
+    )
+    def test_record_layout(self, capsys, simple_model_file, argv):
+        code, out = run_cli(capsys, argv[0], simple_model_file, *argv[1:])
+        assert code == 0
+        rec = json.loads(out)
+        assert list(rec)[0] == "query" and list(rec)[-1] == "manifest"
+        assert rec["manifest"]["command"] == argv[0]
+        assert rec["manifest"]["query"] == rec["query"]
+
+    @pytest.mark.parametrize("z", [["--z", "0"], []], ids=["taboo", "hitting"])
+    def test_curve_sidecar(self, capsys, tmp_path, simple_model_file, z):
+        out_file = tmp_path / "c.csv"
+        code, out = run_cli(
+            capsys, "curve", simple_model_file, "--x", "2", "--y", "5", *z,
+            "--step", "0.1", "--horizon", "5", "--out", str(out_file),
+        )
+        assert code == 0 and out == ""
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["command"] == "curve"
+        assert manifest["query"] == {"x": [2], "y": [5], "z": [0] if z else None}
+        assert manifest["outputs"] == [str(out_file)]
 
 
 class TestSimulateCommand:

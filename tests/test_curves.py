@@ -47,6 +47,12 @@ def grid40():
     return TimeGrid(step=0.02, n_steps=2000)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+def test_time_grid_rejects_bad_step(step):
+    with pytest.raises(ValueError):
+        TimeGrid(step=step, n_steps=10)
+
+
 class TestHittingCdf:
     def test_starts_at_zero_and_monotone(self, simple1d, grid40):
         c = hitting_cdf(simple1d, [0], [1], grid40)

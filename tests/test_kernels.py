@@ -108,6 +108,12 @@ class TestTransitionProbability:
         with pytest.raises(ValueError):
             transition_probability(simple1d, -0.1, [0], [0])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, simple1d, t):
+        # a bad time is a caller error, not a quadrature failure
+        with pytest.raises(ValueError):
+            transition_probability(simple1d, t, [0], [0])
+
     def test_not_converged(self, simple1d):
         cfg = QuadratureConfig(points_per_axis=16, refinement_limit=0, rel_tol=1e-12)
         with pytest.raises(NotConverged) as exc:
@@ -124,6 +130,13 @@ class TestGreenFunction:
                 got = green_function(simple1d, lam, [0], [x]).value
                 want = g1d_closed(lam, x)
                 assert abs(got - want) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_nonfinite_lambda_rejected(self, simple1d, walk3d, lam):
+        # nan fails every comparison, so a one-sided check lets it through
+        for model in (simple1d, walk3d):
+            with pytest.raises(ValueError):
+                green_function(model, lam, (0,) * model.d, (0,) * model.d)
 
     def test_divergent_low_dimension(self, simple1d, walk2d):
         with pytest.raises(DivergentGreenFunction):
@@ -317,8 +330,10 @@ class TestConfig:
             QuadratureConfig(points_per_axis=15)
         with pytest.raises(ValueError):
             QuadratureConfig(points_per_axis=17)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
+        # rel_tol = inf would accept the first Romberg level unrefined
+        for rel_tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                QuadratureConfig(rel_tol=rel_tol)
 
     def test_deterministic_reevaluation(self, walk2d):
         from taboowalk.kernels import _green_cached

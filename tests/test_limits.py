@@ -275,7 +275,9 @@ class TestTabooTail:
         ],
     )
     def test_constant_is_python_float(self, walk, q, request):
-        assert type(taboo_tail(request.getfixturevalue(walk), q).constant) is float
+        model = request.getfixturevalue(walk)
+        assert type(taboo_tail(model, q).constant) is float
+        assert type(hitting_tail(model, q.x, q.y).constant) is float
 
 
 class TestC1AgainstTheorem2:

@@ -154,6 +154,17 @@ class TestTabooEstimates:
             elif epoch_times[i] <= sim.horizon - dt:
                 assert dense_hit == epoch_times[i]
 
+    def test_rejects_nan_time(self, simple1d):
+        # nan fails every comparison, so a one-sided check lets it through
+        q = TabooQuery((2,), (5,), (0,))
+        with pytest.raises(ValueError):
+            estimate_taboo_curve(simple1d, q, [math.nan], SimConfig(horizon=50.0, n_paths=10, seed=0))
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_nonfinite_horizon(self, horizon):
+        with pytest.raises(ValueError):
+            SimConfig(horizon=horizon, n_paths=10, seed=0)
+
     def test_rejects_time_beyond_horizon(self, simple1d):
         q = TabooQuery((2,), (5,), (0,))
         with pytest.raises(ValueError):

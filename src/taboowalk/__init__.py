@@ -63,6 +63,7 @@ from .limits import (
     TailOrder,
     Variant,
     hitting_limit,
+    hitting_limit_minus,
     hitting_tail,
     laplace_hitting,
     laplace_taboo,

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .limits import (
     TabooQuery,
     Variant,
     hitting_limit,
+    hitting_limit_minus,
     taboo_limit,
     taboo_limit_minus,
     taboo_tail,
@@ -141,15 +143,13 @@ def _cmd_limit(args, model, cfg, x, y, z):
     if args.verify and z is None:
         raise InvalidQuery("--verify needs --z")
     record: dict = {"method": "closed-form"}
-    if z is None:
-        record.update(limit=hitting_limit(model, x, y, cfg), variant=Variant.PLUS.value)
+    q = TabooQuery(x, y, z) if z is not None else None
+    if args.minus:
+        lv = taboo_limit_minus(model, q, cfg) if q else hitting_limit_minus(model, x, y, cfg)
+        record.update(limit=lv.value, variant=lv.variant.value, atom_at_zero=lv.atom_at_zero)
     else:
-        q = TabooQuery(x, y, z)
-        if args.minus:
-            lv = taboo_limit_minus(model, q, cfg)
-            record.update(limit=lv.value, variant=lv.variant.value, atom_at_zero=lv.atom_at_zero)
-        else:
-            record.update(limit=taboo_limit(model, q, cfg), variant=Variant.PLUS.value)
+        limit = taboo_limit(model, q, cfg) if q else hitting_limit(model, x, y, cfg)
+        record.update(limit=limit, variant=Variant.PLUS.value)
     if args.verify:
         radius = args.radius or {1: 100, 2: 60}.get(model.d, 15)
         lo, hi = absorption_limit_bracket(model, q, radius)
@@ -458,6 +458,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # a closed stdout ends the command silently by SIGPIPE, as for other Unix filters
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

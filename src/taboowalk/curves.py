@@ -8,7 +8,9 @@ and H_{x,z,y} to the plain hitting curves; in the sum and the difference
 of the two unknowns it splits into two scalar equations.  Every discrete
 equation is a lower-triangular Toeplitz system, solved by one routine
 that halves recursively and carries each half's effect forward with an
-FFT convolution, O(n log^2 n) for n time steps.  The Laplace transforms
+FFT convolution, O(n log^2 n) for n time steps.  The kernels and right-hand
+sides are heat-kernel curves p(t; 0, r) from quadrature.p_curves, which
+sizes their grid.  The Laplace transforms
 themselves live in limits.py, whose lambda = 0 values are the d >= 3 limits;
 tail_extract reads them on a lambda -> 0 ladder.
 """
@@ -20,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ExtrapolationUnstable, InvalidQuery, NotConverged, StepTooCoarse
-from .kernels import QuadratureConfig, _cfg, _torus_points, canonical_diff
+from .errors import ExtrapolationUnstable, InvalidQuery, StepTooCoarse
+from .kernels import canonical_diff
 from .limits import (TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims, hitting_limit,
                      laplace_taboo, taboo_limit)
 from .model import WalkModel, is_simple_1d
-from .quadrature import ABS_FLOOR, cos_weights, phi_blocks
+from .quadrature import ABS_FLOOR, QuadratureConfig, default_config, p_curves
 
 
 @dataclass(frozen=True)
@@ -79,62 +81,12 @@ class CdfCurve:
         return float(np.interp(t, self.times, self.values))
 
 
-# ---------------------------------------------------------------------------
-# transition-probability curves: every displacement in one pass per block
-# ---------------------------------------------------------------------------
-
-# Doubles in one block of exp(phi tau) offsets; bounds the peak memory.
-_EXP_BLOCK = 1 << 22
-
-
-def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int, uniform: bool) -> np.ndarray:
-    """Midpoint estimates of p(t; 0, r), one row per r in rs, n points per axis.
-
-    With ``uniform`` (equally spaced times) exp(phi t) = exp(phi t_b) exp(phi tau)
-    over blocks of B ~ sqrt(T) offsets tau: one exp table per grid block, then
-    one GEMM per time block.  Otherwise every time gets a direct exp.
-    """
-    out = np.zeros((len(rs), len(times)))
-    for i0, rows, _, ph in phi_blocks(model, np.pi, n):
-        w = cos_weights(rs, np.pi, n, i0, rows)
-        if not uniform:
-            out += w @ np.exp(np.outer(ph, times))
-            continue
-        b = max(1, min(int(np.ceil(np.sqrt(len(times)))), _EXP_BLOCK // len(ph)))
-        e0 = np.exp(np.outer(ph, times[:b] - times[0]))
-        for j0 in range(0, len(times), b):
-            jb = min(b, len(times) - j0)
-            out[:, j0 : j0 + jb] += (w * np.exp(ph * times[j0])) @ e0[:, :jb]
-    return 2.0 * out / n**model.d
-
-
-def _p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """p(t; 0, r) on uniform times, one row per r, refined until rel_tol.
-
-    The grid starts at kernels._torus_points, so no row aliases.  All rows
-    are checked together against a direct-exp probe at twice the grid on 8
-    probe times, the first and the last among them; raises NotConverged
-    when cfg.refinement_limit doublings do not close the gap.
-    """
-    probe_idx = np.unique(np.linspace(0, len(times) - 1, 8).astype(int))
-    n = _torus_points(cfg, rs)
-    for _ in range(cfg.refinement_limit + 1):
-        vals = _p_grid_sum(model, rs, times, n, uniform=True)
-        probe = _p_grid_sum(model, rs, times[probe_idx], 2 * n, uniform=False)
-        gap = float(np.max(np.abs(probe - vals[:, probe_idx])))
-        if gap <= max(cfg.rel_tol, ABS_FLOOR):
-            return np.clip(vals, 0.0, 1.0)
-        n *= 2
-    raise NotConverged(f"p-curve refinement limit reached: est_error={gap:.3e}",
-                       value=np.clip(vals, 0.0, 1.0), est_error=gap)
-
-
 def _grid_p_curves(model: WalkModel, rs, grid: TimeGrid, cfg: QuadratureConfig) -> dict:
     """p(t; 0, r) for r = 0 and each r in rs on the merged grid t_j = j h/2,
     j = 1..2N: odd j are the kernel's half-grid times, even j the rhs times."""
     rs = tuple(dict.fromkeys(((0,) * model.d,) + tuple(rs)))
     times = np.arange(1, 2 * grid.n_steps + 1) * (0.5 * grid.step)
-    return dict(zip(rs, _p_curves(model, rs, times, cfg)))
+    return dict(zip(rs, p_curves(model, rs, times, cfg)))
 
 
 # Unknowns per leaf of the Toeplitz solver's halving recursion.
@@ -195,7 +147,7 @@ def hitting_cdf(
     canonicalizes, so the Lemma-level shift/reflection identities hold
     exactly.  Recommended step <= 0.1/a.
     """
-    cfg = _cfg(model.d, cfg)
+    cfg = cfg or default_config(model.d)
     p = _grid_p_curves(model, (canonical_diff(x, y, model.d),), grid, cfg)
     return _hitting_from(model, x, y, grid, cfg, strict, p)
 
@@ -249,7 +201,7 @@ def taboo_cdf(
     recomputed and attached to the curves.
     """
     _check_dims(model, q)
-    cfg = _cfg(model.d, cfg)
+    cfg = cfg or default_config(model.d)
     pairs = ((q.x, q.y), (q.x, q.z), (q.z, q.y))
     p = _grid_p_curves(model, [canonical_diff(a, b, model.d) for a, b in pairs], grid, cfg)
     h_xy, h_xz, h_zy = (_hitting_from(model, a, b, grid, cfg, strict, p) for a, b in pairs)
@@ -306,7 +258,7 @@ def tail_extract(
         raise InvalidQuery("tail_extract requires a non-simple walk")
     if model.d > 2:
         raise InvalidQuery("tail_extract supports d <= 2 only")
-    cfg = _cfg(model.d, cfg)
+    cfg = cfg or default_config(model.d)
     limit = taboo_limit(model, q, cfg)
     lams = model.a * 2.0 ** -np.array(list(_LADDER_KS), dtype=float)
     f_vals = np.array(

@@ -1,14 +1,14 @@
 """Torus-integral kernels: p(t;x,y), G_lambda(x,y), rho_d(x), K_d(lambda;r).
 
 All four are Fourier integrals over [-pi, pi]^d built from the walk's
-characteristic exponent phi.  Smooth integrands (the heat kernel p, the
-d = 1 potential kernel, the Lemma-5 identity) go through the periodic
-midpoint rule with grid doubling.  Green's functions and the d = 2
-potential kernel are singular or sharply peaked at theta = 0 and are
-integrated over dyadic shells that telescope toward the origin, with an
-analytic estimate and error bound for the remaining core box.  In d >= 3
-the walk is transient and rho_d(x) = a (G_0(0) - G_0(x)) (Spitzer,
-Principles of Random Walk), taken from the cached G_0 shells.
+characteristic exponent phi.  This module holds their integrands, the
+analytic core estimates and bounds of the shell integrals, and the value
+caches; quadrature.py sizes and refines every grid.  The heat kernel p,
+the d = 1 potential kernel and the Lemma-5 identity are smooth torus
+means.  Green's functions and the d = 2 potential kernel are singular or
+sharply peaked at theta = 0 and are shell integrals.  In d >= 3 the walk
+is transient and rho_d(x) = a (G_0(0) - G_0(x)) (Spitzer, Principles of
+Random Walk), taken from the cached G_0 shells.
 """
 
 from __future__ import annotations
@@ -20,36 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergentGreenFunction, NotConverged
+from .errors import DivergentGreenFunction
 from .model import WalkModel, as_vec, simple_walk_1d, spectral_scalars
-from .quadrature import (
-    ABS_FLOOR,
-    Integrand,
-    midpoint_sum,
-    refine_torus_mean,
-    romberg_ladder,
-    shell_max_levels,
-)
-
-_MAX_SHELLS = 62
-_SHELL_N0 = 16
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Grid resolution and tolerance for the torus quadratures."""
-
-    points_per_axis: int = 256
-    refinement_limit: int = 4
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.points_per_axis < 16 or self.points_per_axis % 2:
-            raise ValueError("points_per_axis must be even and >= 16")
-        if self.refinement_limit < 0:
-            raise ValueError("refinement_limit must be >= 0")
-        if not 0.0 < self.rel_tol < np.inf:
-            raise ValueError("rel_tol must be finite and > 0")
+from .quadrature import Integrand, QuadratureConfig, default_config, shell_integral, torus_mean
 
 
 @dataclass(frozen=True)
@@ -59,18 +32,6 @@ class KernelValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def default_config(d: int) -> QuadratureConfig:
-    if d <= 2:
-        return QuadratureConfig(points_per_axis=256, refinement_limit=4, rel_tol=1e-8)
-    if d == 3:
-        return QuadratureConfig(points_per_axis=64, refinement_limit=4, rel_tol=1e-6)
-    return QuadratureConfig(points_per_axis=32, refinement_limit=4, rel_tol=1e-6)
-
-
-def _cfg(model_d: int, cfg: QuadratureConfig | None) -> QuadratureConfig:
-    return cfg if cfg is not None else default_config(model_d)
 
 
 def canonical_diff(x: Sequence[int], y: Sequence[int], d: int) -> tuple[int, ...]:
@@ -85,39 +46,6 @@ def canonical_diff(x: Sequence[int], y: Sequence[int], d: int) -> tuple[int, ...
     r = tuple(b - a for a, b in zip(xv, yv))
     neg = tuple(-c for c in r)
     return max(r, neg)
-
-
-def _not_converged(name, value, err):
-    raise NotConverged(
-        f"{name} refinement limit reached: value={value!r} est_error={err:.3e}",
-        value=value,
-        est_error=err,
-    )
-
-
-def _torus_points(cfg: QuadratureConfig, rs) -> int:
-    """Points per axis a torus grid for the displacements rs starts at:
-    max(cfg.points_per_axis, 4 max|r_j|).  Below n = |r_j| the midpoint rule
-    aliases r_j to r_j mod n, and every refinement level aliases alike."""
-    return max(cfg.points_per_axis, 4 * max(abs(c) for r in rs for c in r))
-
-
-def _torus_mean(name, model, integrand, r, cfg):
-    """(2 pi)^-d * torus integral of the integrand at displacement r.
-
-    The grid starts at _torus_points and doubles until successive estimates
-    agree to cfg.rel_tol.  Returns (value, est_error).
-    """
-    norm = (2.0 * np.pi) ** model.d
-    val, err, ok = refine_torus_mean(
-        lambda n: midpoint_sum(model, integrand, r, np.pi, n) / norm,
-        _torus_points(cfg, (r,)),
-        cfg.refinement_limit,
-        cfg.rel_tol,
-    )
-    if not ok:
-        _not_converged(name, val, err)
-    return val, err
 
 
 # ---------------------------------------------------------------------------
@@ -141,59 +69,13 @@ def transition_probability(
     if t == 0:
         return KernelValue(value=0.0 if any(r) else 1.0, est_error=0.0)
     p = Integrand(("p", float(t)), lambda ph: np.exp(ph * t))
-    val, err = _torus_mean("transition_probability", model, p, r, _cfg(model.d, cfg))
+    val, err = torus_mean("transition_probability", model, p, r, cfg or default_config(model.d))
     return KernelValue(value=min(1.0, max(0.0, val)), est_error=err)
 
 
 # ---------------------------------------------------------------------------
 # Green's function G_lambda(x, y) and K_d
 # ---------------------------------------------------------------------------
-
-def _shell_integral(
-    name, model, integrand, r, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
-):
-    """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand at r toward 0.
-
-    core_value_fn(half_width) and core_bound_fn(half_width) supply the
-    analytic estimate for the remaining central box and a bound on its
-    error; shelling stops once that bound is negligible at rel_tol.  The
-    scale tracks the largest running total (seeded by scale_hint): for
-    oscillatory numerators the value may be exponentially smaller than the
-    mass actually integrated, and accuracy is only meaningful relative to
-    that mass.  When some shell or the final core bound hit its refinement
-    cap and the error exceeds rel_tol times the scale, raises NotConverged.
-    Returns (value, est_error).
-    """
-    total = err = 0.0
-    scale = float(scale_hint)
-    refined = True
-    for m in range(_MAX_SHELLS + 1):
-        s = np.pi * 2.0**-m
-        tol_abs = 0.05 * rel_tol * max(abs(total), scale, ABS_FLOOR)
-        v, e, conv = romberg_ladder(
-            lambda n: midpoint_sum(model, integrand, r, s, n, shell=True),
-            tol_abs,
-            _SHELL_N0,
-            shell_max_levels(model.d),
-            tol_rel=0.05 * rel_tol,
-        )
-        total += v
-        err += e
-        refined &= conv
-        scale = max(scale, abs(total))
-        core_bound = core_bound_fn(s / 2.0)
-        done = core_bound <= 0.02 * rel_tol * max(scale, ABS_FLOOR)
-        if done or m == _MAX_SHELLS:
-            refined &= done
-            total += core_value_fn(s / 2.0)
-            err += core_bound
-            scale = max(scale, abs(total))
-            break
-    norm = (2.0 * np.pi) ** model.d
-    if not refined and err > max(rel_tol * scale, ABS_FLOOR * norm):
-        _not_converged(name, total / norm, err / norm)
-    return total / norm, err / norm
-
 
 @lru_cache(maxsize=4096)
 def _green_cached(model: WalkModel, lam: float, r: tuple, cfg: QuadratureConfig) -> KernelValue:
@@ -227,7 +109,7 @@ def _green_cached(model: WalkModel, lam: float, r: tuple, cfg: QuadratureConfig)
     hint = 0.0
     if any(r):
         hint = _green_cached(model, lam, (0,) * d, cfg).value * (2.0 * np.pi) ** d
-    value, err = _shell_integral(
+    value, err = shell_integral(
         "green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)), r,
         cfg.rel_tol, core_value, core_bound, scale_hint=hint,
     )
@@ -252,9 +134,8 @@ def green_function(
         raise DivergentGreenFunction(
             f"G_0 diverges for d = {model.d} (recurrent walk)"
         )
-    cfg = _cfg(model.d, cfg)
     r = canonical_diff(x, y, model.d)
-    return _green_cached(model, float(lam), r, cfg)
+    return _green_cached(model, float(lam), r, cfg or default_config(model.d))
 
 
 def k_kernel(
@@ -289,7 +170,7 @@ def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
     if model.d == 1:
         # ratio of analytic functions with matching double zeros: smooth
         # and periodic, so the plain midpoint rule is spectrally accurate
-        return _torus_mean("rho", model, integrand, r, cfg)[0]
+        return torus_mean("rho", model, integrand, r, cfg)[0]
 
     sc = spectral_scalars(model)
     sig_min = float(np.linalg.eigvalsh(sc.hessian)[0])
@@ -302,7 +183,7 @@ def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
         # |1 - cos(x.theta)| / (-phi) <= a |x|^2 / sig_min near 0
         return (2.0 * half) ** model.d * a * rnorm2 / sig_min
 
-    return _shell_integral("rho", model, integrand, r, cfg.rel_tol, core_value, core_bound)[0]
+    return shell_integral("rho", model, integrand, r, cfg.rel_tol, core_value, core_bound)[0]
 
 
 def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None) -> float:
@@ -313,7 +194,7 @@ def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None)
     never sample.  In d >= 3 it equals a (G_0(0) - G_0(x)), from the G_0 shells.
     """
     r = canonical_diff((0,) * model.d, x, model.d)
-    return _rho_cached(model, r, _cfg(model.d, cfg)) if any(r) else 1.0
+    return _rho_cached(model, r, cfg or default_config(model.d)) if any(r) else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -322,21 +322,27 @@ def taboo_tail(
 # minus variants (clock started at the first jump; Theorem 3)
 # ---------------------------------------------------------------------------
 
+def _minus_atom(model: WalkModel, x: Sequence[int], y: Sequence[int]) -> float:
+    """Atom at zero of a minus-variant c.d.f. from x to y: a(y - x)/a, the
+    chance that the first jump lands on y; 0 when x = y, as a(0) = 0."""
+    xv, yv = as_vec(x, model.d), as_vec(y, model.d)
+    return model.rate(tuple(b - a for a, b in zip(xv, yv))) / model.a
+
+
+def hitting_limit_minus(model: WalkModel, x: Sequence[int], y: Sequence[int],
+                        cfg: QuadratureConfig | None = None) -> LimitValue:
+    """H^-_{x,y}(infinity) equals the plus limit, with the atom a(y-x)/a at zero."""
+    return LimitValue(hitting_limit(model, x, y, cfg), Variant.MINUS, _minus_atom(model, x, y))
+
+
 def taboo_limit_minus(
     model: WalkModel,
     q: TabooQuery,
     cfg: QuadratureConfig | None = None,
 ) -> LimitValue:
-    """H^-_{x,y,z}(infinity) equals the plus limit; the distribution has an
-    atom a(y-x)/a at zero when the direct jump x -> y exists."""
+    """H^-_{x,y,z}(infinity) equals the plus limit, with the atom a(y-x)/a at zero."""
     _check_dims(model, q)
-    atom = 0.0
-    if q.x != q.y:
-        diff = tuple(b - a for a, b in zip(q.x, q.y))
-        atom = model.rate(diff) / model.a
-    return LimitValue(
-        value=taboo_limit(model, q, cfg), variant=Variant.MINUS, atom_at_zero=atom
-    )
+    return LimitValue(taboo_limit(model, q, cfg), Variant.MINUS, _minus_atom(model, q.x, q.y))
 
 
 def taboo_tail_minus(

@@ -1,4 +1,5 @@
-"""The midpoint-grid engine behind every torus and shell quadrature.
+"""The grid engine: every torus, shell and heat-kernel quadrature, and every
+decision on how a grid is sized and refined until it meets its tolerance.
 
 Every kernel is a midpoint sum over the grid of a box [-s, s]^d: the torus
 (s = pi) for smooth integrands, or dyadic shells [-s, s]^d minus
@@ -22,6 +23,17 @@ eviction end, so it stays only while there is room or a second kernel
 reads it.  A grid with more than a quarter of the budget in one array is
 streamed block by block and never kept.  Block sums are added exactly
 (math.fsum), so results repeat bit for bit.
+
+Refinement policy; a result that misses its tolerance raises NotConverged.
+Floor: a torus grid for displacements rs starts at ``torus_points`` =
+max(cfg.points_per_axis, 4 max|r_j|) points per axis, as below n = |r_j|
+every level aliases r_j to r_j mod n.  Torus doubling: ``torus_mean``
+doubles n until two successive means agree to cfg.rel_tol, at most
+cfg.refinement_limit times.  Shell schedule: ``shell_integral`` adds shells
+s = pi 2^-m, each a ``romberg_ladder`` from _SHELL_N0 points over at most
+_SHELL_LEVELS[d] levels, until the analytic core bound is negligible.
+p-curve probe: ``p_curves`` checks its grid against twice the grid at 8
+equally spaced times ending at the last, doubling as a torus mean does.
 """
 
 from __future__ import annotations
@@ -29,11 +41,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import NotConverged
 from .model import WalkModel, char_exponent_grid
 
 # Soak up rounding noise when an integrand is essentially zero.
@@ -44,6 +58,37 @@ ABS_FLOOR = 1e-13
 _BLOCK_POINTS = 1 << 16
 # Bytes of phi and g blocks the grid cache may hold.
 CACHE_BYTES = 64 << 20
+# Doubles in one block of exp(phi tau) offsets; bounds the peak memory.
+_EXP_BLOCK = 1 << 22
+# Shells per shell integral, points per axis at a ladder's first level, and
+# the ladder's level cap per dimension (3 above d = 3).
+_MAX_SHELLS = 62
+_SHELL_N0 = 16
+_SHELL_LEVELS = {1: 9, 2: 7, 3: 5}
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Grid resolution and tolerance for the torus quadratures."""
+
+    points_per_axis: int = 256
+    refinement_limit: int = 4
+    rel_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.points_per_axis < 16 or self.points_per_axis % 2:
+            raise ValueError("points_per_axis must be even and >= 16")
+        if self.refinement_limit < 0:
+            raise ValueError("refinement_limit must be >= 0")
+        if not 0.0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and > 0")
+
+
+def default_config(d: int) -> QuadratureConfig:
+    """256 points per axis and rel_tol 1e-8 in d <= 2; 64 in d = 3, else 32, and 1e-6."""
+    if d <= 2:
+        return QuadratureConfig()
+    return QuadratureConfig(points_per_axis=64 if d == 3 else 32, rel_tol=1e-6)
 
 
 class Integrand(NamedTuple):
@@ -158,7 +203,7 @@ def _phases(r, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return em1 + 1.0, em1
 
 
-def cos_weights(rs: Sequence[Sequence[int]], s: float, n: int, i0: int, rows: int) -> np.ndarray:
+def _cos_weights(rs: Sequence[Sequence[int]], s: float, n: int, i0: int, rows: int) -> np.ndarray:
     """cos(s u.r) on the block of rows i0..i0+rows, one row per r in rs: outer
     products of the per-axis phases, real from the last axis on."""
     e = _phases(rs, s, n)[0]
@@ -203,25 +248,34 @@ def midpoint_sum(
     return 2.0 * math.fsum(parts) * (2.0 * s / n) ** model.d
 
 
-def refine_torus_mean(
-    mean_at: Callable[[int], float],
-    n0: int,
-    refinement_limit: int,
-    rel_tol: float,
-) -> tuple[float, float, bool]:
-    """Double the grid of mean_at(n) until successive estimates agree to rel_tol.
+def torus_points(cfg: QuadratureConfig, rs) -> int:
+    """Points per axis a torus grid for the displacements rs starts at:
+    max(cfg.points_per_axis, 4 max|r_j|), the floor against aliasing."""
+    return max(cfg.points_per_axis, 4 * max(abs(c) for r in rs for c in r))
 
-    Returns (value, est_error, converged).
+
+def _not_converged(name, value, err):
+    raise NotConverged(f"{name} refinement limit reached: value={value!r} est_error={err:.3e}",
+                       value=value, est_error=err)
+
+
+def torus_mean(
+    name: str, model: WalkModel, integrand: Integrand, r: Sequence[int], cfg: QuadratureConfig
+) -> tuple[float, float]:
+    """(2 pi)^-d * torus integral of the integrand at displacement r.
+
+    The grid starts at torus_points and doubles until successive estimates
+    agree to cfg.rel_tol.  Returns (value, est_error).
     """
-    val = mean_at(n0)
-    err = np.inf
-    for k in range(1, refinement_limit + 1):
-        new = mean_at(n0 * 2**k)
-        err = abs(new - val)
-        val = new
-        if err <= max(rel_tol * abs(val), ABS_FLOOR):
-            return val, err, True
-    return val, err, err <= max(rel_tol * abs(val), ABS_FLOOR)
+    norm = (2.0 * np.pi) ** model.d
+    n = torus_points(cfg, (r,))
+    val, err = midpoint_sum(model, integrand, r, np.pi, n) / norm, np.inf
+    for k in range(1, cfg.refinement_limit + 1):
+        new = midpoint_sum(model, integrand, r, np.pi, n * 2**k) / norm
+        val, err = new, abs(new - val)
+        if err <= max(cfg.rel_tol * abs(val), ABS_FLOOR):
+            return val, err
+    _not_converged(name, val, err)
 
 
 def romberg_ladder(
@@ -238,26 +292,96 @@ def romberg_ladder(
     floor keeps the ladder from over-refining before a caller has any
     scale information.  Returns (value, est_error, converged).
     """
-    v_prev = sum_at(n0)
-    v_cur = sum_at(2 * n0)
-    r_prev = (4.0 * v_cur - v_prev) / 3.0
-    best = r_prev
-    err = abs(v_cur - v_prev)
-    if err <= max(tol_abs, tol_rel * abs(best)):
-        return best, err, True
-    converged = False
-    for lev in range(2, max_levels):
+    v_prev, v_cur = sum_at(n0), sum_at(2 * n0)
+    best = r_prev = (4.0 * v_cur - v_prev) / 3.0
+    err, lev = abs(v_cur - v_prev), 2
+    while not err <= max(tol_abs, tol_rel * abs(best)):
+        if lev >= max_levels:
+            return best, err, False
         v_next = sum_at(n0 * 2**lev)
         r_cur = (4.0 * v_next - v_cur) / 3.0
         best = (16.0 * r_cur - r_prev) / 15.0
         err = abs(best - r_cur) + 0.1 * abs(r_cur - r_prev)
-        v_cur = v_next
-        r_prev = r_cur
-        if err <= max(tol_abs, tol_rel * abs(best)):
-            converged = True
+        v_cur, r_prev, lev = v_next, r_cur, lev + 1
+    return best, err, True
+
+
+def shell_integral(
+    name, model, integrand, r, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
+):
+    """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand at r toward 0.
+
+    core_value_fn(half_width) and core_bound_fn(half_width) supply the
+    analytic estimate for the remaining central box and a bound on its
+    error; shelling stops once that bound is negligible at rel_tol.  The
+    scale tracks the largest running total (seeded by scale_hint): for
+    oscillatory numerators the value may be exponentially smaller than the
+    mass actually integrated, and accuracy is only meaningful relative to
+    that mass.  When some shell or the final core bound hit its refinement
+    cap and the error exceeds rel_tol times the scale, raises NotConverged.
+    Returns (value, est_error).
+    """
+    total = err = 0.0
+    scale = float(scale_hint)
+    refined = True
+    for m in range(_MAX_SHELLS + 1):
+        s = np.pi * 2.0**-m
+        tol_abs = 0.05 * rel_tol * max(abs(total), scale, ABS_FLOOR)
+        v, e, conv = romberg_ladder(lambda n: midpoint_sum(model, integrand, r, s, n, shell=True),
+                                    tol_abs, _SHELL_N0, _SHELL_LEVELS.get(model.d, 3),
+                                    tol_rel=0.05 * rel_tol)
+        total += v
+        err += e
+        refined &= conv
+        scale = max(scale, abs(total))
+        core_bound = core_bound_fn(s / 2.0)
+        done = core_bound <= 0.02 * rel_tol * max(scale, ABS_FLOOR)
+        if done or m == _MAX_SHELLS:
+            refined &= done
+            total += core_value_fn(s / 2.0)
+            err += core_bound
+            scale = max(scale, abs(total))
             break
-    return best, err, converged
+    norm = (2.0 * np.pi) ** model.d
+    if not refined and err > max(rel_tol * scale, ABS_FLOOR * norm):
+        _not_converged(name, total / norm, err / norm)
+    return total / norm, err / norm
 
 
-def shell_max_levels(d: int) -> int:
-    return {1: 9, 2: 7, 3: 5}.get(d, 3)
+def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.ndarray:
+    """Midpoint estimates of p(t; 0, r) on equally spaced times, one row per r
+    in rs, n points per axis.
+
+    exp(phi t) = exp(phi t_b) exp(phi tau) over blocks of B ~ sqrt(T) offsets
+    tau: one exp table per grid block, then one GEMM per time block.
+    """
+    out = np.zeros((len(rs), len(times)))
+    for i0, rows, _, ph in phi_blocks(model, np.pi, n):
+        w = _cos_weights(rs, np.pi, n, i0, rows)
+        b = max(1, min(int(np.ceil(np.sqrt(len(times)))), _EXP_BLOCK // len(ph)))
+        e0 = np.exp(np.outer(ph, times[:b] - times[0]))
+        for j0 in range(0, len(times), b):
+            jb = min(b, len(times) - j0)
+            out[:, j0 : j0 + jb] += (w * np.exp(ph * times[j0])) @ e0[:, :jb]
+    return 2.0 * out / n**model.d
+
+
+def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """p(t; 0, r) on equally spaced times, one row per r, refined until rel_tol.
+
+    The grid starts at torus_points, so no row aliases.  All rows are
+    checked together against a probe at twice the grid on 8 equally spaced
+    times ending at the last; raises NotConverged when cfg.refinement_limit
+    doublings do not close the gap.
+    """
+    probe_idx = np.arange(len(times) - 1, -1, -max(1, (len(times) - 1) // 7))[:8][::-1]
+    n = torus_points(cfg, rs)
+    for _ in range(cfg.refinement_limit + 1):
+        vals = _p_grid_sum(model, rs, times, n)
+        probe = _p_grid_sum(model, rs, times[probe_idx], 2 * n)
+        gap = float(np.max(np.abs(probe - vals[:, probe_idx])))
+        if gap <= max(cfg.rel_tol, ABS_FLOOR):
+            return np.clip(vals, 0.0, 1.0)
+        n *= 2
+    raise NotConverged(f"p-curve refinement limit reached: est_error={gap:.3e}",
+                       value=np.clip(vals, 0.0, 1.0), est_error=gap)

@@ -284,10 +284,11 @@ def absorption_limit_bracket(
 
     * nearest-neighbor walk on Z: no bracketing needed, the far sides of
       the absorbers are exactly 0 / 1 (unit steps cannot jump over);
-    * d = 2: escaped mass converts to success at 1/2 +- beta, beta of
-      order (query size + jump range)/radius with a generous safety
-      factor: a symmetric recurrent walk far from the pair {y, z} is
-      absorbed by it a.s. and forgets which point comes first at rate 1/R;
+    * d = 2: escaped mass converts to success at 1/2 +- beta with
+      beta = min(1/2, 1.25 (sep + range)/radius), sep = |y - z|_inf: a
+      heuristic allowance, not a proven bound.  A symmetric recurrent walk
+      far from the pair {y, z} is absorbed by it a.s. and forgets which
+      point comes first at rate 1/R; the factor 1.25 is not derived;
     * otherwise (d = 1 non-simple, d >= 3): escape counts as failure in
       the lower bound and success in the upper bound.
     """

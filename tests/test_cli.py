@@ -1,4 +1,8 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -75,6 +79,31 @@ class TestLimitCommand:
         assert rec["variant"] == "minus"
         assert rec["atom_at_zero"] == 0.5
         _validator("limit_record.schema.json").validate(rec)
+
+    def test_minus_without_z_reports_atom(self, capsys, nonsimple_model_file):
+        for y, atom in (("2", 0.4), ("4", 0.0), ("1", 0.0)):
+            code, out = run_cli(capsys, "limit", nonsimple_model_file, "--x", "1", "--y", y, "--minus")
+            assert code == 0
+            rec = json.loads(out)
+            assert (rec["limit"], rec["variant"], rec["atom_at_zero"]) == (1.0, "minus", atom)
+            _validator("limit_record.schema.json").validate(rec)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
+    def test_closed_stdout_ends_silently(self, nonsimple_model_file):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "taboowalk.cli", "limit", nonsimple_model_file,
+                 "--x", "1", "--y", "2", "--z", "0", "--minus"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == -signal.SIGPIPE
 
     def test_verify_three_way(self, capsys, simple_model_file):
         code, out = run_cli(

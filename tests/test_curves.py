@@ -24,10 +24,12 @@ from taboowalk import (
     tail_extract,
 )
 from taboowalk import curves
-from taboowalk.curves import _LADDER_KS, _p_curves
-from taboowalk.kernels import _torus_points, default_config, transition_probability
+from taboowalk import quadrature
+from taboowalk.curves import _LADDER_KS
+from taboowalk.kernels import default_config, transition_probability
 from taboowalk.limits import c1_constant
 from taboowalk.model import char_exponent_grid
+from taboowalk.quadrature import p_curves, torus_points
 
 
 def g1d_closed(lam, x, a=1.0):
@@ -236,7 +238,7 @@ class TestBatchedPCurves:
         d = model.d
         rs = ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
         cfg = QuadratureConfig(points_per_axis=n, refinement_limit=0, rel_tol=1e-6)
-        got = _p_curves(model, rs, times, cfg)
+        got = p_curves(model, rs, times, cfg)
         assert got.shape == (3, len(times))
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
 
@@ -246,29 +248,33 @@ class TestBatchedPCurves:
         curve = hitting_cdf(simple1d, (0,), (1000,), TimeGrid(0.05, 2000))
         assert np.max(np.abs(curve.values)) <= 1e-12
         times = 10.0 * np.arange(1, 11)
-        row = _p_curves(simple1d, ((1000,),), times, default_config(1))[0]
+        row = p_curves(simple1d, ((1000,),), times, default_config(1))[0]
         want = [transition_probability(simple1d, t, (0,), (1000,)).value for t in times]
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
     def test_near_displacements_keep_their_grid(self):
-        assert _torus_points(default_config(1), ((0,), (64,), (-3,))) == 256
-        assert _torus_points(default_config(2), ((64, -64),)) == 256
-        assert _torus_points(default_config(3), ((16, -2, 0),)) == 64
-        assert _torus_points(default_config(1), ((1000,),)) == 4000
+        assert torus_points(default_config(1), ((0,), (64,), (-3,))) == 256
+        assert torus_points(default_config(2), ((64, -64),)) == 256
+        assert torus_points(default_config(3), ((16, -2, 0),)) == 64
+        assert torus_points(default_config(1), ((1000,),)) == 4000
 
     def test_taboo_cdf_makes_one_pass_plus_probe(self, walk3d, monkeypatch):
-        calls = []
-        grid_sum = curves._p_grid_sum
+        calls, seen = [], []
+        grid_sum = quadrature._p_grid_sum
 
-        def spy(model, rs, times, n, uniform):
-            calls.append((len(rs), len(times), n, uniform))
-            return grid_sum(model, rs, times, n, uniform)
+        def spy(model, rs, times, n):
+            calls.append((len(rs), len(times), n))
+            seen.append(times)
+            return grid_sum(model, rs, times, n)
 
-        monkeypatch.setattr(curves, "_p_grid_sum", spy)
+        monkeypatch.setattr(quadrature, "_p_grid_sum", spy)
         cfg = QuadratureConfig(points_per_axis=32, refinement_limit=2, rel_tol=1e-6)
         q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
         taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=40), cfg)
-        assert calls == [(4, 80, 32, True), (4, 8, 64, False)]
+        assert calls == [(4, 80, 32), (4, 8, 64)]
+        times, probe = seen
+        assert probe[-1] == times[-1]
+        np.testing.assert_allclose(np.diff(probe), probe[1] - probe[0], rtol=1e-12)
 
     def test_taboo_cdf_reuses_the_zy_solve(self, nonsimple1d, monkeypatch):
         grid = TimeGrid(step=0.05, n_steps=200)

@@ -144,6 +144,12 @@ class TestGreenFunction:
         with pytest.raises(DivergentGreenFunction):
             green_function(walk2d, 0.0, [0, 0], [1, 0])
 
+    def test_shell_ladder_not_converged(self, walk2d):
+        # rel_tol below rounding: the shell ladders hit their level cap
+        with pytest.raises(NotConverged) as exc:
+            green_function(walk2d, 0.5, (0, 0), (3, 1), QuadratureConfig(rel_tol=1e-15))
+        assert math.isfinite(exc.value.value) and math.isfinite(exc.value.est_error)
+
     def test_watson_3d(self, walk3d):
         zero = [0, 0, 0]
         got = green_function(walk3d, 0.0, zero, zero).value
@@ -287,7 +293,7 @@ class TestKKernel:
         # Simpson on [0, U] plus the gamma_d tail of int_t^inf p beyond U
         from scipy.integrate import simpson
 
-        from taboowalk.curves import _p_curves
+        from taboowalk.quadrature import p_curves
 
         lam = 0.5
         got = k_kernel(walk3d, lam, [0, 0, 0])
@@ -296,7 +302,7 @@ class TestKKernel:
         horizon = 300.0
         times = np.linspace(0.0, horizon, 1201)
         cfg = QuadratureConfig(points_per_axis=64, refinement_limit=1, rel_tol=1e-6)
-        p_vals = _p_curves(walk3d, ((0, 0, 0),), times, cfg)[0]
+        p_vals = p_curves(walk3d, ((0, 0, 0),), times, cfg)[0]
         body = simpson(p_vals * -np.expm1(-lam * times) / lam, x=times)
         gamma3 = spectral_scalars(walk3d).gamma_d
         tail = gamma3 * 2.0 / (lam * math.sqrt(horizon))

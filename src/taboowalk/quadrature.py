@@ -14,8 +14,10 @@ cos(r.theta) is evaluated on the grid.
 Only the half grid u_0 > 0 is summed, then doubled: phi, g, k and c are
 even for a symmetric walk, and the midpoint grid with n even (odd n raises
 ValueError) is symmetric.  It is cut into dense blocks of at most
-``_BLOCK_POINTS`` points along the leading axis; on a shell, phi is
-evaluated at shell points only and g is zero on the inner box.
+``_BLOCK_POINTS`` points along the leading axis; on a shell, phi is kept
+at shell points only and g is zero on the inner box.  phi comes from
+per-axis phases too: a one-axis jump is one broadcast add, any other a
+product telescoped over its axes; no sine is taken per grid point.
 
 One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks and,
 per integrand key, g blocks with the sum of g + k.  phi enters at the
@@ -34,6 +36,8 @@ s = pi 2^-m, each a ``romberg_ladder`` from _SHELL_N0 points over at most
 _SHELL_LEVELS[d] levels, until the analytic core bound is negligible.
 p-curve probe: ``p_curves`` checks its grid against twice the grid at 8
 equally spaced times ending at the last, doubling as a torus mean does.
+Its grid sum is one GEMM per sub-block of phi points, rows (r, t_b) against
+columns of exp(phi tau) offsets, so the exp table is read once.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotConverged
-from .model import WalkModel, char_exponent_grid
+from .model import WalkModel
 
 # Soak up rounding noise when an integrand is essentially zero.
 ABS_FLOOR = 1e-13
@@ -58,8 +62,8 @@ ABS_FLOOR = 1e-13
 _BLOCK_POINTS = 1 << 16
 # Bytes of phi and g blocks the grid cache may hold.
 CACHE_BYTES = 64 << 20
-# Doubles in one block of exp(phi tau) offsets; bounds the peak memory.
-_EXP_BLOCK = 1 << 22
+# Doubles in the rows and columns of one heat-kernel GEMM; bounds the peak memory.
+_EXP_BLOCK = 1 << 18
 # Shells per shell integral, points per axis at a ladder's first level, and
 # the ladder's level cap per dimension (3 above d = 3).
 _MAX_SHELLS = 62
@@ -147,16 +151,32 @@ def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
 
     phi is phi(s u) at the block's shell points (``mask``; None: all), in C
     order.  A shell needs n divisible by 4, so its inner box ends on cell edges.
+    A jump pair z along one axis j adds -4 a(z) sin^2(s z_j u_j / 2), summed per
+    axis; any other adds 2 a(z) Re(sum_j prod_{i<j} (1 + A_i) A_j) over the axes
+    with z_j != 0, A_j = exp(i s z_j u_j) - 1 from ``_phases``.
     """
     if n % 2:
         raise ValueError("n must be even for the half-grid fold")
     if shell and n % 4:
         raise ValueError("n must be divisible by 4 for shell sums")
-    d, ax = model.d, _axis_offsets(n)
+    d = model.d
     outer = np.abs(2 * np.arange(n) + 1 - n) * 2 > n  # |offset| > 1/2, in integers
     step = max(1, _BLOCK_POINTS // n ** (d - 1))
 
+    def along(v, j):  # a vector of n values along axis j of the grid
+        return v.reshape((-1,) + (1,) * (d - 1 - j))
+
     def build():
+        up, axis, pairs = s * _axis_offsets(n)[n // 2 :], np.zeros((d, n // 2)), []
+        for z, a in model.jumps:
+            nz = [j for j in range(d) if z[j]]
+            if z < tuple(-c for c in z):  # z and -z give equal terms: each pair once
+                continue
+            if len(nz) == 1:  # even in u, so summed per axis for u > 0
+                axis[nz[0]] -= 4.0 * a * np.sin(0.5 * (z[nz[0]] * up)) ** 2
+            else:
+                pairs.append((2.0 * a, [(j, along(_phases(z[j], s, n)[1], j)) for j in nz]))
+        axis = [along(np.concatenate([v[::-1], v]), j) for j, v in enumerate(axis)]
         for i0 in range(n // 2, n, step):
             rows = slice(i0, min(i0 + step, n))
             mask = None
@@ -164,9 +184,14 @@ def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
                 flags = np.meshgrid(outer[rows], *[outer] * (d - 1), indexing="ij", sparse=True)
                 mask = reduce(np.logical_or, flags)
                 mask = None if mask.all() else mask
-            mesh = np.meshgrid(ax[rows], *[ax] * (d - 1), indexing="ij")
-            pts = np.stack([m.ravel() if mask is None else m[mask] for m in mesh], axis=-1)
-            ph = char_exponent_grid(model, s * pts)
+            ph = axis[0][rows] + sum(axis[1:], 0.0)
+            for a2, axes in pairs:
+                *head, last = [aj[rows] if j == 0 else aj for j, aj in axes]
+                term, prod = 0.0, 1.0
+                for aj in head:
+                    term, prod = term + prod * aj, prod * (1.0 + aj)
+                ph += a2 * (term + prod * last).real
+            ph = ph.ravel() if mask is None else ph[mask]
             ph.setflags(write=False)
             yield i0, rows.stop - i0, mask, ph
 
@@ -353,17 +378,22 @@ def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.nd
     in rs, n points per axis.
 
     exp(phi t) = exp(phi t_b) exp(phi tau) over blocks of B ~ sqrt(T) offsets
-    tau: one exp table per grid block, then one GEMM per time block.
+    tau from starts t_b.  Each sub-block of phi points, its rows and columns at
+    most ``_EXP_BLOCK`` doubles, is one GEMM of rows (r, t_b), cos(r.theta)
+    exp(phi t_b), against columns exp(phi tau): the exp table is read once.
     """
-    out = np.zeros((len(rs), len(times)))
+    b = int(np.ceil(np.sqrt(len(times))))
+    starts, tau = times[::b], times[:b] - times[0]
+    q = max(1, _EXP_BLOCK // (len(rs) * len(starts) + b))
+    out = np.zeros((len(rs) * len(starts), b))
     for i0, rows, _, ph in phi_blocks(model, np.pi, n):
         w = _cos_weights(rs, np.pi, n, i0, rows)
-        b = max(1, min(int(np.ceil(np.sqrt(len(times)))), _EXP_BLOCK // len(ph)))
-        e0 = np.exp(np.outer(ph, times[:b] - times[0]))
-        for j0 in range(0, len(times), b):
-            jb = min(b, len(times) - j0)
-            out[:, j0 : j0 + jb] += (w * np.exp(ph * times[j0])) @ e0[:, :jb]
-    return 2.0 * out / n**model.d
+        for k0 in range(0, len(ph), q):
+            p = ph[k0 : k0 + q]
+            lhs = (w[:, None, k0 : k0 + q] * np.exp(np.outer(starts, p))).reshape(-1, len(p))
+            e = np.outer(p, tau)
+            out += lhs @ np.exp(e, out=e)
+    return 2.0 * out.reshape(len(rs), -1)[:, : len(times)] / n**model.d
 
 
 def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:

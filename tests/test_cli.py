@@ -433,6 +433,19 @@ class TestVerifyCommand:
         assert code == 0
         assert "extract" in out
 
+    @pytest.mark.parametrize("d, heuristic", [(1, False), (2, True)])
+    def test_bracket_row_names_the_d2_heuristic(self, capsys, tmp_path, d, heuristic):
+        # d = 2 counts escaped mass at 1/2 +- an allowance that is not a proven bound
+        jumps = {(1,): 0.4, (2,): 0.1} if d == 1 else {(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05}
+        path = tmp_path / "walk.json"
+        save_model(validate_model(d, jumps), path)
+        code, out = run_cli(capsys, "verify", str(path), "--suite", "limits")
+        assert code == 0
+        rows = [line for line in out.splitlines() if "limit-in-bracket" in line]
+        assert rows and all(("(heuristic escape)" in row) == heuristic for row in rows)
+        if heuristic:
+            assert "PASS  limit-in-bracket (1, 0, 0, 1, 0, 0) (heuristic escape) measured=" in out
+
     def test_failure_exits_1(self, capsys, simple_model_file, monkeypatch):
         monkeypatch.setitem(
             cli._SUITES, "identities", lambda model, cfg: [("forced", 0.0, 1.0, 0.0, False)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from taboowalk import (
     ExtrapolationUnstable,
@@ -20,8 +21,10 @@ from taboowalk import (
     laplace_hitting,
     laplace_taboo,
     minus_from_plus,
+    simple_walk_1d,
     taboo_cdf,
     tail_extract,
+    validate_model,
 )
 from taboowalk import curves
 from taboowalk import quadrature
@@ -230,9 +233,20 @@ class TestToeplitzSolver:
             assert np.max(cur.values) <= cur.limit + 1e-6
 
 
+@pytest.fixture(scope="module")
+def diagonal2d():
+    return validate_model(2, {(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05})
+
+
 class TestBatchedPCurves:
-    @pytest.mark.parametrize("walk, n", [("nonsimple1d", 64), ("walk2d", 32), ("walk3d", 32)])
-    @pytest.mark.parametrize("times", [np.linspace(0.0, 4.0, 41), 0.25 + 0.1 * np.arange(37)])
+    @pytest.mark.parametrize(
+        "walk, n", [("nonsimple1d", 64), ("walk2d", 32), ("diagonal2d", 32), ("walk3d", 32)]
+    )
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(0.0, 4.0, 41), 0.25 + 0.1 * np.arange(37), np.array([1.5]),
+         np.array([0.3, 0.7]), 0.2 + 0.08 * np.arange(7**2 + 1)],  # B^2 + 1: a partial last block
+    )
     def test_matches_full_grid_reference(self, walk, n, times, request):
         model = request.getfixturevalue(walk)
         d = model.d
@@ -241,6 +255,28 @@ class TestBatchedPCurves:
         got = p_curves(model, rs, times, cfg)
         assert got.shape == (3, len(times))
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
+
+    def test_multi_block_grid_matches_full_grid_reference(self, walk3d, monkeypatch):
+        # several phi blocks, each contracted in several sub-blocks of points
+        monkeypatch.setattr(quadrature, "_CACHE", quadrature._GridCache(quadrature.CACHE_BYTES))
+        monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 4096)
+        monkeypatch.setattr(quadrature, "_EXP_BLOCK", 1 << 12)
+        rs = ((0, 0, 0), (1, 0, 0), (2, -1, 3))
+        times = np.linspace(0.0, 4.0, 41)
+        assert len(list(quadrature.phi_blocks(walk3d, np.pi, 32))) > 1
+        got = quadrature._p_grid_sum(walk3d, rs, times, 32)
+        np.testing.assert_allclose(got, _full_grid_p(walk3d, rs, times, 32), rtol=0, atol=1e-13)
+
+    def test_simple_walk_matches_bessel(self):
+        # p(t; 0, r) = exp(-at) I_r(at) on the simple walk; up to a t = 10^4 / a
+        # where the alias r - n of r = 300 stays below 1e-19
+        a = 0.8
+        model = simple_walk_1d(a)
+        times = np.linspace(0.0, 1e4 / a, 101)
+        got = p_curves(model, ((17,), (300,)), times, default_config(1))
+        want = scipy.special.ive([[17], [300]], a * times)
+        assert want[1, -1] > 1e-5
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_far_displacement_does_not_alias(self, simple1d):
         # on 256 points per axis r = 1000 aliased to r = 24, and the curve

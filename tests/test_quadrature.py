@@ -83,6 +83,29 @@ def test_factorised_sum_matches_cos_on_every_point(fresh_cache, monkeypatch, she
     assert abs(got - want) <= 1e-13 * mass
 
 
+@pytest.mark.parametrize("shell", [False, True])
+@pytest.mark.parametrize("s", [math.pi, math.pi / 8, math.pi * 2.0**-40], ids=["pi", "pi/8", "pi/2^40"])
+@pytest.mark.parametrize("d, n, block", [(1, 64, 8), (2, 32, 96), (3, 16, 64)])
+@pytest.mark.parametrize("walk", [_walk, _skewed_walk], ids=["nn", "skewed"])
+def test_phi_blocks_match_char_exponent_grid(fresh_cache, monkeypatch, walk, d, n, block, s, shell):
+    # phi from per-axis phases against the point-by-point sine form, on every
+    # point of every block, the shell masks included
+    monkeypatch.setattr(quad, "_BLOCK_POINTS", block)
+    model, ax = walk(d), quad._axis_offsets(n)
+    blocks = list(phi_blocks(model, s, n, shell))
+    assert len(blocks) > 1
+    assert sum(b[1] for b in blocks) == n // 2
+    for i0, rows, mask, ph in blocks:
+        mesh = np.meshgrid(ax[i0 : i0 + rows], *[ax] * (d - 1), indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        if shell:
+            pts = pts[np.any(np.abs(pts) > 0.5, axis=1)]
+            assert mask is None or mask.sum() == len(pts)
+        want = char_exponent_grid(model, s * pts)
+        assert ph.shape == want.shape
+        assert np.all(np.abs(ph - want) <= 2e-15 * np.abs(want))
+
+
 def test_g_is_built_once_per_grid(fresh_cache):
     calls = []
 

@@ -3,8 +3,10 @@
 The path sampler draws every random number from a counter-based hash of
 (seed, path index, step index), so estimates are bit-identical however the
 paths are split into blocks, and a path can be replayed in isolation.
-scipy.sparse is imported by the absorption solves only, so that importing
-the package does not pay for it.
+The absorption bracket solves its box system by a matrix-free conjugate
+gradient in numpy on a padded flat layout of the box; scipy.sparse is
+imported only by its sparse-LU fallback, which runs when the CG residual
+misses its bound.
 """
 
 from __future__ import annotations
@@ -216,62 +218,62 @@ def estimate_taboo_curve(
 # ---------------------------------------------------------------------------
 
 def _simple_1d_bracket(model: WalkModel, q: TabooQuery) -> tuple[float, float]:
-    """Exact value for the nearest-neighbor walk: with unit steps a path on
-    the far side of z must hit z before y (and vice versa), so only the
-    open strip between the absorbers needs a linear solve."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
+    """Exact value for the nearest-neighbor walk: unit steps cannot jump over
+    an absorber, so from w the walk reaches y before z with probability
+    (w - z)/(y - z) on the open strip between them, 1 on y's far side and
+    0 on z's (gambler's ruin); no linear solve is needed."""
     y, z = q.y[0], q.z[0]
-    lo_pt, hi_pt = min(y, z), max(y, z)
-    interior = np.arange(lo_pt + 1, hi_pt)
-
-    def value_at(w: int, strip: np.ndarray) -> float:
-        if w <= lo_pt:
-            return 1.0 if y == lo_pt else 0.0
-        if w >= hi_pt:
-            return 1.0 if y == hi_pt else 0.0
-        return float(strip[w - lo_pt - 1])
-
-    if interior.size:
-        n = interior.size
-        mat = sp.identity(n, format="lil")
-        b = np.zeros(n)
-        for i, w in enumerate(interior):
-            for nb in (w - 1, w + 1):
-                if nb == y:
-                    b[i] += 0.5
-                elif nb == z:
-                    pass
-                elif lo_pt < nb < hi_pt:
-                    mat[i, nb - lo_pt - 1] -= 0.5
-        strip = spla.spsolve(mat.tocsc(), b)
-    else:
-        strip = np.empty(0)
-
     val = 0.0
     for s, p in zip(model.support[:, 0], model.rates / model.total_rate):
-        w = q.x[0] + int(s)
-        val += p * (1.0 if w == y else 0.0 if w == z else value_at(w, strip))
+        val += p * min(1.0, max(0.0, (q.x[0] + int(s) - z) / (y - z)))
     return val, val
 
 
-def _solve_spd(system, rhs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Solve the sparse I - P (symmetric for a symmetric walk, positive
-    definite by absorption) by CG; a solution with residual above
-    1e-12 ||b|| is replaced by a sparse-LU solve, so the bracket is never
-    silently wrong."""
-    import scipy.sparse.linalg as spla
+def _solve_spd(step, b: np.ndarray, maxiter: int, assemble) -> np.ndarray:
+    """Solve (I - M P M) u = b for each row of b by conjugate gradients
+    (Hestenes & Stiefel 1952), all rows at once.
 
-    lu = None
-    out = []
-    for b in rhs:
-        u, _ = spla.cg(system, b, rtol=1e-13, atol=0.0)
-        if np.linalg.norm(b - system @ u) > 1e-12 * np.linalg.norm(b):
-            lu = lu if lu is not None else spla.splu(system.tocsc())
-            u = lu.solve(b)
-        out.append(u)
-    return out
+    ``step(u, out)`` writes M P u into ``out``, an array that is zero off
+    the box: the chain's one-step operator P killed by the 0/1 mask M.
+    P is symmetric for a symmetric walk, so I - M P M is positive definite
+    on the mask.  Each row follows scipy.sparse.linalg.cg's recurrence and
+    stops on its own once ||r|| <= 1e-13 ||b||, or after ``maxiter``
+    iterations.  A row whose true residual exceeds 1e-12 ||b|| is solved
+    again by sparse LU of the matrix ``assemble()`` returns, so the bracket
+    is never silently wrong; only this fallback imports scipy.
+    """
+    u = np.zeros_like(b)
+    bnorm = np.linalg.norm(b, axis=1)
+    live, x, r, p, ap = np.arange(len(b)), u.copy(), b.copy(), u.copy(), u.copy()
+    rho_prev = np.ones(len(b))
+    for _ in range(maxiter):
+        rho = np.einsum("ij,ij->i", r, r)
+        done = np.sqrt(rho) <= 1e-13 * bnorm[live]
+        if done.any():
+            u[live[done]] = x[done]
+            live, x, r, p, ap, rho, rho_prev = (
+                a[~done] for a in (live, x, r, p, ap, rho, rho_prev)
+            )
+            if not live.size:
+                break
+        p *= (rho / rho_prev)[:, None]
+        p += r
+        np.subtract(p, step(p, ap), out=ap)
+        alpha = (rho / np.einsum("ij,ij->i", p, ap))[:, None]
+        x += alpha * p
+        r -= alpha * ap
+        rho_prev = rho
+    u[live] = x
+    # a NaN residual fails too
+    resid = np.linalg.norm(b - u + step(u, np.zeros_like(u)), axis=1)
+    bad = ~(resid <= 1e-12 * bnorm)
+    if bad.any():
+        import scipy.sparse.linalg as spla
+
+        lu = spla.splu(assemble())
+        for i in np.flatnonzero(bad):
+            u[i] = lu.solve(b[i])
+    return u
 
 
 def absorption_limit_bracket(
@@ -291,6 +293,11 @@ def absorption_limit_bracket(
       point comes first at rate 1/R; the factor 1.25 is not derived;
     * otherwise (d = 1 non-simple, d >= 3): escape counts as failure in
       the lower bound and success in the upper bound.
+
+    No matrix is built: states are laid out flat in C order on the box
+    padded by a halo as wide as the longest jump, so every jump from a box
+    state is one constant flat offset with no wrap-around, and a step of
+    the chain is a few shifted slice adds.
     """
     _check_dims(model, q)
     d, r = model.d, int(box_radius)
@@ -299,75 +306,59 @@ def absorption_limit_bracket(
             raise QueryOutsideBox(f"{point} outside box of radius {r}")
     if is_simple_1d(model):
         return _simple_1d_bracket(model, q)
-    import scipy.sparse as sp
 
-    shape = (2 * r + 1,) * d
-    n_states = (2 * r + 1) ** d
-
-    def index_of(points: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index((points + r).T, shape)
-
-    coords = np.stack(
-        np.meshgrid(*[np.arange(-r, r + 1)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    iy = int(index_of(np.asarray([q.y]))[0])
-    iz = int(index_of(np.asarray([q.z]))[0])
-
+    halo = int(np.max(np.abs(model.support)))  # the jump range
+    side = 2 * (r + halo) + 1
+    strides = side ** np.arange(d - 1, -1, -1)
+    ix, iy, iz = (int(np.dot(np.add(pt, r + halo), strides)) for pt in (q.x, q.y, q.z))
     probs = model.rates / model.total_rate
-    rows, cols, vals = [], [], []
-    b_hit = np.zeros(n_states)
-    b_esc = np.zeros(n_states)
-    for s, p in zip(model.support, probs):
-        dest = coords + s
-        inside = np.all(np.abs(dest) <= r, axis=1)
-        src_in = np.nonzero(inside)[0]
-        dst = index_of(dest[inside])
-        to_y = dst == iy
-        b_hit[src_in[to_y]] += p
-        keep = ~to_y & (dst != iz)
-        rows.append(src_in[keep])
-        cols.append(dst[keep])
-        vals.append(np.full(int(keep.sum()), p))
-        b_esc[np.nonzero(~inside)[0]] += p
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    # y and z are absorbing: drop their outgoing rows
-    interior = np.ones(n_states, dtype=bool)
-    interior[[iy, iz]] = False
-    keep = interior[rows]
-    mat = sp.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(n_states, n_states)
-    )
-    system = sp.identity(n_states, format="csr") - mat
-    b_hit[~interior] = 0.0
-    b_esc[~interior] = 0.0
+    offsets = model.support @ strides
+    # every box state lies in the flat range [lo, lo + span)
+    lo, span = halo * int(strides.sum()), 2 * r * int(strides.sum()) + 1
+    core = slice(lo, lo + span)
+    box = np.zeros((side,) * d)
+    box[(slice(halo, side - halo),) * d] = 1.0
+    box = box.ravel()
+    mask = box.copy()  # y, z and the halo are absorbing
+    mask[[iy, iz]] = 0.0
+    # jumps of equal rate share one multiply; they come in +- pairs
+    groups = [(p * mask[core], offsets[probs == p]) for p in np.unique(probs)]
+    part = np.empty((2, span))
+
+    def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """M P u into out's range [lo, lo + span); out is zero elsewhere."""
+        acc = out[:, core]
+        for g, (weight, offs) in enumerate(groups):
+            dst = part[: len(u)] if g else acc
+            shifted = [u[:, lo + o:lo + o + span] for o in offs]
+            np.add(shifted[0], shifted[1], out=dst)
+            for v in shifted[2:]:
+                dst += v
+            dst *= weight
+            if g:
+                acc += dst
+        return out
+
+    def assemble():
+        import scipy.sparse as sp
+
+        n, m = side**d, sp.diags(mask)
+        return (sp.identity(n) - m @ sp.diags(probs, offsets, shape=(n, n)) @ m).tocsc()
+
+    # rows: indicator of y, indicator of leaving the box
+    ends = np.stack([np.zeros_like(box), 1.0 - box])
+    ends[0, iy] = 1.0
     # P(absorbed at y inside the box), P(escape through the boundary)
-    u_hit, u_esc = _solve_spd(system, (b_hit, b_esc))
-    u_hit[iy] = 1.0
-    u_hit[iz] = 0.0
-    u_esc[[iy, iz]] = 0.0
+    u = _solve_spd(step, step(ends, np.zeros_like(ends)), 10 * (2 * r + 1) ** d, assemble)
 
     if d == 2:
-        jump_range = int(np.max(np.abs(model.support)))
         sep = max(abs(a - b) for a, b in zip(q.y, q.z))
-        beta = min(0.5, 1.25 * (sep + jump_range) / r)
+        beta = min(0.5, 1.25 * (sep + halo) / r)
         esc_lo, esc_hi = 0.5 - beta, 0.5 + beta
     else:
         esc_lo, esc_hi = 0.0, 1.0
-
-    lo = hi = 0.0
-    xv = np.asarray(q.x, dtype=np.int64)
-    for s, p in zip(model.support, probs):
-        dest = xv + s
-        if np.all(np.abs(dest) <= r):
-            j = int(index_of(np.asarray([dest]))[0])
-            lo += p * (u_hit[j] + esc_lo * u_esc[j])
-            hi += p * (u_hit[j] + esc_hi * u_esc[j])
-        else:
-            lo += p * esc_lo
-            hi += p * esc_hi
-    return float(lo), float(hi)
+    hit, esc = (u + ends)[:, ix + offsets] @ probs
+    return float(hit + esc_lo * esc), float(hit + esc_hi * esc)
 
 
 def absorption_limit_oracle(

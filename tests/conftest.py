@@ -22,3 +22,8 @@ def walk2d():
 @pytest.fixture(scope="session")
 def walk3d():
     return nearest_neighbor_walk(3)
+
+
+@pytest.fixture(scope="session")
+def diagonal2d():
+    return validate_model(2, {(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05})

@@ -24,7 +24,6 @@ from taboowalk import (
     simple_walk_1d,
     taboo_cdf,
     tail_extract,
-    validate_model,
 )
 from taboowalk import curves
 from taboowalk import quadrature
@@ -231,11 +230,6 @@ class TestToeplitzSolver:
         for cur in (a, b):
             assert np.min(np.diff(cur.values)) >= -1e-9
             assert np.max(cur.values) <= cur.limit + 1e-6
-
-
-@pytest.fixture(scope="module")
-def diagonal2d():
-    return validate_model(2, {(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05})
 
 
 class TestBatchedPCurves:

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from taboowalk import (
@@ -21,6 +23,7 @@ from taboowalk import (
     absorption_limit_bracket,
     absorption_limit_oracle,
     fit_tail_order,
+    save_model,
     taboo_limit,
     taboo_tail,
 )
@@ -330,25 +333,109 @@ class TestAbsorptionOracle:
         with pytest.raises(BracketTooWide):
             absorption_limit_oracle(walk3d, q, 6, tol=1e-3)
 
+    @pytest.mark.parametrize(
+        "x, y, want",
+        [((2,), (5,), Fraction(2, 5)), ((0,), (3,), Fraction(1, 6)), ((3,), (3,), Fraction(5, 6)),
+         ((-1,), (2,), Fraction(0)), ((7,), (5,), Fraction(1))],
+    )
+    def test_simple_walk_closed_form(self, simple1d, x, y, want):
+        lo, hi = absorption_limit_bracket(simple1d, TabooQuery(x, y, (0,)), 100)
+        assert lo == hi
+        assert abs(Fraction(lo) - want) <= 1e-15
+
     @pytest.mark.parametrize("walk, radius", [("walk2d", 10), ("walk3d", 5)])
-    def test_cg_matches_splu_reference(self, walk, radius, request, monkeypatch):
+    def test_cg_matches_splu_reference(self, walk, radius, request):
         model = request.getfixturevalue(walk)
         d = model.d
         q = TabooQuery((1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * d)
         got = absorption_limit_bracket(model, q, radius)
-        monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (spla.splu(a.tocsc()).solve(b), 0))
-        want = absorption_limit_bracket(model, q, radius)
+        want = _splu_bracket(model, q, radius)
         assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "walk, radius, x, y, z",
+        [
+            pytest.param("nonsimple1d", 30, (1,), (3,), (0,), id="nonsimple1d"),
+            pytest.param("nonsimple1d", 30, (30,), (3,), (0,), id="nonsimple1d-x-on-edge"),
+            pytest.param("nonsimple1d", 30, (-29,), (30,), (-30,), id="nonsimple1d-yz-on-edges"),
+            pytest.param("diagonal2d", 10, (1, 0), (0, 1), (0, 0), id="diagonal2d"),
+            pytest.param("diagonal2d", 10, (10, -3), (0, 1), (0, 0), id="diagonal2d-x-on-edge"),
+            pytest.param("diagonal2d", 10, (0, 1), (0, 1), (0, 0), id="diagonal2d-x-is-y"),
+            pytest.param("diagonal2d", 10, (0, 0), (0, 1), (0, 0), id="diagonal2d-x-is-z"),
+            pytest.param("diagonal2d", 10, (2, 2), (-10, -10), (10, 10), id="diagonal2d-yz-corners"),
+            pytest.param("walk3d", 5, (0, 5, 0), (0, 1, 0), (0, 0, 0), id="walk3d-x-on-edge"),
+            pytest.param("walk3d", 5, (0, 1, 0), (0, 1, 0), (0, 0, 0), id="walk3d-x-is-y"),
+            pytest.param("walk3d", 5, (0, 0, 0), (0, 1, 0), (0, 0, 0), id="walk3d-x-is-z"),
+        ],
+    )
+    def test_matches_splu_reference_at_edges(self, walk, radius, x, y, z, request):
+        model = request.getfixturevalue(walk)
+        q = TabooQuery(x, y, z)
+        got = absorption_limit_bracket(model, q, radius)
+        assert got == pytest.approx(_splu_bracket(model, q, radius), abs=1e-10)
 
     def test_failed_cg_falls_back_to_splu(self, walk2d, monkeypatch):
         q = TabooQuery((1, 0), (0, 1), (0, 0))
         want = absorption_limit_bracket(walk2d, q, 10)
         factorised = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+        splu, solve = spla.splu, simulate._solve_spd
+        # an iteration cap of 0 leaves the CG at u = 0, whose residual is ||b||
+        monkeypatch.setattr(
+            simulate, "_solve_spd", lambda step, b, maxiter, assemble: solve(step, b, 0, assemble)
+        )
         monkeypatch.setattr(spla, "splu", lambda a: factorised.append(a) or splu(a))
         assert absorption_limit_bracket(walk2d, q, 10) == pytest.approx(want, abs=1e-10)
         assert len(factorised) == 1
+
+
+def _splu_bracket(model, q, radius):
+    """Reference bracket: the box system assembled entry by entry in COO
+    form over the unpadded box and solved by sparse LU."""
+    d, r = model.d, radius
+    shape = (2 * r + 1,) * d
+    coords = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    n = len(coords)
+    iy, iz = np.ravel_multi_index((np.array([q.y, q.z]) + r).T, shape)
+    probs = model.rates / model.total_rate
+    rows, cols, vals = [], [], []
+    b = np.zeros((2, n))  # reach y inside the box, leave the box
+    for s, p in zip(model.support, probs):
+        dest = coords + s
+        inside = np.all(np.abs(dest) <= r, axis=1)
+        src = np.flatnonzero(inside)
+        dst = np.ravel_multi_index((dest[inside] + r).T, shape)
+        b[0, src[dst == iy]] += p
+        b[1, ~inside] += p
+        keep = (dst != iy) & (dst != iz)
+        rows.append(src[keep])
+        cols.append(dst[keep])
+        vals.append(np.full(int(keep.sum()), p))
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    live = (rows != iy) & (rows != iz)
+    mat = sp.identity(n, format="csc") - sp.csc_matrix(
+        (vals[live], (rows[live], cols[live])), shape=(n, n)
+    )
+    b[:, [iy, iz]] = 0.0
+    lu = spla.splu(mat)
+    u_hit, u_esc = lu.solve(b[0]), lu.solve(b[1])
+    u_hit[iy] = 1.0
+    if d == 2:
+        sep = max(abs(a - c) for a, c in zip(q.y, q.z))
+        beta = min(0.5, 1.25 * (sep + int(np.max(np.abs(model.support)))) / r)
+        esc_lo, esc_hi = 0.5 - beta, 0.5 + beta
+    else:
+        esc_lo, esc_hi = 0.0, 1.0
+    lo = hi = 0.0
+    for s, p in zip(model.support, probs):
+        dest = np.add(q.x, s)
+        if np.all(np.abs(dest) <= r):
+            j = np.ravel_multi_index(tuple(dest + r), shape)
+            lo += p * (u_hit[j] + esc_lo * u_esc[j])
+            hi += p * (u_hit[j] + esc_hi * u_esc[j])
+        else:
+            lo += p * esc_lo
+            hi += p * esc_hi
+    return lo, hi
 
 
 class TestFitTailOrder:
@@ -390,11 +477,28 @@ class TestFitTailOrder:
         assert abs(fit.constant - want) <= 0.25 * want
 
 
-def test_import_leaves_out_scipy_sparse():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(taboowalk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, taboowalk; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
+
+
+def test_import_leaves_out_scipy_sparse():
+    out = _run_python("import sys, taboowalk; print('scipy.sparse' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_cli_oracles_leave_out_scipy(walk3d, tmp_path):
+    walk = str(tmp_path / "walk3d.json")
+    save_model(walk3d, walk)
+    limit = ["limit", walk, "--x", "1,0,0", "--y", "0,1,0", "--z", "0,0,0", "--verify", "--paths", "2000"]
+    out = _run_python(
+        "import sys\n"
+        "from taboowalk import cli\n"
+        f"assert cli.main({['verify', walk]!r}) == 0\n"
+        f"assert cli.main({limit!r}) == 0\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    assert out.stderr.splitlines()[-1] == "[]"

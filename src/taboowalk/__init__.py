@@ -70,7 +70,6 @@ from .limits import (
     taboo_limit,
     taboo_limit_minus,
     taboo_tail,
-    taboo_tail_minus,
 )
 from .curves import (
     CdfCurve,

@@ -2,25 +2,27 @@
 
 All four are Fourier integrals over [-pi, pi]^d built from the walk's
 characteristic exponent phi.  This module holds their integrands, the
-analytic core estimates and bounds of the shell integrals, and the value
-caches; quadrature.py sizes and refines every grid.  The heat kernel p,
-the d = 1 potential kernel and the Lemma-5 identity are smooth torus
-means.  Green's functions and the d = 2 potential kernel are singular or
-sharply peaked at theta = 0 and are shell integrals.  In d >= 3 the walk
-is transient and rho_d(x) = a (G_0(0) - G_0(x)) (Spitzer, Principles of
-Random Walk), taken from the cached G_0 shells.
+core bounds of the shell integrals, and the value caches, which send the
+misses of a request to one shell integral; quadrature.py sizes and refines
+every grid.  The heat kernel p, the d = 1 potential kernel and the Lemma-5
+identity are smooth torus means.  Green's functions and the d = 2
+potential kernel are singular or sharply peaked at theta = 0 and are shell
+integrals.  In d >= 3 the walk is transient and rho_d(x) = a (G_0(0) -
+G_0(x)) (Spitzer, Principles of Random Walk), from the cached G_0 shells.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gamma as _gamma_fn
+from functools import wraps
+from math import gamma as _gamma_fn, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergentGreenFunction
+from .errors import DivergentGreenFunction, NotConverged
 from .model import WalkModel, as_vec, simple_walk_1d, spectral_scalars
 from .quadrature import Integrand, QuadratureConfig, default_config, shell_integral, torus_mean
 
@@ -77,43 +79,62 @@ def transition_probability(
 # Green's function G_lambda(x, y) and K_d
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _green_cached(model: WalkModel, lam: float, r: tuple, cfg: QuadratureConfig) -> KernelValue:
+def _batched(compute):
+    """Cache compute(*args, rs) per displacement r of rs, least recently used out
+    past 4096 entries.  The uncached entries go to compute in one call, which returns
+    a value or a NotConverged for each; values are stored before a failure is raised."""
+    cache, lock = OrderedDict(), threading.Lock()
+
+    @wraps(compute)
+    def lookup(*args):
+        *head, rs = args
+        with lock:
+            found = {r: cache[(*head, r)] for r in rs if (*head, r) in cache}
+            for r in found:
+                cache.move_to_end((*head, r))
+        todo = tuple(dict.fromkeys(r for r in rs if r not in found))
+        new = dict(zip(todo, compute(*head, todo) if todo else ()))
+        with lock:
+            cache.update(((*head, r), v) for r, v in new.items() if not isinstance(v, NotConverged))
+            while len(cache) > 4096:
+                cache.popitem(last=False)
+        for v in new.values():
+            if isinstance(v, NotConverged):
+                raise v
+        return [found[r] if r in found else new[r] for r in rs]
+
+    lookup.cache_clear = cache.clear
+    return lookup
+
+
+def _nonzero_diffs(model: WalkModel, xs) -> tuple:
+    """The canonical displacements of xs other than 0."""
+    return tuple(r for r in (canonical_diff((0,) * model.d, x, model.d) for x in xs) if any(r))
+
+
+@_batched
+def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple) -> list:
     d = model.d
-    rnorm = float(np.linalg.norm(r))
-    sc = spectral_scalars(model)
-    eig = np.linalg.eigvalsh(sc.hessian)
+    eig = np.linalg.eigvalsh(spectral_scalars(model).hessian)
     sig_min, sig_max = float(eig[0]), float(eig[-1])
+    omega = 2.0 * np.pi ** (d / 2.0) / _gamma_fn(d / 2.0)
 
-    if lam > 0.0:
-        def core_value(half):
-            return (2.0 * half) ** d / lam
-
-        def core_bound(half):
-            rad2 = d * half * half
-            return ((2.0 * half) ** d / lam) * (
-                0.5 * sig_max * rad2 / lam + 0.5 * rnorm**2 * rad2
-            )
-    else:
-        omega = 2.0 * np.pi ** (d / 2.0) / _gamma_fn(d / 2.0)
-
-        def core_value(half):
-            return 0.0
-
-        def core_bound(half):
-            rad = half * np.sqrt(d)
-            return (2.0 / sig_min) * omega * rad ** (d - 2) / (d - 2)
+    def core(half, r):  # the central box's estimate and a bound on its error
+        if lam == 0.0:
+            return 0.0, (2.0 / sig_min) * omega * (half * np.sqrt(d)) ** (d - 2) / (d - 2)
+        rad2, rnorm = d * half * half, sqrt(sum(c * c for c in r))
+        box = (2.0 * half) ** d / lam
+        return box, box * (0.5 * sig_max * rad2 / lam + 0.5 * rnorm**2 * rad2)
 
     # the unsigned integrand mass is the r = 0 value; seeding the scale with
     # it keeps oscillatory displacements from over-refining the outer shells
     hint = 0.0
-    if any(r):
-        hint = _green_cached(model, lam, (0,) * d, cfg).value * (2.0 * np.pi) ** d
-    value, err = shell_integral(
-        "green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)), r,
-        cfg.rel_tol, core_value, core_bound, scale_hint=hint,
+    if any(map(any, rs)):
+        hint = _green_cached(model, cfg, lam, ((0,) * d,))[0][0] * (2.0 * np.pi) ** d
+    return shell_integral(
+        "green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)), rs,
+        cfg.rel_tol, core, scale_hints=[hint if any(r) else 0.0 for r in rs],
     )
-    return KernelValue(value=value, est_error=err)
 
 
 def green_function(
@@ -131,11 +152,16 @@ def green_function(
     if not 0.0 <= lam < np.inf:
         raise ValueError("lambda must be finite and >= 0")
     if lam == 0.0 and model.d <= 2:
-        raise DivergentGreenFunction(
-            f"G_0 diverges for d = {model.d} (recurrent walk)"
-        )
+        raise DivergentGreenFunction(f"G_0 diverges for d = {model.d} (recurrent walk)")
     r = canonical_diff(x, y, model.d)
-    return _green_cached(model, float(lam), r, cfg or default_config(model.d))
+    return KernelValue(*_green_cached(model, cfg or default_config(model.d), float(lam), (r,))[0])
+
+
+def prefetch_green(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None = None) -> None:
+    """Compute the uncached G_lambda(0, r), r in rs, in one shell integral after G_lambda(0, 0),
+    which scales them, so that the green_function calls that follow hit the cache."""
+    green_function(model, lam, (0,) * model.d, (0,) * model.d, cfg)
+    _green_cached(model, cfg or default_config(model.d), float(lam), _nonzero_diffs(model, rs))
 
 
 def k_kernel(
@@ -159,31 +185,25 @@ def k_kernel(
 # potential kernel rho_d(x)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _rho_cached(model: WalkModel, r: tuple, cfg: QuadratureConfig) -> float:
+@_batched
+def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
     a = model.total_rate
     if model.d >= 3:  # transient: a (G_0(0) - G_0(r)) from the cached G_0 shells
-        g00 = _green_cached(model, 0.0, (0,) * model.d, cfg).value
-        return a * (g00 - _green_cached(model, 0.0, r, cfg).value)
+        g00, e00 = _green_cached(model, cfg, 0.0, ((0,) * model.d,))[0]
+        return [(a * (g00 - g), a * (e00 + e)) for g, e in _green_cached(model, cfg, 0.0, rs)]
     # a (cos(r.theta) - 1) / phi
     integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
     if model.d == 1:
         # ratio of analytic functions with matching double zeros: smooth
         # and periodic, so the plain midpoint rule is spectrally accurate
-        return torus_mean("rho", model, integrand, r, cfg)[0]
+        return [torus_mean("rho", model, integrand, r, cfg) for r in rs]
 
-    sc = spectral_scalars(model)
-    sig_min = float(np.linalg.eigvalsh(sc.hessian)[0])
-    rnorm2 = float(np.dot(r, r))
+    sig_min = float(np.linalg.eigvalsh(spectral_scalars(model).hessian)[0])
 
-    def core_value(half):
-        return 0.0
+    def core(half, r):  # |1 - cos(x.theta)| / (-phi) <= a |x|^2 / sig_min near 0
+        return 0.0, (2.0 * half) ** model.d * a * float(sum(c * c for c in r)) / sig_min
 
-    def core_bound(half):
-        # |1 - cos(x.theta)| / (-phi) <= a |x|^2 / sig_min near 0
-        return (2.0 * half) ** model.d * a * rnorm2 / sig_min
-
-    return shell_integral("rho", model, integrand, r, cfg.rel_tol, core_value, core_bound)[0]
+    return shell_integral("rho", model, integrand, rs, cfg.rel_tol, core)
 
 
 def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None) -> float:
@@ -194,7 +214,13 @@ def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None)
     never sample.  In d >= 3 it equals a (G_0(0) - G_0(x)), from the G_0 shells.
     """
     r = canonical_diff((0,) * model.d, x, model.d)
-    return _rho_cached(model, r, cfg or default_config(model.d)) if any(r) else 1.0
+    return _rho_cached(model, cfg or default_config(model.d), (r,))[0][0] if any(r) else 1.0
+
+
+def prefetch_rho(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> None:
+    """Compute rho_d at every x of xs not yet cached, in one shell integral in
+    d >= 2, so that the rho calls that follow hit the cache."""
+    _rho_cached(model, cfg or default_config(model.d), _nonzero_diffs(model, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidQuery
-from .kernels import QuadratureConfig, green_function, rho
+from .kernels import QuadratureConfig, green_function, prefetch_green, prefetch_rho, rho
 from .model import Vec, WalkModel, as_vec, is_simple_1d, spectral_scalars
 
 
@@ -185,7 +185,9 @@ def taboo_limit(
         return _simple_taboo_limit(X[0], Y[0])
     if model.d >= 3:
         return laplace_taboo(model, q, 0.0, cfg)
-    rho_yx = rho(model, tuple(b - a for a, b in zip(X, Y)), cfg)
+    YX = tuple(b - a for a, b in zip(X, Y))
+    prefetch_rho(model, (X, Y, YX), cfg)
+    rho_yx = rho(model, YX, cfg)
     rho_y = rho(model, Y, cfg)
     return (rho(model, X, cfg) + rho_y - rho_yx) / (2.0 * rho_y)
 
@@ -193,6 +195,11 @@ def taboo_limit(
 # ---------------------------------------------------------------------------
 # Laplace-domain evaluators
 # ---------------------------------------------------------------------------
+
+def _check_lam(model: WalkModel, lam: float) -> None:
+    if not (lam > 0.0 or (lam == 0.0 and model.d >= 3)):
+        raise ValueError(f"lambda must be > 0 (>= 0 in d >= 3), got {lam!r}")
+
 
 def laplace_hitting(
     model: WalkModel,
@@ -205,8 +212,7 @@ def laplace_hitting(
 
     lambda = 0 gives P(tau_y < infinity) and needs a finite G_0, so d >= 3.
     """
-    if not (lam > 0.0 or (lam == 0.0 and model.d >= 3)):
-        raise ValueError(f"lambda must be > 0 (>= 0 in d >= 3), got {lam!r}")
+    _check_lam(model, lam)
     xv, yv = as_vec(x, model.d), as_vec(y, model.d)
     zero = (0,) * model.d
     g00 = green_function(model, lam, zero, zero, cfg).value
@@ -227,9 +233,12 @@ def laplace_taboo(
     Y = y - z, it is (g G_{Y-X} - G_X G_Y) / (g^2 - G_Y^2): Theorem 1's
     (g rho_Y - g rho_{Y-X} + G_Y rho_X) / (rho_Y (g + G_Y)) with rho_v =
     a (g - G_v).  The return transform 1 - 1/(a g) makes the x = z and
-    x = y cases agree with that formula at rho(0) = 1.
+    x = y cases agree with that formula at rho(0) = 1.  The four G_lambda
+    values come from one shell integral.
     """
     _check_dims(model, q)
+    _check_lam(model, lam)
+    prefetch_green(model, lam, (q.rel_x, q.rel_y, tuple(b - a for a, b in zip(q.x, q.y))), cfg)
     h_xy = laplace_hitting(model, q.x, q.y, lam, cfg)
     h_xz = laplace_hitting(model, q.x, q.z, lam, cfg)
     h_zy = laplace_hitting(model, q.z, q.y, lam, cfg)
@@ -245,6 +254,7 @@ def c1_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     x, y = X[0], Y[0]
     a = model.a
     g1 = spectral_scalars(model).gamma_d
+    prefetch_rho(model, ((y - x,), X, Y), cfg)
     r_yx = rho(model, (y - x,), cfg)
     r_x = rho(model, X, cfg)
     r_y = rho(model, Y, cfg)
@@ -258,8 +268,9 @@ def c1_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
 def c2_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     a = model.a
     g2 = spectral_scalars(model).gamma_d
-    r_yx = rho(model, tuple(b - a_ for a_, b in zip(X, Y)), cfg)
-    return float((r_yx + rho(model, X, cfg) - rho(model, Y, cfg)) / (4.0 * a * g2))
+    YX = tuple(b - a_ for a_, b in zip(X, Y))
+    prefetch_rho(model, (YX, X, Y), cfg)
+    return float((rho(model, YX, cfg) + rho(model, X, cfg) - rho(model, Y, cfg)) / (4.0 * a * g2))
 
 
 def cd_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
@@ -267,10 +278,11 @@ def cd_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     d = model.d
     gd = spectral_scalars(model).gamma_d
     zero = (0,) * d
+    YX = tuple(b - a_ for a_, b in zip(X, Y))
+    prefetch_green(model, 0.0, (Y, X, YX), cfg)  # rho_d is read off the G_0 cache
     g00 = green_function(model, 0.0, zero, zero, cfg).value
     g0y = green_function(model, 0.0, zero, Y, cfg).value
-    r_yx = rho(model, tuple(b - a_ for a_, b in zip(X, Y)), cfg)
-    num = 2.0 * gd * (r_yx + rho(model, X, cfg) - rho(model, Y, cfg))
+    num = 2.0 * gd * (rho(model, YX, cfg) + rho(model, X, cfg) - rho(model, Y, cfg))
     return float(num / (a * (d - 2) * (g00 + g0y) ** 2))
 
 
@@ -343,12 +355,3 @@ def taboo_limit_minus(
     """H^-_{x,y,z}(infinity) equals the plus limit, with the atom a(y-x)/a at zero."""
     _check_dims(model, q)
     return LimitValue(taboo_limit(model, q, cfg), Variant.MINUS, _minus_atom(model, q.x, q.y))
-
-
-def taboo_tail_minus(
-    model: WalkModel,
-    q: TabooQuery,
-    cfg: QuadratureConfig | None = None,
-) -> TailAsymptotic:
-    """Identical to taboo_tail: the tail asymptotics survive the clock shift."""
-    return taboo_tail(model, q, cfg)

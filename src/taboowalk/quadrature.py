@@ -33,7 +33,9 @@ every level aliases r_j to r_j mod n.  Torus doubling: ``torus_mean``
 doubles n until two successive means agree to cfg.rel_tol, at most
 cfg.refinement_limit times.  Shell schedule: ``shell_integral`` adds shells
 s = pi 2^-m, each a ``romberg_ladder`` from _SHELL_N0 points over at most
-_SHELL_LEVELS[d] levels, until the analytic core bound is negligible.
+_SHELL_LEVELS[d] levels, until the analytic core bound is negligible.  Both
+carry a vector of displacements, one grid pass per level for all of them;
+each entry is frozen at the level and shell where it would stop alone.
 p-curve probe: ``p_curves`` checks its grid against twice the grid at 8
 equally spaced times ending at the last, doubling as a torus mean does.
 Its grid sum is one GEMM per sub-block of phi points, rows (r, t_b) against
@@ -175,8 +177,10 @@ def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
             if len(nz) == 1:  # even in u, so summed per axis for u > 0
                 axis[nz[0]] -= 4.0 * a * np.sin(0.5 * (z[nz[0]] * up)) ** 2
             else:
-                pairs.append((2.0 * a, [(j, along(_phases(z[j], s, n)[1], j)) for j in nz]))
+                pairs.append((2.0 * a, z, nz))
         axis = [along(np.concatenate([v[::-1], v]), j) for j, v in enumerate(axis)]
+        em1 = iter(_phases([z[j] for _, z, nz in pairs for j in nz], s, n)[1])  # one call for all
+        pairs = [(a2, [(j, along(next(em1), j)) for j in nz]) for a2, z, nz in pairs]
         for i0 in range(n // 2, n, step):
             rows = slice(i0, min(i0 + step, n))
             mask = None
@@ -242,35 +246,38 @@ def _cos_weights(rs: Sequence[Sequence[int]], s: float, n: int, i0: int, rows: i
     return w.reshape(len(rs), -1)
 
 
-def midpoint_sum(
-    model: WalkModel, integrand: Integrand, r: Sequence[int], s: float, n: int, shell: bool = False
-) -> float:
-    """h^d * sum of g(phi) cos(r.theta) + k(phi) over the midpoint grid of [-s, s]^d.
+def midpoint_sum(model: WalkModel, integrand: Integrand, r, s: float, n: int, shell: bool = False):
+    """h^d * sum of g(phi) cos(r.theta) + k(phi) over the midpoint grid of [-s, s]^d,
+    for one displacement r, or the list of m sums for an (m, d) set of them.
 
     h = 2s/n; ``shell`` skips the inner box [-s/2, s/2]^d.  The sum is taken
     as sum g (c - 1) + sum (g + k): for rho, g and k grow as theta^-2 at 0
     and would cancel to a result hundreds of times smaller.  prod_j e_j - 1
     telescopes into sum_j (prod_{i<j} e_i)(e_j - 1), so each block contracts
-    from the last axis down, one real GEMM against (Re(e-1), Im(e-1), 1),
-    with two partial sums: ``acc`` for the terms past their (e_j - 1) axis,
-    ``ones`` for those still summing ones.
+    from the last axis down: one real GEMM against Re(e-1) and Im(e-1) of
+    every displacement and one shared column of ones, then per displacement
+    two partial sums, ``acc`` for the terms past their (e_j - 1) axis and
+    ``ones``, from the shared column, for those still summing ones.
     """
-    e, em1 = _phases(r, s, n)
-    if model.d > 1:
-        last = np.stack([em1[-1].real, em1[-1].imag, np.ones(n)], axis=1)
-    parts = []
+    rs = np.array(r, dtype=float)
+    e, em1 = _phases(rs.reshape(-1, model.d), s, n)  # (m, d, n)
+    m = len(e)
+    last = np.column_stack([em1[:, -1].real.T, em1[:, -1].imag.T, np.ones(n)])
+    parts = [[] for _ in range(m)]
     for i0, g, gk in _g_blocks(model, integrand, float(s), n, shell):
         rows = slice(i0, i0 + g.shape[0])
-        if g.ndim == 1:  # d = 1: the contraction is one dot product
-            parts.append(float(g @ em1[0, rows].real) + gk)
-            continue
-        v = g.reshape(-1, n) @ last
-        acc = (v[:, 0] + 1j * v[:, 1]).reshape(g.shape[:-1])
-        ones = v[:, 2].reshape(g.shape[:-1])
-        for ej, emj in zip([e[0, rows], *e[1:-1]][::-1], [em1[0, rows], *em1[1:-1]][::-1]):
-            acc, ones = acc @ ej + ones @ emj, ones.sum(axis=-1)
-        parts.append(float(acc.real) + gk)
-    return 2.0 * math.fsum(parts) * (2.0 * s / n) ** model.d
+        v = g.reshape(-1, n) @ last if g.ndim > 1 else None
+        for k, part in enumerate(parts):
+            if v is None:  # d = 1: the contraction is one dot product
+                part.append(float(g @ em1[k, 0, rows].real) + gk)
+                continue
+            acc = (v[:, k] + 1j * v[:, m + k]).reshape(g.shape[:-1])
+            ones = v[:, -1].reshape(g.shape[:-1])
+            for ej, emj in zip([e[k, 0, rows], *e[k, 1:-1]][::-1], [em1[k, 0, rows], *em1[k, 1:-1]][::-1]):
+                acc, ones = acc @ ej + ones @ emj, ones.sum(axis=-1)
+            part.append(float(acc.real) + gk)
+    sums = [2.0 * math.fsum(part) * (2.0 * s / n) ** model.d for part in parts]
+    return sums if rs.ndim == 2 else sums[0]
 
 
 def torus_points(cfg: QuadratureConfig, rs) -> int:
@@ -279,8 +286,8 @@ def torus_points(cfg: QuadratureConfig, rs) -> int:
     return max(cfg.points_per_axis, 4 * max(abs(c) for r in rs for c in r))
 
 
-def _not_converged(name, value, err):
-    raise NotConverged(f"{name} refinement limit reached: value={value!r} est_error={err:.3e}",
+def _not_converged(name, value, err) -> NotConverged:
+    return NotConverged(f"{name} refinement limit reached: value={value!r} est_error={err:.3e}",
                        value=value, est_error=err)
 
 
@@ -300,77 +307,72 @@ def torus_mean(
         val, err = new, abs(new - val)
         if err <= max(cfg.rel_tol * abs(val), ABS_FLOOR):
             return val, err
-    _not_converged(name, val, err)
+    raise _not_converged(name, val, err)
 
 
-def romberg_ladder(
-    sum_at: Callable[[int], float],
-    tol_abs: float,
-    n0: int,
-    max_levels: int,
-    tol_rel: float = 0.0,
-) -> tuple[float, float, bool]:
-    """Richardson-extrapolate midpoint sums sum_at(n) over n = n0 * 2^k.
+def romberg_ladder(sum_at: Callable[[int, list], list], tol_abs: list, n0: int, max_levels: int,
+                   tol_rel: float = 0.0) -> tuple[list, list, list]:
+    """Richardson-extrapolate midpoint sums over n = n0 * 2^k, one ladder per
+    entry of tol_abs; sum_at(n, ks) returns the sums at n of the entries ks.
 
-    Doubles the resolution until the extrapolated correction drops below
-    max(tol_abs, tol_rel * |value|) or the level cap is hit; the relative
-    floor keeps the ladder from over-refining before a caller has any
-    scale information.  Returns (value, est_error, converged).
+    An entry doubles n until its extrapolated correction drops below
+    max(tol_abs, tol_rel * |value|) or the level cap is hit, then is frozen;
+    the relative floor keeps it from over-refining before a caller has any
+    scale information.  Returns lists (value, est_error, converged).
     """
-    v_prev, v_cur = sum_at(n0), sum_at(2 * n0)
-    best = r_prev = (4.0 * v_cur - v_prev) / 3.0
-    err, lev = abs(v_cur - v_prev), 2
-    while not err <= max(tol_abs, tol_rel * abs(best)):
-        if lev >= max_levels:
-            return best, err, False
-        v_next = sum_at(n0 * 2**lev)
-        r_cur = (4.0 * v_next - v_cur) / 3.0
-        best = (16.0 * r_cur - r_prev) / 15.0
-        err = abs(best - r_cur) + 0.1 * abs(r_cur - r_prev)
-        v_cur, r_prev, lev = v_next, r_cur, lev + 1
-    return best, err, True
+    ks = list(range(len(tol_abs)))
+    v_prev, v_cur = sum_at(n0, ks), sum_at(2 * n0, ks)
+    r_prev = [(4.0 * c - p) / 3.0 for c, p in zip(v_cur, v_prev)]
+    best, err = list(r_prev), [abs(c - p) for c, p in zip(v_cur, v_prev)]
+    for lev in range(2, max_levels + 1):
+        ks = [k for k in ks if not err[k] <= max(tol_abs[k], tol_rel * abs(best[k]))]
+        if not ks or lev == max_levels:
+            break
+        for k, v_next in zip(ks, sum_at(n0 * 2**lev, ks)):
+            r_cur = (4.0 * v_next - v_cur[k]) / 3.0
+            best[k] = (16.0 * r_cur - r_prev[k]) / 15.0
+            err[k] = abs(best[k] - r_cur) + 0.1 * abs(r_cur - r_prev[k])
+            v_cur[k], r_prev[k] = v_next, r_cur
+    return best, err, [k not in ks for k in range(len(tol_abs))]
 
 
-def shell_integral(
-    name, model, integrand, r, rel_tol, core_value_fn, core_bound_fn, scale_hint=0.0
-):
-    """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand at r toward 0.
+def shell_integral(name, model, integrand, rs, rel_tol, core_fn, scale_hints=None):
+    """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand toward 0,
+    for each displacement r of rs, one vector ladder per shell.
 
-    core_value_fn(half_width) and core_bound_fn(half_width) supply the
-    analytic estimate for the remaining central box and a bound on its
-    error; shelling stops once that bound is negligible at rel_tol.  The
-    scale tracks the largest running total (seeded by scale_hint): for
-    oscillatory numerators the value may be exponentially smaller than the
-    mass actually integrated, and accuracy is only meaningful relative to
-    that mass.  When some shell or the final core bound hit its refinement
-    cap and the error exceeds rel_tol times the scale, raises NotConverged.
-    Returns (value, est_error).
+    core_fn(half_width, r) gives the estimate for the remaining central box
+    and a bound on its error; an entry stops once that bound is negligible
+    at rel_tol.  Each entry's scale tracks its largest running total, from
+    its scale hint (default 0): an oscillatory value may be exponentially
+    smaller than the mass integrated, and accuracy is only meaningful
+    relative to that mass.  Returns (value, est_error) per entry, or its
+    NotConverged when a shell or the core bound hit its cap and the error
+    exceeds rel_tol times the scale.
     """
-    total = err = 0.0
-    scale = float(scale_hint)
-    refined = True
-    for m in range(_MAX_SHELLS + 1):
-        s = np.pi * 2.0**-m
-        tol_abs = 0.05 * rel_tol * max(abs(total), scale, ABS_FLOOR)
-        v, e, conv = romberg_ladder(lambda n: midpoint_sum(model, integrand, r, s, n, shell=True),
-                                    tol_abs, _SHELL_N0, _SHELL_LEVELS.get(model.d, 3),
-                                    tol_rel=0.05 * rel_tol)
-        total += v
-        err += e
-        refined &= conv
-        scale = max(scale, abs(total))
-        core_bound = core_bound_fn(s / 2.0)
-        done = core_bound <= 0.02 * rel_tol * max(scale, ABS_FLOOR)
-        if done or m == _MAX_SHELLS:
-            refined &= done
-            total += core_value_fn(s / 2.0)
-            err += core_bound
-            scale = max(scale, abs(total))
+    total, err, refined = [0.0] * len(rs), [0.0] * len(rs), [True] * len(rs)
+    scale, live = list(scale_hints or total), list(range(len(rs)))
+    for sh in range(_MAX_SHELLS + 1):
+        s, shelling = np.pi * 2.0**-sh, [rs[k] for k in live]
+        tol_abs = [0.05 * rel_tol * max(abs(total[k]), scale[k], ABS_FLOOR) for k in live]
+        vs, es, convs = romberg_ladder(
+            lambda n, ks: midpoint_sum(model, integrand, [shelling[k] for k in ks], s, n, True),
+            tol_abs, _SHELL_N0, _SHELL_LEVELS.get(model.d, 3), tol_rel=0.05 * rel_tol)
+        for k, v, e, conv in zip(list(live), vs, es, convs):
+            total[k], err[k], refined[k] = total[k] + v, err[k] + e, refined[k] and conv
+            scale[k] = max(scale[k], abs(total[k]))
+            core_value, core_bound = core_fn(s / 2.0, rs[k])
+            done = core_bound <= 0.02 * rel_tol * max(scale[k], ABS_FLOOR)
+            if done or sh == _MAX_SHELLS:
+                total[k], err[k] = total[k] + core_value, err[k] + core_bound
+                refined[k] = refined[k] and done
+                scale[k] = max(scale[k], abs(total[k]))
+                live.remove(k)
+        if not live:
             break
     norm = (2.0 * np.pi) ** model.d
-    if not refined and err > max(rel_tol * scale, ABS_FLOOR * norm):
-        _not_converged(name, total / norm, err / norm)
-    return total / norm, err / norm
+    return [_not_converged(name, t / norm, e / norm)
+            if not ok and e > max(rel_tol * sc, ABS_FLOOR * norm) else (t / norm, e / norm)
+            for t, e, ok, sc in zip(total, err, refined, scale)]
 
 
 def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import math
 
 import numpy as np
@@ -18,11 +20,15 @@ from taboowalk import (
     simple_walk_1d,
     spectral_scalars,
     taboo_limit,
+    taboo_tail,
     tilde_gamma,
     transition_probability,
     trig_identity_check,
     validate_model,
 )
+from taboowalk import kernels
+from taboowalk import quadrature
+from taboowalk.kernels import canonical_diff
 
 # Watson's integral: G_0(0,0) for the 6-neighbor rate-1/6 walk on Z^3
 WATSON = 1.5163860591528040
@@ -348,3 +354,138 @@ class TestConfig:
         _green_cached.cache_clear()
         v2 = green_function(walk2d, 0.125, [0, 0], [1, 1]).value
         assert v1 == v2
+
+
+@contextlib.contextmanager
+def _grids_per_displacement():
+    """Record, per displacement, the (s, n) grid of every midpoint sum that
+    the shell ladders take of it: its shells and Romberg levels."""
+    grids = collections.defaultdict(list)
+    orig = quadrature.midpoint_sum
+
+    def spy(model, integrand, r, s, n, shell=False):
+        for row in np.reshape(r, (-1, model.d)):
+            grids[tuple(int(c) for c in row)].append((s, n))
+        return orig(model, integrand, r, s, n, shell)
+
+    quadrature.midpoint_sum = spy
+    try:
+        yield grids
+    finally:
+        quadrature.midpoint_sum = orig
+
+
+def _clear_value_caches():
+    kernels._rho_cached.cache_clear()
+    kernels._green_cached.cache_clear()
+
+
+NEAR_2D = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any)
+NEAR_3D = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+class TestVectorLadder:
+    """A shell integral over a set of displacements gives each entry the value,
+    shells and levels it gets alone."""
+
+    @staticmethod
+    def _batched_vs_alone(model, xs, batch, alone, scale=0.0):
+        rs = [canonical_diff((0,) * model.d, x, model.d) for x in xs]
+        _clear_value_caches()
+        with _grids_per_displacement() as grids:
+            batch(xs)
+            got = {r: alone(r) for r in rs}  # read back from the cache
+        for r in set(rs):
+            _clear_value_caches()
+            with _grids_per_displacement() as own:
+                want = alone(r)
+            assert abs(got[r] - want) <= 1e-13 * max(abs(want), scale), r
+            assert grids[r] == own[r], r
+
+    @settings(max_examples=15, deadline=None)
+    @given(xs=st.lists(NEAR_2D, min_size=1, max_size=4))
+    def test_rho_2d(self, diagonal2d, xs):
+        self._batched_vs_alone(diagonal2d, xs, lambda xs: kernels.prefetch_rho(diagonal2d, xs),
+                               lambda r: rho(diagonal2d, r))
+
+    @settings(max_examples=6, deadline=None)
+    @given(xs=st.lists(NEAR_3D, min_size=1, max_size=3), lam=st.sampled_from([0.0, 0.05, 0.5]))
+    def test_green_3d(self, walk3d, xs, lam):
+        # G_lam(0, r) can be 1e-4 of the mass G_lam(0, 0) its shells integrate;
+        # a wider GEMM may round that mass differently in its last bit
+        zero = (0, 0, 0)
+        self._batched_vs_alone(walk3d, xs, lambda xs: kernels.prefetch_green(walk3d, lam, xs),
+                               lambda r: green_function(walk3d, lam, zero, r).value,
+                               scale=green_function(walk3d, lam, zero, zero).value)
+
+    @pytest.mark.parametrize("walk, q", [
+        ("diagonal2d", TabooQuery((2, 1), (-1, 3), (0, 0))),
+        ("walk3d", TabooQuery((1, 0, 0), (0, 1, 1), (0, 0, -1))),
+    ])
+    def test_order_of_requests(self, walk, q, request):
+        # q and q.swapped() ask for one set of displacements in another order
+        model = request.getfixturevalue(walk)
+
+        def answer(first, second):
+            _clear_value_caches()
+            lims = {k: taboo_limit(model, k) for k in (first, second)}
+            return lims[q], lims[q.swapped()], taboo_tail(model, q).constant
+
+        for a, b in zip(answer(q, q.swapped()), answer(q.swapped(), q)):
+            assert abs(a - b) <= 1e-14 * abs(a)
+
+    def test_far_entry_fails_alone(self, diagonal2d, monkeypatch):
+        # (75, -5) hits the level cap (far d = 2 displacements have no grid
+        # floor yet); the near entries of its batch are still cached
+        near = [(1, 2), (3, -1)]
+        _clear_value_caches()
+        with pytest.raises(NotConverged):
+            kernels.prefetch_rho(diagonal2d, [near[0], (75, -5), near[1]])
+
+        def no_quadrature(*args, **kwargs):
+            raise LookupError("not cached")
+
+        monkeypatch.setattr(kernels, "shell_integral", no_quadrature)
+        got = {x: rho(diagonal2d, x) for x in near}
+        with pytest.raises(LookupError):
+            rho(diagonal2d, (75, -5))
+        monkeypatch.undo()
+        for x in near:
+            _clear_value_caches()
+            want = rho(diagonal2d, x)
+            assert abs(got[x] - want) <= 1e-13 * want
+
+
+def test_value_cache_is_safe_under_threads():
+    import random
+    import sys
+    import threading
+
+    @kernels._batched
+    def scaled(k, rs):
+        return [k * r for r in rs]
+
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            # 6000 keys against 4096 slots, so threads evict each other's entries
+            for _ in range(2000):
+                rs = tuple(rng.randrange(6000) for _ in range(3))
+                assert scaled(7, rs) == [7 * r for r in rs]
+        except Exception as exc:  # a thread's exception is otherwise lost
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]

@@ -18,7 +18,6 @@ from taboowalk import (
     taboo_limit,
     taboo_limit_minus,
     taboo_tail,
-    taboo_tail_minus,
 )
 from taboowalk.limits import c1_constant, cd_constant
 
@@ -310,11 +309,3 @@ class TestMinusVariants:
     def test_return_has_no_atom(self, nonsimple1d):
         lv = taboo_limit_minus(nonsimple1d, TabooQuery((3,), (3,), (0,)))
         assert lv.atom_at_zero == 0.0
-
-    def test_tail_identical(self, simple1d, nonsimple1d):
-        for model, q in (
-            (simple1d, TabooQuery((1,), (4,), (6,))),
-            (simple1d, TabooQuery((-2,), (3,), (0,))),
-            (nonsimple1d, TabooQuery((3,), (3,), (0,))),
-        ):
-            assert taboo_tail_minus(model, q) == taboo_tail(model, q)

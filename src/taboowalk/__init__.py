@@ -15,7 +15,6 @@ if _threads:
 
 from .errors import (
     AsymmetricRates,
-    BracketTooWide,
     DegenerateSamples,
     DivergentGreenFunction,
     EmptySupport,
@@ -83,7 +82,6 @@ from .simulate import (
     McEstimate,
     SimConfig,
     absorption_limit_bracket,
-    absorption_limit_oracle,
     estimate_taboo_curve,
     fit_tail_order,
 )

@@ -70,11 +70,5 @@ class QueryOutsideBox(TabooWalkError):
     pass
 
 
-class BracketTooWide(TabooWalkError):
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class DegenerateSamples(TabooWalkError):
     pass

@@ -27,17 +27,15 @@ streamed block by block and never kept.  Block sums are added exactly
 (math.fsum), so results repeat bit for bit.
 
 Refinement policy; a result that misses its tolerance raises NotConverged.
-Floor: a torus grid for displacements rs starts at ``torus_points`` =
+One driver, ``_refine``, doubles every grid over a capped number of levels,
+one ladder per entry, each entry frozen at the level where it would stop
+alone.  ``torus_mean`` runs order 0 (the last sum) from ``torus_points`` =
 max(cfg.points_per_axis, 4 max|r_j|) points per axis, as below n = |r_j|
-every level aliases r_j to r_j mod n.  Torus doubling: ``torus_mean``
-doubles n until two successive means agree to cfg.rel_tol, at most
-cfg.refinement_limit times.  Shell schedule: ``shell_integral`` adds shells
-s = pi 2^-m, each a ``romberg_ladder`` from _SHELL_N0 points over at most
-_SHELL_LEVELS[d] levels, until the analytic core bound is negligible.  Both
-carry a vector of displacements, one grid pass per level for all of them;
-each entry is frozen at the level and shell where it would stop alone.
-p-curve probe: ``p_curves`` checks its grid against twice the grid at 8
-equally spaced times ending at the last, doubling as a torus mean does.
+every level aliases r_j to r_j mod n.  ``shell_integral`` adds shells
+s = pi 2^-m, each an order-2 (Richardson) ladder of its displacements, until
+the analytic core bound is negligible.  ``p_curves`` probes its rows at 8
+times ending at the last, order 0, and takes the curve on the coarser grid
+of the last pair.
 Its grid sum is one GEMM per sub-block of phi points, rows (r, t_b) against
 columns of exp(phi tau) offsets, so the exp table is read once.
 """
@@ -75,7 +73,8 @@ _SHELL_LEVELS = {1: 9, 2: 7, 3: 5}
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid resolution and tolerance for the torus quadratures."""
+    """Grid resolution and tolerance for the torus quadratures; refinement_limit
+    caps torus means and p-curves, not shell ladders, which _SHELL_LEVELS caps."""
 
     points_per_axis: int = 256
     refinement_limit: int = 4
@@ -286,54 +285,56 @@ def torus_points(cfg: QuadratureConfig, rs) -> int:
     return max(cfg.points_per_axis, 4 * max(abs(c) for r in rs for c in r))
 
 
+def _size(x) -> float:
+    """|x|, or the largest |x_i| of an array; a float stays on float arithmetic."""
+    return float(np.max(np.abs(x))) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _refine(sum_at: Callable, n0: int, levels: int, tol_abs: list, tol_rel: float, order: int):
+    """Midpoint sums at n = n0 * 2^k, k < levels, one ladder per entry of tol_abs:
+    sum_at(n, ks) returns the sums at n of the live entries ks.  Order 0 takes the
+    last sum, its error the gap to the one before; order 2 extrapolates in h^2,
+    then h^4.  An entry is frozen, and not summed again, once its error is at most
+    max(tol_abs, tol_rel * |value|).  Returns lists (value, est_error, converged)."""
+    m = len(tol_abs)
+    best, err, prev, rich, ks = [None] * m, [math.inf] * m, [None] * m, [None] * m, list(range(m))
+    for lev in range(levels):
+        for k, v in zip(ks, sum_at(n0 * 2**lev, ks)):
+            if lev == 0:
+                best[k] = v
+            elif order == 0:
+                best[k], err[k] = v, _size(v - prev[k])
+            elif lev == 1:
+                best[k] = rich[k] = (4.0 * v - prev[k]) / 3.0
+                err[k] = abs(v - prev[k])
+            else:
+                r = (4.0 * v - prev[k]) / 3.0
+                best[k] = (16.0 * r - rich[k]) / 15.0
+                err[k], rich[k] = abs(best[k] - r) + 0.1 * abs(r - rich[k]), r
+            prev[k] = v
+        ks = [k for k in ks if not err[k] <= max(tol_abs[k], tol_rel * _size(best[k]))]
+        if not ks:
+            break
+    return best, err, [k not in ks for k in range(m)]
+
+
 def _not_converged(name, value, err) -> NotConverged:
-    return NotConverged(f"{name} refinement limit reached: value={value!r} est_error={err:.3e}",
-                       value=value, est_error=err)
+    shown = "" if isinstance(value, np.ndarray) else f"value={value!r} "  # no p-curve in a message
+    return NotConverged(f"{name} refinement limit reached: {shown}est_error={err:.3e}",
+                        value=value, est_error=err)
 
 
 def torus_mean(
     name: str, model: WalkModel, integrand: Integrand, r: Sequence[int], cfg: QuadratureConfig
 ) -> tuple[float, float]:
-    """(2 pi)^-d * torus integral of the integrand at displacement r.
-
-    The grid starts at torus_points and doubles until successive estimates
-    agree to cfg.rel_tol.  Returns (value, est_error).
-    """
-    norm = (2.0 * np.pi) ** model.d
-    n = torus_points(cfg, (r,))
-    val, err = midpoint_sum(model, integrand, r, np.pi, n) / norm, np.inf
-    for k in range(1, cfg.refinement_limit + 1):
-        new = midpoint_sum(model, integrand, r, np.pi, n * 2**k) / norm
-        val, err = new, abs(new - val)
-        if err <= max(cfg.rel_tol * abs(val), ABS_FLOOR):
-            return val, err
-    raise _not_converged(name, val, err)
-
-
-def romberg_ladder(sum_at: Callable[[int, list], list], tol_abs: list, n0: int, max_levels: int,
-                   tol_rel: float = 0.0) -> tuple[list, list, list]:
-    """Richardson-extrapolate midpoint sums over n = n0 * 2^k, one ladder per
-    entry of tol_abs; sum_at(n, ks) returns the sums at n of the entries ks.
-
-    An entry doubles n until its extrapolated correction drops below
-    max(tol_abs, tol_rel * |value|) or the level cap is hit, then is frozen;
-    the relative floor keeps it from over-refining before a caller has any
-    scale information.  Returns lists (value, est_error, converged).
-    """
-    ks = list(range(len(tol_abs)))
-    v_prev, v_cur = sum_at(n0, ks), sum_at(2 * n0, ks)
-    r_prev = [(4.0 * c - p) / 3.0 for c, p in zip(v_cur, v_prev)]
-    best, err = list(r_prev), [abs(c - p) for c, p in zip(v_cur, v_prev)]
-    for lev in range(2, max_levels + 1):
-        ks = [k for k in ks if not err[k] <= max(tol_abs[k], tol_rel * abs(best[k]))]
-        if not ks or lev == max_levels:
-            break
-        for k, v_next in zip(ks, sum_at(n0 * 2**lev, ks)):
-            r_cur = (4.0 * v_next - v_cur[k]) / 3.0
-            best[k] = (16.0 * r_cur - r_prev[k]) / 15.0
-            err[k] = abs(best[k] - r_cur) + 0.1 * abs(r_cur - r_prev[k])
-            v_cur[k], r_prev[k] = v_next, r_cur
-    return best, err, [k not in ks for k in range(len(tol_abs))]
+    """(2 pi)^-d * torus integral of the integrand at displacement r, as
+    (value, est_error): order 0 from torus_points to cfg.rel_tol."""
+    (val,), (err,), (ok,) = _refine(
+        lambda n, ks: [midpoint_sum(model, integrand, r, np.pi, n) / (2.0 * np.pi) ** model.d],
+        torus_points(cfg, (r,)), cfg.refinement_limit + 1, [ABS_FLOOR], cfg.rel_tol, 0)
+    if not ok:
+        raise _not_converged(name, val, err)
+    return val, err
 
 
 def shell_integral(name, model, integrand, rs, rel_tol, core_fn, scale_hints=None):
@@ -354,9 +355,9 @@ def shell_integral(name, model, integrand, rs, rel_tol, core_fn, scale_hints=Non
     for sh in range(_MAX_SHELLS + 1):
         s, shelling = np.pi * 2.0**-sh, [rs[k] for k in live]
         tol_abs = [0.05 * rel_tol * max(abs(total[k]), scale[k], ABS_FLOOR) for k in live]
-        vs, es, convs = romberg_ladder(
+        vs, es, convs = _refine(
             lambda n, ks: midpoint_sum(model, integrand, [shelling[k] for k in ks], s, n, True),
-            tol_abs, _SHELL_N0, _SHELL_LEVELS.get(model.d, 3), tol_rel=0.05 * rel_tol)
+            _SHELL_N0, _SHELL_LEVELS.get(model.d, 3), tol_abs, 0.05 * rel_tol, 2)
         for k, v, e, conv in zip(list(live), vs, es, convs):
             total[k], err[k], refined[k] = total[k] + v, err[k] + e, refined[k] and conv
             scale[k] = max(scale[k], abs(total[k]))
@@ -401,19 +402,21 @@ def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.nd
 def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
     """p(t; 0, r) on equally spaced times, one row per r, refined until rel_tol.
 
-    The grid starts at torus_points, so no row aliases.  All rows are
-    checked together against a probe at twice the grid on 8 equally spaced
-    times ending at the last; raises NotConverged when cfg.refinement_limit
-    doublings do not close the gap.
+    The grid starts at torus_points, so no row aliases.  The rows are probed
+    together at 8 equally spaced times ending at the last, the full pass being
+    the first probe, and taken on the coarser grid of the last pair.
     """
     probe_idx = np.arange(len(times) - 1, -1, -max(1, (len(times) - 1) // 7))[:8][::-1]
-    n = torus_points(cfg, rs)
-    for _ in range(cfg.refinement_limit + 1):
-        vals = _p_grid_sum(model, rs, times, n)
-        probe = _p_grid_sum(model, rs, times[probe_idx], 2 * n)
-        gap = float(np.max(np.abs(probe - vals[:, probe_idx])))
-        if gap <= max(cfg.rel_tol, ABS_FLOOR):
-            return np.clip(vals, 0.0, 1.0)
-        n *= 2
-    raise NotConverged(f"p-curve refinement limit reached: est_error={gap:.3e}",
-                       value=np.clip(vals, 0.0, 1.0), est_error=gap)
+    n0, passes = torus_points(cfg, rs), []
+
+    def sum_at(n, ks):
+        passes.append(_p_grid_sum(model, rs, times[probe_idx] if passes else times, n))
+        return [passes[-1][:, probe_idx] if n == n0 else passes[-1]]
+
+    _, (gap,), (ok,) = _refine(sum_at, n0, cfg.refinement_limit + 2,
+                               [max(cfg.rel_tol, ABS_FLOOR)], 0.0, 0)
+    n = n0 * 2 ** (len(passes) - 2)
+    vals = np.clip(passes[0] if n == n0 else _p_grid_sum(model, rs, times, n), 0.0, 1.0)
+    if not ok:
+        raise _not_converged("p-curve", vals, gap)
+    return vals

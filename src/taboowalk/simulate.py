@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketTooWide, DegenerateSamples, QueryOutsideBox
+from .errors import DegenerateSamples, QueryOutsideBox
 from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims
 from .model import WalkModel, is_simple_1d
 
@@ -359,22 +359,6 @@ def absorption_limit_bracket(
         esc_lo, esc_hi = 0.0, 1.0
     hit, esc = (u + ends)[:, ix + offsets] @ probs
     return float(hit + esc_lo * esc), float(hit + esc_hi * esc)
-
-
-def absorption_limit_oracle(
-    model: WalkModel,
-    q: TabooQuery,
-    box_radius: int,
-    tol: float | None = None,
-) -> float:
-    """Bracket midpoint; raises BracketTooWide when tol is given and missed."""
-    lo, hi = absorption_limit_bracket(model, q, box_radius)
-    if tol is not None and hi - lo > tol:
-        raise BracketTooWide(
-            f"bracket width {hi - lo:.3e} > tol {tol:.3e}; raise box_radius",
-            bracket=(lo, hi),
-        )
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,9 @@ class TestBatchedPCurves:
         with pytest.raises(NotConverged) as err:
             hitting_cdf(walk3d, (0, 0, 0), (0, 0, 0), TimeGrid(step=0.1, n_steps=3000), cfg)
         assert err.value.est_error > cfg.rel_tol
+        # the message names the grid and its error; the curve stays out of it
+        assert str(err.value) == f"p-curve refinement limit reached: est_error={err.value.est_error:.3e}"
+        assert isinstance(err.value.value, np.ndarray) and err.value.value.shape[0] == 1
 
 
 class TestLaplace:

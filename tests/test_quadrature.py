@@ -214,3 +214,70 @@ def test_cache_is_safe_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
     assert cache.nbytes == sum(size for _, size in cache._items.values()) <= cache.budget
+
+
+class _Spy:
+    """A synthetic sum_at: entry k at n is sums[k](1 / n); records every call."""
+
+    def __init__(self, *sums):
+        self.sums, self.calls = sums, []
+
+    def __call__(self, n, ks):
+        self.calls.append((n, list(ks)))
+        return [self.sums[k](1.0 / n) for k in ks]
+
+
+@pytest.mark.parametrize("tol", [0.2, 1e-3, 1e-8])
+def test_refine_order_2_stops_at_predicted_level(tol):
+    # v(h) = 1 + h^2 + h^4 + h^6, h = 1 / (4 * 2^k).  Level 1 gives 1 - 4 h^4 - 20 h^6
+    # with error 3 h^2 + 15 h^4 + 63 h^6; level k >= 2 gives 1 + 64 h^6 with error
+    # 10 h^4 + 210 h^6
+    spy = _Spy(lambda h: 1.0 + h**2 + h**4 + h**6)
+    hs = [1.0 / (4 * 2**k) for k in range(9)]
+    errs = [math.inf, 3 * hs[1] ** 2 + 15 * hs[1] ** 4 + 63 * hs[1] ** 6]
+    errs += [10 * h**4 + 210 * h**6 for h in hs[2:]]
+    stop = next(k for k, e in enumerate(errs) if e <= tol)
+    assert errs[stop - 1] > 2 * tol and errs[stop] < 0.5 * tol
+    (val,), (err,), (ok,) = quad._refine(spy, 4, 9, [tol], 0.0, 2)
+    assert ok and [n for n, _ in spy.calls] == [4 * 2**k for k in range(stop + 1)]
+    h = hs[stop]
+    want = 1.0 - 4 * h**4 - 20 * h**6 if stop == 1 else 1.0 + 64 * h**6
+    assert abs(val - want) <= 2e-15
+    assert err == pytest.approx(errs[stop], rel=1e-5)
+    assert abs(val - 1.0) <= err
+
+
+def test_refine_never_resums_a_frozen_entry():
+    sums = [lambda h, c=c: 2.0 + c * h**2 + h**5 for c in (1.0, 3.0, 0.5)]
+    tols = [1e-3, 1e-9, 1e-6]
+    spy = _Spy(*sums)
+    vals, errs, oks = quad._refine(spy, 8, 9, tols, 0.0, 2)
+    assert all(oks) and len(spy.calls) > 2
+    for (_, before), (_, after) in zip(spy.calls, spy.calls[1:]):
+        assert set(after) <= set(before)
+    for k, f in enumerate(sums):
+        alone = _Spy(f)
+        (val,), (err,), _ = quad._refine(alone, 8, 9, [tols[k]], 0.0, 2)
+        assert (vals[k], errs[k]) == (val, err)
+        assert sum(k in ks for _, ks in spy.calls) == len(alone.calls)
+    assert len({len(ks) for _, ks in spy.calls}) > 1  # the entries froze at different levels
+
+
+@pytest.mark.parametrize("order, levels", [(0, 2), (0, 5), (2, 3), (2, 6)])
+def test_refine_stops_at_its_level_cap(order, levels):
+    spy = _Spy(lambda h: 1.0 + h)  # odd in h: no level meets a zero tolerance
+    (val,), (err,), (ok,) = quad._refine(spy, 16, levels, [0.0], 0.0, order)
+    assert not ok and 0.0 < err < math.inf and math.isfinite(val)
+    assert [n for n, _ in spy.calls] == [16 * 2**k for k in range(levels)]
+
+
+def test_refine_order_0_takes_the_largest_gap_of_an_array():
+    c = np.array([1e-3, -4e-3, 2e-3])
+    spy = _Spy(lambda h: 0.5 + c * h)
+    (val,), (err,), (ok,) = quad._refine(spy, 1, 8, [1e-4], 0.0, 0)
+    # the gap at level k is |c| / 2^k: 4e-3 / 2^6 <= 1e-4 < 4e-3 / 2^5
+    assert ok and [n for n, _ in spy.calls] == [2**k for k in range(7)]
+    np.testing.assert_array_equal(val, 0.5 + c / 64)
+    assert err == np.max(np.abs((0.5 + c / 64) - (0.5 + c / 32)))
+    (_,), (err1,), (ok1,) = quad._refine(_Spy(lambda h: 0.5 + c * h), 1, 1, [1e-4], 0.0, 0)
+    assert not ok1 and err1 == math.inf  # one level has no gap

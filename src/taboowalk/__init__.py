@@ -4,15 +4,6 @@ Closed-form limits, tail-asymptotic constants, full time-domain c.d.f.
 curves, and independent Monte Carlo / linear-algebra verification oracles.
 """
 
-import os as _os
-
-# Propagate the package-level thread knob to the BLAS runtimes before numpy
-# loads them; only effective when this package is imported first.
-_threads = _os.environ.get("TABOOWALK_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .errors import (
     AsymmetricRates,
     DegenerateSamples,
@@ -35,8 +26,10 @@ from .kernels import (
     QuadratureConfig,
     default_config,
     green_function,
+    green_values,
     k_kernel,
     rho,
+    rho_values,
     transition_probability,
     trig_identity_check,
 )

@@ -2,8 +2,10 @@
 
 All four are Fourier integrals over [-pi, pi]^d built from the walk's
 characteristic exponent phi.  This module holds their integrands, the
-core bounds of the shell integrals, and the value caches, which send the
-misses of a request to one shell integral; quadrature.py sizes and refines
+core bounds of the shell integrals, and the value caches.  Kernel values are
+read by set: rho_values and green_values send the uncached nonzero
+displacements of one request to one shell integral, and rho and
+green_function are their one-element case; quadrature.py sizes and refines
 every grid.  The heat kernel p, the d = 1 potential kernel and the Lemma-5
 identity are smooth torus means.  Green's functions and the d = 2
 potential kernel are singular or sharply peaked at theta = 0 and are shell
@@ -107,11 +109,6 @@ def _batched(compute):
     return lookup
 
 
-def _nonzero_diffs(model: WalkModel, xs) -> tuple:
-    """The canonical displacements of xs other than 0."""
-    return tuple(r for r in (canonical_diff((0,) * model.d, x, model.d) for x in xs) if any(r))
-
-
 @_batched
 def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple) -> list:
     d = model.d
@@ -137,6 +134,25 @@ def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple
     )
 
 
+def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None = None) -> list:
+    """G_lambda(0, r) for every r of rs, as KernelValues.
+
+    G_lambda(0, 0), which scales the others, is read first; the uncached
+    nonzero displacements then go to one shell integral.  lambda = 0 (the
+    Green's function proper) is finite only for d >= 3; requesting it in
+    d <= 2 raises DivergentGreenFunction.
+    """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and >= 0")
+    if lam == 0.0 and model.d <= 2:
+        raise DivergentGreenFunction(f"G_0 diverges for d = {model.d} (recurrent walk)")
+    cfg, zero = cfg or default_config(model.d), (0,) * model.d
+    rs = [canonical_diff(zero, r, model.d) for r in rs]
+    (g00,) = _green_cached(model, cfg, float(lam), (zero,))
+    found = iter(_green_cached(model, cfg, float(lam), tuple(r for r in rs if any(r))))
+    return [KernelValue(*(next(found) if any(r) else g00)) for r in rs]
+
+
 def green_function(
     model: WalkModel,
     lam: float,
@@ -144,24 +160,8 @@ def green_function(
     y: Sequence[int],
     cfg: QuadratureConfig | None = None,
 ) -> KernelValue:
-    """G_lambda(x,y) = (2 pi)^-d * integral of cos(theta, y-x) / (lambda - phi).
-
-    lambda = 0 (the Green's function proper) is finite only for d >= 3;
-    requesting it in d <= 2 raises DivergentGreenFunction.
-    """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("lambda must be finite and >= 0")
-    if lam == 0.0 and model.d <= 2:
-        raise DivergentGreenFunction(f"G_0 diverges for d = {model.d} (recurrent walk)")
-    r = canonical_diff(x, y, model.d)
-    return KernelValue(*_green_cached(model, cfg or default_config(model.d), float(lam), (r,))[0])
-
-
-def prefetch_green(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None = None) -> None:
-    """Compute the uncached G_lambda(0, r), r in rs, in one shell integral after G_lambda(0, 0),
-    which scales them, so that the green_function calls that follow hit the cache."""
-    green_function(model, lam, (0,) * model.d, (0,) * model.d, cfg)
-    _green_cached(model, cfg or default_config(model.d), float(lam), _nonzero_diffs(model, rs))
+    """G_lambda(x,y) = (2 pi)^-d * integral of cos(theta, y-x) / (lambda - phi)."""
+    return green_values(model, lam, (canonical_diff(x, y, model.d),), cfg)[0]
 
 
 def k_kernel(
@@ -187,11 +187,8 @@ def k_kernel(
 
 @_batched
 def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
+    # d <= 2: a (cos(r.theta) - 1) / phi
     a = model.total_rate
-    if model.d >= 3:  # transient: a (G_0(0) - G_0(r)) from the cached G_0 shells
-        g00, e00 = _green_cached(model, cfg, 0.0, ((0,) * model.d,))[0]
-        return [(a * (g00 - g), a * (e00 + e)) for g, e in _green_cached(model, cfg, 0.0, rs)]
-    # a (cos(r.theta) - 1) / phi
     integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
     if model.d == 1:
         # ratio of analytic functions with matching double zeros: smooth
@@ -206,21 +203,29 @@ def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
     return shell_integral("rho", model, integrand, rs, cfg.rel_tol, core)
 
 
-def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None) -> float:
-    """Potential-kernel value rho_d(x); rho_d(0) = 1 by definition.
+def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> list:
+    """Potential-kernel values rho_d(x) for every x of xs; rho_d(0) = 1 by definition.
 
     For x != 0 this is a (2 pi)^-d integral of a (cos(x,theta) - 1)/phi(theta);
     the integrand has a finite limit at theta = 0 which the midpoint grids
-    never sample.  In d >= 3 it equals a (G_0(0) - G_0(x)), from the G_0 shells.
+    never sample.  The uncached nonzero x go to one shell integral in d = 2.
+    In d >= 3 it equals a (G_0(0) - G_0(x)), from one green_values read.
     """
-    r = canonical_diff((0,) * model.d, x, model.d)
-    return _rho_cached(model, cfg or default_config(model.d), (r,))[0][0] if any(r) else 1.0
+    zero = (0,) * model.d
+    rs = [canonical_diff(zero, x, model.d) for x in xs]
+    nonzero = tuple(r for r in rs if any(r))
+    found = iter(())
+    if model.d <= 2:
+        found = iter(v for v, _ in _rho_cached(model, cfg or default_config(model.d), nonzero))
+    elif nonzero:
+        g00, *gs = green_values(model, 0.0, (zero, *nonzero), cfg)
+        found = iter(model.total_rate * (g00.value - g.value) for g in gs)
+    return [next(found) if any(r) else 1.0 for r in rs]
 
 
-def prefetch_rho(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> None:
-    """Compute rho_d at every x of xs not yet cached, in one shell integral in
-    d >= 2, so that the rho calls that follow hit the cache."""
-    _rho_cached(model, cfg or default_config(model.d), _nonzero_diffs(model, xs))
+def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None) -> float:
+    """Potential-kernel value rho_d(x); see rho_values."""
+    return rho_values(model, (x,), cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidQuery
-from .kernels import QuadratureConfig, green_function, prefetch_green, prefetch_rho, rho
+from .kernels import QuadratureConfig, green_values, rho, rho_values
 from .model import Vec, WalkModel, as_vec, is_simple_1d, spectral_scalars
 
 
@@ -103,6 +103,11 @@ class TabooQuery:
     def rel_y(self) -> Vec:
         return tuple(a - b for a, b in zip(self.y, self.z))
 
+    @cached_property
+    def rel_yx(self) -> Vec:
+        """Y - X = y - x."""
+        return tuple(a - b for a, b in zip(self.y, self.x))
+
     def swapped(self) -> "TabooQuery":
         """Same start, target and taboo exchanged."""
         return TabooQuery(self.x, self.z, self.y)
@@ -145,9 +150,8 @@ def hitting_tail(
         return TailAsymptotic(TailOrder.INVERSE_SQRT_T, float(rho_r / (a * gamma * np.pi)))
     if model.d == 2:
         return TailAsymptotic(TailOrder.INVERSE_LOG_T, float(rho_r / (a * gamma)))
-    zero = (0,) * model.d
-    g00 = green_function(model, 0.0, zero, zero, cfg).value
-    const = float(2.0 * gamma * rho_r / (a * (model.d - 2) * g00**2))
+    (g00,) = green_values(model, 0.0, ((0,) * model.d,), cfg)
+    const = float(2.0 * gamma * rho_r / (a * (model.d - 2) * g00.value**2))
     return TailAsymptotic(TailOrder.INVERSE_POW_T, const, exponent=model.d / 2.0 - 1.0)
 
 
@@ -185,11 +189,8 @@ def taboo_limit(
         return _simple_taboo_limit(X[0], Y[0])
     if model.d >= 3:
         return laplace_taboo(model, q, 0.0, cfg)
-    YX = tuple(b - a for a, b in zip(X, Y))
-    prefetch_rho(model, (X, Y, YX), cfg)
-    rho_yx = rho(model, YX, cfg)
-    rho_y = rho(model, Y, cfg)
-    return (rho(model, X, cfg) + rho_y - rho_yx) / (2.0 * rho_y)
+    rho_x, rho_y, rho_yx = rho_values(model, (X, Y, q.rel_yx), cfg)
+    return (rho_x + rho_y - rho_yx) / (2.0 * rho_y)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +215,14 @@ def laplace_hitting(
     """
     _check_lam(model, lam)
     xv, yv = as_vec(x, model.d), as_vec(y, model.d)
-    zero = (0,) * model.d
-    g00 = green_function(model, lam, zero, zero, cfg).value
-    if xv == yv:
-        return 1.0 - 1.0 / ((lam + model.a) * g00)
-    return green_function(model, lam, xv, yv, cfg).value / g00
+    return _hitting_transforms(model, lam, (tuple(b - a for a, b in zip(xv, yv)),), cfg)[0]
+
+
+def _hitting_transforms(model: WalkModel, lam: float, rs, cfg) -> list:
+    """laplace_hitting from x to x + r for every r of rs, from one green_values read."""
+    g00, *gs = green_values(model, lam, ((0,) * model.d, *rs), cfg)
+    return [g.value / g00.value if any(r) else 1.0 - 1.0 / ((lam + model.a) * g00.value)
+            for r, g in zip(rs, gs)]
 
 
 def laplace_taboo(
@@ -234,16 +238,13 @@ def laplace_taboo(
     (g rho_Y - g rho_{Y-X} + G_Y rho_X) / (rho_Y (g + G_Y)) with rho_v =
     a (g - G_v).  The return transform 1 - 1/(a g) makes the x = z and
     x = y cases agree with that formula at rho(0) = 1.  The four G_lambda
-    values come from one shell integral.
+    values come from one green_values read; the transforms are even in the
+    displacement, so those from z to y and from y to z agree.
     """
     _check_dims(model, q)
     _check_lam(model, lam)
-    prefetch_green(model, lam, (q.rel_x, q.rel_y, tuple(b - a for a, b in zip(q.x, q.y))), cfg)
-    h_xy = laplace_hitting(model, q.x, q.y, lam, cfg)
-    h_xz = laplace_hitting(model, q.x, q.z, lam, cfg)
-    h_zy = laplace_hitting(model, q.z, q.y, lam, cfg)
-    h_yz = laplace_hitting(model, q.y, q.z, lam, cfg)
-    return (h_xy - h_xz * h_zy) / (1.0 - h_zy * h_yz)
+    h_xz, h_zy, h_xy = _hitting_transforms(model, lam, (q.rel_x, q.rel_y, q.rel_yx), cfg)
+    return (h_xy - h_xz * h_zy) / (1.0 - h_zy * h_zy)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +255,7 @@ def c1_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     x, y = X[0], Y[0]
     a = model.a
     g1 = spectral_scalars(model).gamma_d
-    prefetch_rho(model, ((y - x,), X, Y), cfg)
-    r_yx = rho(model, (y - x,), cfg)
-    r_x = rho(model, X, cfg)
-    r_y = rho(model, Y, cfg)
+    r_yx, r_x, r_y = rho_values(model, ((y - x,), X, Y), cfg)
     return float(
         (r_yx + r_x - r_y) / (4.0 * a * np.pi * g1)
         + a * np.pi * y * y * g1**3 * (r_yx - r_x - r_y) / r_y**2
@@ -268,21 +266,19 @@ def c1_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
 def c2_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     a = model.a
     g2 = spectral_scalars(model).gamma_d
-    YX = tuple(b - a_ for a_, b in zip(X, Y))
-    prefetch_rho(model, (YX, X, Y), cfg)
-    return float((rho(model, YX, cfg) + rho(model, X, cfg) - rho(model, Y, cfg)) / (4.0 * a * g2))
+    r_yx, r_x, r_y = rho_values(model, (tuple(b - a_ for a_, b in zip(X, Y)), X, Y), cfg)
+    return float((r_yx + r_x - r_y) / (4.0 * a * g2))
 
 
 def cd_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     a = model.a
     d = model.d
     gd = spectral_scalars(model).gamma_d
-    zero = (0,) * d
-    YX = tuple(b - a_ for a_, b in zip(X, Y))
-    prefetch_green(model, 0.0, (Y, X, YX), cfg)  # rho_d is read off the G_0 cache
-    g00 = green_function(model, 0.0, zero, zero, cfg).value
-    g0y = green_function(model, 0.0, zero, Y, cfg).value
-    num = 2.0 * gd * (rho(model, YX, cfg) + rho(model, X, cfg) - rho(model, Y, cfg))
+    vs = (Y, X, tuple(b - a_ for a_, b in zip(X, Y)))
+    g00, g0y, *gs = (g.value for g in green_values(model, 0.0, ((0,) * d, *vs), cfg))
+    # rho_d(v) = a (G_0(0) - G_0(v)), as in rho_values, and rho_d(0) = 1
+    r_y, r_x, r_yx = (a * (g00 - g) if any(v) else 1.0 for v, g in zip(vs, (g0y, *gs)))
+    num = 2.0 * gd * (r_yx + r_x - r_y)
     return float(num / (a * (d - 2) * (g00 + g0y) ** 2))
 
 

@@ -56,11 +56,6 @@ def _draw(keys: np.ndarray, step: int, sub: int) -> np.ndarray:
     return (_mix64(keys ^ counter) >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def _uniforms(seed_hash: np.uint64, path_ids: np.ndarray, step: int, sub: int) -> np.ndarray:
-    """U[0,1) keyed by (seed, path, step, sub)."""
-    return _draw(_path_keys(seed_hash, path_ids), step, sub)
-
-
 # Paths simulated together; bounds the sampler's memory whatever n_paths is.
 _BLOCK_PATHS = 1 << 18
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -16,9 +17,11 @@ from taboowalk import (
     ExtrapolationUnstable,
     TabooQuery,
     TimeGrid,
+    default_config,
     hitting_cdf,
     load_model,
     minus_from_plus,
+    nearest_neighbor_walk,
     save_model,
     simple_walk_1d,
     taboo_cdf,
@@ -145,6 +148,16 @@ class TestLimitCommand:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["manifest"]["argv"] == argv
+
+    @pytest.mark.parametrize("walk, point", [(simple_walk_1d(1.0), "2"), (nearest_neighbor_walk(3), "1,0,0")])
+    def test_default_run_records_default_config(self, capsys, tmp_path, walk, point):
+        path = tmp_path / "walk.json"
+        save_model(walk, path)
+        code, out = run_cli(capsys, "limit", str(path), "--x", point, "--y", point)
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["quadrature"] == dataclasses.asdict(default_config(walk.d))
+        _validator("manifest.schema.json").validate(manifest)
 
 
 class TestInputContract:

@@ -393,8 +393,7 @@ class TestVectorLadder:
         rs = [canonical_diff((0,) * model.d, x, model.d) for x in xs]
         _clear_value_caches()
         with _grids_per_displacement() as grids:
-            batch(xs)
-            got = {r: alone(r) for r in rs}  # read back from the cache
+            got = dict(zip(rs, batch(xs)))
         for r in set(rs):
             _clear_value_caches()
             with _grids_per_displacement() as own:
@@ -405,7 +404,7 @@ class TestVectorLadder:
     @settings(max_examples=15, deadline=None)
     @given(xs=st.lists(NEAR_2D, min_size=1, max_size=4))
     def test_rho_2d(self, diagonal2d, xs):
-        self._batched_vs_alone(diagonal2d, xs, lambda xs: kernels.prefetch_rho(diagonal2d, xs),
+        self._batched_vs_alone(diagonal2d, xs, lambda xs: kernels.rho_values(diagonal2d, xs),
                                lambda r: rho(diagonal2d, r))
 
     @settings(max_examples=6, deadline=None)
@@ -414,7 +413,8 @@ class TestVectorLadder:
         # G_lam(0, r) can be 1e-4 of the mass G_lam(0, 0) its shells integrate;
         # a wider GEMM may round that mass differently in its last bit
         zero = (0, 0, 0)
-        self._batched_vs_alone(walk3d, xs, lambda xs: kernels.prefetch_green(walk3d, lam, xs),
+        self._batched_vs_alone(walk3d, xs,
+                               lambda xs: [g.value for g in kernels.green_values(walk3d, lam, xs)],
                                lambda r: green_function(walk3d, lam, zero, r).value,
                                scale=green_function(walk3d, lam, zero, zero).value)
 
@@ -440,7 +440,7 @@ class TestVectorLadder:
         near = [(1, 2), (3, -1)]
         _clear_value_caches()
         with pytest.raises(NotConverged):
-            kernels.prefetch_rho(diagonal2d, [near[0], (75, -5), near[1]])
+            kernels.rho_values(diagonal2d, [near[0], (75, -5), near[1]])
 
         def no_quadrature(*args, **kwargs):
             raise LookupError("not cached")
@@ -454,6 +454,89 @@ class TestVectorLadder:
             _clear_value_caches()
             want = rho(diagonal2d, x)
             assert abs(got[x] - want) <= 1e-13 * want
+
+
+def _mixed_sets(near, zero):
+    """Sets of displacements with 0, a duplicate and -r for each r, in any order."""
+    return st.lists(near, min_size=1, max_size=2).flatmap(lambda base: st.permutations(
+        [*base, zero, base[0], *(tuple(-c for c in r) for r in base)]))
+
+
+class TestSetReads:
+    """rho_values and green_values are the one-at-a-time reads, by set."""
+
+    @staticmethod
+    def _same_either_order(xs, by_set, one):
+        for set_first in (True, False):
+            _clear_value_caches()
+            if set_first:
+                got = by_set(xs)
+                want = [one(x) for x in xs]
+            else:
+                want = [one(x) for x in xs]
+                got = by_set(xs)
+            assert got == want  # bit for bit
+
+    @settings(max_examples=8, deadline=None)
+    @given(xs=_mixed_sets(NEAR_2D, (0, 0)), lam=st.sampled_from([0.05, 0.5]))
+    def test_w2(self, diagonal2d, xs, lam):
+        zero = (0, 0)
+        self._same_either_order(xs, lambda xs: kernels.rho_values(diagonal2d, xs),
+                                lambda x: rho(diagonal2d, x))
+        self._same_either_order(xs, lambda xs: kernels.green_values(diagonal2d, lam, xs),
+                                lambda x: green_function(diagonal2d, lam, zero, x))
+
+    @settings(max_examples=4, deadline=None)
+    @given(xs=_mixed_sets(NEAR_3D, (0, 0, 0)), lam=st.sampled_from([0.0, 0.5]))
+    def test_nn3(self, walk3d, xs, lam):
+        zero = (0, 0, 0)
+        self._same_either_order(xs, lambda xs: kernels.rho_values(walk3d, xs),
+                                lambda x: rho(walk3d, x))
+        self._same_either_order(xs, lambda xs: kernels.green_values(walk3d, lam, xs),
+                                lambda x: green_function(walk3d, lam, zero, x))
+        # rho_d(x) = a (G_0(0) - G_0(x)) for x != 0
+        g00 = green_function(walk3d, 0.0, zero, zero).value
+        for x, got in zip(xs, kernels.rho_values(walk3d, xs)):
+            want = walk3d.a * (g00 - green_function(walk3d, 0.0, zero, x).value) if any(x) else 1.0
+            assert got == want
+
+    @pytest.mark.parametrize("walk, lam", [("diagonal2d", 0.25), ("walk3d", 0.0)])
+    def test_one_shell_integral_per_set(self, walk, lam, request, monkeypatch):
+        model = request.getfixturevalue(walk)
+        d, calls = model.d, []
+        orig = kernels.shell_integral
+
+        def spy(name, model, integrand, rs, *args, **kwargs):
+            calls.append((name, tuple(rs)))
+            return orig(name, model, integrand, rs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "shell_integral", spy)
+        zero, e1 = (0,) * d, (1,) + (0,) * (d - 1)
+        r, s = (1, 2) + (0,) * (d - 2), (2, -1) + (1,) * (d - 2)
+        neg = tuple(-c for c in r)
+        _clear_value_caches()
+        kernels.green_values(model, lam, [e1])
+        calls.clear()
+        kernels.green_values(model, lam, [r, zero, e1, neg, s, r])
+        assert calls == [("green_function", (r, s))]  # G_lam(0, 0) and e1 are cached
+        calls.clear()
+        kernels.green_values(model, lam, [r, zero, e1, neg, s, r])
+        assert calls == []
+
+        _clear_value_caches()
+        kernels.green_values(model, lam, [neg, zero, s])
+        assert calls == [("green_function", (zero,)), ("green_function", (r, s))]
+        calls.clear()
+        kernels.green_values(model, lam, [neg, zero, s])
+        assert calls == []
+
+        _clear_value_caches()
+        kernels.rho_values(model, [zero, neg, s, r])
+        want = [("rho", (r, s))] if d == 2 else [("green_function", (zero,)), ("green_function", (r, s))]
+        assert calls == want
+        calls.clear()
+        kernels.rho_values(model, [zero, neg, s, r])
+        assert calls == []
 
 
 def test_value_cache_is_safe_under_threads():

@@ -27,14 +27,14 @@ from taboowalk import (
 )
 import taboowalk
 from taboowalk import simulate
-from taboowalk.simulate import _mix64_int, _simulate_hit_times, _uniforms, estimate_taboo_curve
+from taboowalk.simulate import _draw, _mix64_int, _path_keys, _simulate_hit_times, estimate_taboo_curve
 
 
 class TestRngStream:
     def test_uniform_moments(self):
         ids = np.arange(200_000, dtype=np.uint64)
         seed_hash = np.uint64(_mix64_int(123 + 0x9E3779B97F4A7C15))
-        u = _uniforms(seed_hash, ids, 17, 1)
+        u = _draw(_path_keys(seed_hash, ids), 17, 1)
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.005
         assert u.min() >= 0.0 and u.max() < 1.0
@@ -42,9 +42,9 @@ class TestRngStream:
     def test_streams_differ_by_key(self):
         ids = np.arange(1000, dtype=np.uint64)
         seed_hash = np.uint64(_mix64_int(1 + 0x9E3779B97F4A7C15))
-        a = _uniforms(seed_hash, ids, 0, 0)
-        b = _uniforms(seed_hash, ids, 0, 1)
-        c = _uniforms(seed_hash, ids, 1, 0)
+        a = _draw(_path_keys(seed_hash, ids), 0, 0)
+        b = _draw(_path_keys(seed_hash, ids), 0, 1)
+        c = _draw(_path_keys(seed_hash, ids), 1, 0)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -187,7 +187,7 @@ class TestTabooEstimates:
 
 def _trajectory(model, q, sim, path_id, max_steps=100_000):
     """Jump epochs and visited states of one path, same RNG as the kernel."""
-    from taboowalk.simulate import _mix64_int, _uniforms
+    from taboowalk.simulate import _draw, _mix64_int, _path_keys
 
     a = model.total_rate
     support = [tuple(s) for s in model.support]
@@ -198,8 +198,8 @@ def _trajectory(model, q, sim, path_id, max_steps=100_000):
     jumps, states = [0.0], [pos]
     pid = np.array([path_id], dtype=np.uint64)
     for step in range(max_steps):
-        u1 = float(_uniforms(seed_hash, pid, step, 0)[0])
-        u2 = float(_uniforms(seed_hash, pid, step, 1)[0])
+        u1 = float(_draw(_path_keys(seed_hash, pid), step, 0)[0])
+        u2 = float(_draw(_path_keys(seed_hash, pid), step, 1)[0])
         clock += -np.log1p(-u1) / a
         if clock > sim.horizon:
             break
@@ -229,7 +229,7 @@ def _dense_monitor(jumps, states, q, horizon, dt):
 
 def _simulate_reference(model, q, sim, minus_clock=False):
     """Straight-line per-path reference implementation (same RNG keys)."""
-    from taboowalk.simulate import _mix64_int, _uniforms
+    from taboowalk.simulate import _draw, _mix64_int, _path_keys
 
     a = model.total_rate
     support = [tuple(s) for s in model.support]
@@ -247,8 +247,8 @@ def _simulate_reference(model, q, sim, minus_clock=False):
                 und += 1
                 break
             pid = np.array([i], dtype=np.uint64)
-            u1 = float(_uniforms(seed_hash, pid, step, 0)[0])
-            u2 = float(_uniforms(seed_hash, pid, step, 1)[0])
+            u1 = float(_draw(_path_keys(seed_hash, pid), step, 0)[0])
+            u2 = float(_draw(_path_keys(seed_hash, pid), step, 1)[0])
             if not (minus_clock and step == 0):
                 clock += -math.log1p(-u1) / a
             if clock > sim.horizon:

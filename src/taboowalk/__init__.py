@@ -27,7 +27,6 @@ from .kernels import (
     default_config,
     green_function,
     green_values,
-    k_kernel,
     rho,
     rho_values,
     transition_probability,
@@ -49,18 +48,16 @@ from .model import (
     validate_model,
 )
 from .limits import (
-    LimitValue,
     TabooQuery,
     TailAsymptotic,
     TailOrder,
     Variant,
     hitting_limit,
-    hitting_limit_minus,
     hitting_tail,
     laplace_hitting,
     laplace_taboo,
+    minus_atom,
     taboo_limit,
-    taboo_limit_minus,
     taboo_tail,
 )
 from .curves import (

@@ -33,15 +33,7 @@ from .errors import (
     TabooWalkError,
 )
 from .kernels import QuadratureConfig, default_config, rho, transition_probability, trig_identity_check
-from .limits import (
-    TabooQuery,
-    Variant,
-    hitting_limit,
-    hitting_limit_minus,
-    taboo_limit,
-    taboo_limit_minus,
-    taboo_tail,
-)
+from .limits import TabooQuery, Variant, hitting_limit, minus_atom, taboo_limit, taboo_tail
 from .model import is_simple_1d, load_model
 from .simulate import (
     SimConfig,
@@ -142,12 +134,10 @@ def _cmd_limit(args, model, cfg, x, y, z):
         raise InvalidQuery("--verify needs --z")
     record: dict = {"method": "closed-form"}
     q = TabooQuery(x, y, z) if z is not None else None
-    if args.minus:
-        lv = taboo_limit_minus(model, q, cfg) if q else hitting_limit_minus(model, x, y, cfg)
-        record.update(limit=lv.value, variant=lv.variant.value, atom_at_zero=lv.atom_at_zero)
-    else:
-        limit = taboo_limit(model, q, cfg) if q else hitting_limit(model, x, y, cfg)
-        record.update(limit=limit, variant=Variant.PLUS.value)
+    record["limit"] = taboo_limit(model, q, cfg) if q else hitting_limit(model, x, y, cfg)
+    record["variant"] = (Variant.MINUS if args.minus else Variant.PLUS).value
+    if args.minus:  # same limit as the plus variant, with an atom at t = 0
+        record["atom_at_zero"] = minus_atom(model, x, y)
     if args.verify:
         radius = args.radius or {1: 100, 2: 60}.get(model.d, 15)
         lo, hi = absorption_limit_bracket(model, q, radius)
@@ -194,11 +184,12 @@ def _cmd_tail(args, model, cfg, x, y, z):
 def _cmd_curve(args, model, cfg, x, y, z):
     grid = TimeGrid(step=args.step, n_steps=max(2, int(round(args.horizon / args.step))))
     if z is None:
-        names, curves = ["xy"], [hitting_cdf(model, x, y, grid, cfg, strict=False)]
+        names, targets, curves = ["xy"], [y], [hitting_cdf(model, x, y, grid, cfg, strict=False)]
     else:
-        names, curves = ["xyz", "xzy"], list(taboo_cdf(model, TabooQuery(x, y, z), grid, cfg, strict=False))
+        names, targets = ["xyz", "xzy"], [y, z]
+        curves = list(taboo_cdf(model, TabooQuery(x, y, z), grid, cfg, strict=False))
     if args.minus:
-        curves = [minus_from_plus(c, model, strict=False) for c in curves]
+        curves = [minus_from_plus(c, model, x, t, strict=False) for c, t in zip(curves, targets)]
     limits = [c.limit for c in curves]
     lines = [",".join(["t", *(f"H_{n}" for n in names), *(f"limit_{n}" for n in names)])]
     lines.extend(_csv_rows((grid.times, *(c.values for c in curves)), limits))

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ExtrapolationUnstable, InvalidQuery, StepTooCoarse
 from .kernels import canonical_diff
 from .limits import (TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims, hitting_limit,
-                     laplace_taboo, taboo_limit)
+                     laplace_taboo, minus_atom, taboo_limit)
 from .model import WalkModel, is_simple_1d
 from .quadrature import ABS_FLOOR, QuadratureConfig, default_config, p_curves
 
@@ -160,13 +160,13 @@ def _hitting_from(model, x, y, grid, cfg, strict, p: dict) -> CdfCurve:
     rhs = p[r][1::2]
     if not any(r):
         rhs = rhs - np.exp(-model.a * grid.times[1:])
-    warnings = _check_kernel_diagonal(kern, strict)
+    warnings = _diagonal_warnings(kern, strict)
     values = np.concatenate([[0.0], np.cumsum(_solve_first_kind(kern, rhs))])
     return CdfCurve(grid=grid, values=values, limit=hitting_limit(model, x, y, cfg),
                     warnings=warnings)
 
 
-def _check_kernel_diagonal(kern: np.ndarray, strict: bool) -> tuple[str, ...]:
+def _diagonal_warnings(kern: np.ndarray, strict: bool) -> tuple[str, ...]:
     dev = abs(kern[0] - 1.0)
     if dev > 0.1:
         msg = f"kernel diagonal p(h/2;y,y) = {kern[0]:.4f} deviates from 1 by {dev:.3f}"
@@ -292,17 +292,19 @@ def tail_extract(
 # minus-variant curves
 # ---------------------------------------------------------------------------
 
-def minus_from_plus(curve: CdfCurve, model: WalkModel, strict: bool = True) -> CdfCurve:
+def minus_from_plus(curve: CdfCurve, model: WalkModel, x: Sequence[int], y: Sequence[int],
+                    strict: bool = True) -> CdfCurve:
     """Deconvolve the first holding time: H^-(t) = H(t) + H'(t)/a.
 
-    H' uses centered differences (one-sided at the ends).  The limit is
-    unchanged; the value at t = 0 recovers the atom a(x,y)/a.
+    ``curve`` is a plus curve from x with target y (H_{x,y} or H_{x,y,z}).
+    H' uses centered differences inside the grid and second-order one-sided
+    ones at the horizon.  At t = 0, H(0) = 0 and H'(0+) = a * minus_atom, so
+    the value there is the atom a(y - x)/a exactly.  The limit is unchanged.
     """
     if curve.variant is not Variant.PLUS:
         raise ValueError("minus_from_plus expects a plus-variant curve")
-    h = curve.grid.step
-    deriv = np.gradient(curve.values, h)
-    values = curve.values + deriv / model.a
+    values = curve.values + np.gradient(curve.values, curve.grid.step, edge_order=2) / model.a
+    values[0] = minus_atom(model, x, y)
     warnings = curve.warnings
     if len(values) >= 3:
         noise = float(np.max(np.abs(np.diff(values, 2))))

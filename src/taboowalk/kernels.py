@@ -1,6 +1,6 @@
-"""Torus-integral kernels: p(t;x,y), G_lambda(x,y), rho_d(x), K_d(lambda;r).
+"""Torus-integral kernels: p(t;x,y), G_lambda(x,y), rho_d(x).
 
-All four are Fourier integrals over [-pi, pi]^d built from the walk's
+All three are Fourier integrals over [-pi, pi]^d built from the walk's
 characteristic exponent phi.  This module holds their integrands, the
 core bounds of the shell integrals, and the value caches.  Kernel values are
 read by set: rho_values and green_values send the uncached nonzero
@@ -78,7 +78,7 @@ def transition_probability(
 
 
 # ---------------------------------------------------------------------------
-# Green's function G_lambda(x, y) and K_d
+# Green's function G_lambda(x, y)
 # ---------------------------------------------------------------------------
 
 def _batched(compute):
@@ -162,23 +162,6 @@ def green_function(
 ) -> KernelValue:
     """G_lambda(x,y) = (2 pi)^-d * integral of cos(theta, y-x) / (lambda - phi)."""
     return green_values(model, lam, (canonical_diff(x, y, model.d),), cfg)[0]
-
-
-def k_kernel(
-    model: WalkModel,
-    lam: float,
-    r: Sequence[int],
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """K_d(lambda; r) = (G_0(0,r) - G_lambda(0,r)) / lambda, d >= 3."""
-    if model.d <= 2:
-        raise DivergentGreenFunction(f"K_d requires d >= 3, got d = {model.d}")
-    if not lam > 0.0:
-        raise ValueError("lambda must be > 0")
-    zero = (0,) * model.d
-    g0 = green_function(model, 0.0, zero, r, cfg).value
-    gl = green_function(model, lam, zero, r, cfg).value
-    return (g0 - gl) / lam
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,6 @@ class TailAsymptotic:
 
 
 @dataclass(frozen=True)
-class LimitValue:
-    value: float
-    variant: Variant
-    atom_at_zero: float = 0.0
-
-
-@dataclass(frozen=True)
 class TabooQuery:
     """Start x, target y, taboo z (y != z, equal dimensions)."""
 
@@ -274,10 +267,9 @@ def cd_constant(model: WalkModel, X: Vec, Y: Vec, cfg=None) -> float:
     a = model.a
     d = model.d
     gd = spectral_scalars(model).gamma_d
-    vs = (Y, X, tuple(b - a_ for a_, b in zip(X, Y)))
-    g00, g0y, *gs = (g.value for g in green_values(model, 0.0, ((0,) * d, *vs), cfg))
-    # rho_d(v) = a (G_0(0) - G_0(v)), as in rho_values, and rho_d(0) = 1
-    r_y, r_x, r_yx = (a * (g00 - g) if any(v) else 1.0 for v, g in zip(vs, (g0y, *gs)))
+    r_y, r_x, r_yx = rho_values(model, (Y, X, tuple(b - a_ for a_, b in zip(X, Y))), cfg)
+    # the G_0 values behind those rho values, read back from the cache
+    g00, g0y = (g.value for g in green_values(model, 0.0, ((0,) * d, Y), cfg))
     num = 2.0 * gd * (r_yx + r_x - r_y)
     return float(num / (a * (d - 2) * (g00 + g0y) ** 2))
 
@@ -330,24 +322,12 @@ def taboo_tail(
 # minus variants (clock started at the first jump; Theorem 3)
 # ---------------------------------------------------------------------------
 
-def _minus_atom(model: WalkModel, x: Sequence[int], y: Sequence[int]) -> float:
+def minus_atom(model: WalkModel, x: Sequence[int], y: Sequence[int]) -> float:
     """Atom at zero of a minus-variant c.d.f. from x to y: a(y - x)/a, the
-    chance that the first jump lands on y; 0 when x = y, as a(0) = 0."""
+    chance that the first jump lands on y; 0 when x = y, as a(0) = 0.
+
+    The minus clock adds one exponential(a) holding time to the plus one,
+    so the minus limit and tail equal the plus ones; only this atom is new.
+    """
     xv, yv = as_vec(x, model.d), as_vec(y, model.d)
     return model.rate(tuple(b - a for a, b in zip(xv, yv))) / model.a
-
-
-def hitting_limit_minus(model: WalkModel, x: Sequence[int], y: Sequence[int],
-                        cfg: QuadratureConfig | None = None) -> LimitValue:
-    """H^-_{x,y}(infinity) equals the plus limit, with the atom a(y-x)/a at zero."""
-    return LimitValue(hitting_limit(model, x, y, cfg), Variant.MINUS, _minus_atom(model, x, y))
-
-
-def taboo_limit_minus(
-    model: WalkModel,
-    q: TabooQuery,
-    cfg: QuadratureConfig | None = None,
-) -> LimitValue:
-    """H^-_{x,y,z}(infinity) equals the plus limit, with the atom a(y-x)/a at zero."""
-    _check_dims(model, q)
-    return LimitValue(taboo_limit(model, q, cfg), Variant.MINUS, _minus_atom(model, q.x, q.y))

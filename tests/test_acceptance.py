@@ -23,13 +23,13 @@ from taboowalk import (
     hitting_limit,
     laplace_hitting,
     laplace_taboo,
+    minus_atom,
     minus_from_plus,
     nearest_neighbor_walk,
     rho,
     simple_walk_1d,
     taboo_cdf,
     taboo_limit,
-    taboo_limit_minus,
     taboo_tail,
     tail_extract,
     trig_identity_check,
@@ -248,13 +248,12 @@ def test_criterion_09_exponential_tail_fit(simple):
 def test_criterion_10_minus_variants(simple):
     with _Check(10, "minus variants: limits exact, atom 1e-2, MC 3 sigma", 120.0) as c:
         q = TabooQuery((4,), (5,), (0,))
-        lv = taboo_limit_minus(simple, q)
-        c.expect(lv.value == taboo_limit(simple, q), "minus limit != plus limit")
-        c.expect(lv.atom_at_zero == 0.5, f"atom {lv.atom_at_zero} != 0.5")
+        limit, atom = taboo_limit(simple, q), minus_atom(simple, q.x, q.y)
+        c.expect(atom == 0.5, f"atom {atom} != 0.5")
 
         grid = TimeGrid(step=0.02, n_steps=1500)
         plus, _ = _taboo_curves(simple, q, grid)
-        minus = minus_from_plus(plus, simple)
+        minus = minus_from_plus(plus, simple, q.x, q.y)
         c.expect(minus.limit == plus.limit, "curve limit changed")
         c.expect(abs(minus.values[0] - 0.5) <= 1e-2, f"curve atom {minus.values[0]:.4f}")
 
@@ -270,8 +269,8 @@ def test_criterion_10_minus_variants(simple):
             Variant.MINUS,
         )[0]
         c.expect(
-            abs(lim_est.probability - lv.value) <= 3 * lim_est.std_error,
-            f"MC minus limit {lim_est.probability:.5f} vs {lv.value}",
+            abs(lim_est.probability - limit) <= 3 * lim_est.std_error,
+            f"MC minus limit {lim_est.probability:.5f} vs {limit}",
         )
 
 

@@ -20,6 +20,7 @@ from taboowalk import (
     default_config,
     hitting_cdf,
     load_model,
+    minus_atom,
     minus_from_plus,
     nearest_neighbor_walk,
     save_model,
@@ -356,17 +357,33 @@ class TestCurveCommand:
         out_file = tmp_path / "m.csv"
         code = cli.main([
             "curve", nonsimple_model_file, "--x=-2", "--y", "3", "--z", "1",
-            "--step", "0.25", "--horizon", "20", "--minus", "--out", str(out_file),
+            "--step", "1.0", "--horizon", "20", "--minus", "--out", str(out_file),
         ])
         assert code == 0
         model = load_model(nonsimple_model_file)
-        plus = taboo_cdf(model, TabooQuery((-2,), (3,), (1,)), TimeGrid(step=0.25, n_steps=80), strict=False)
-        xyz, xzy = (minus_from_plus(c, model, strict=False) for c in plus)
+        plus = taboo_cdf(model, TabooQuery((-2,), (3,), (1,)), TimeGrid(step=1.0, n_steps=20), strict=False)
+        xyz, xzy = (minus_from_plus(c, model, (-2,), t, strict=False) for c, t in zip(plus, ((3,), (1,))))
         want = list(dict.fromkeys(xyz.warnings + xzy.warnings))
         assert len(want) > len(xyz.warnings)  # H_xzy adds its own noise warning
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["warnings"] == want
         assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in want]
+
+    @pytest.mark.parametrize("z", [["--z", "0"], []], ids=["taboo", "hitting"])
+    def test_minus_first_row_is_the_atom(self, capsys, tmp_path, nonsimple_model_file, z):
+        out_file = tmp_path / "m.csv"
+        code, _ = run_cli(
+            capsys,
+            "curve", nonsimple_model_file,
+            "--x", "1", "--y", "3", *z,
+            "--step", "0.05", "--horizon", "3", "--minus", "--out", str(out_file),
+        )
+        assert code == 0
+        model = load_model(nonsimple_model_file)
+        targets = [(3,), (0,)] if z else [(3,)]
+        row = out_file.read_text().splitlines()[1].split(",")
+        assert float(row[0]) == 0.0
+        assert [float(v) for v in row[1 : 1 + len(targets)]] == [minus_atom(model, (1,), t) for t in targets]
 
     def test_row_format_matches_fmt_on_edge_values(self):
         col = np.array([0.0, -0.0, 1e-300, 5e-324, -1.5e300, 0.1, 1 / 3, np.inf, np.nan])

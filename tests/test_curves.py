@@ -413,20 +413,36 @@ def plus_curve(simple1d):
     return a
 
 
+def _first_jump_reference(model, q, grid):
+    """(H^-_{x,y,z}, H^-_{x,z,y}) on the grid by the first jump w from x:
+    H^-_{x,y,z} = sum_w (a(w)/a) [1{x+w = y} + 1{x+w not in {y, z}} H_{x+w,y,z}],
+    and the same with y and z exchanged; plus curves only, exact at t = 0."""
+    refs = np.zeros((2, grid.n_steps + 1))
+    for w, rate in model.jumps:
+        nxt = tuple(a + b for a, b in zip(q.x, w))
+        for ref, target in zip(refs, (q.y, q.z)):
+            if nxt == target:
+                ref += rate / model.a
+        if nxt not in (q.y, q.z):
+            pair = taboo_cdf(model, TabooQuery(nxt, q.y, q.z), grid)
+            refs += rate / model.a * np.array([c.values for c in pair])
+    return refs
+
+
 class TestMinusCurves:
 
     def test_limit_preserved(self, simple1d, plus_curve):
-        minus = minus_from_plus(plus_curve, simple1d)
+        minus = minus_from_plus(plus_curve, simple1d, (4,), (5,))
         assert minus.limit == plus_curve.limit
         assert minus.variant is Variant.MINUS
 
     def test_atom_recovered(self, simple1d, plus_curve):
-        minus = minus_from_plus(plus_curve, simple1d)
+        minus = minus_from_plus(plus_curve, simple1d, (4,), (5,))
         assert abs(minus.values[0] - 0.5) <= 1e-2
 
     def test_reconvolution_recovers_plus(self, simple1d, plus_curve):
         # plus(t) = int_0^t minus(t-u) a e^{-a u} du
-        minus = minus_from_plus(plus_curve, simple1d)
+        minus = minus_from_plus(plus_curve, simple1d, (4,), (5,))
         h = plus_curve.grid.step
         a = simple1d.a
         u_half = (np.arange(plus_curve.grid.n_steps) + 0.5) * h
@@ -443,7 +459,7 @@ class TestMinusCurves:
         grid = TimeGrid(step=0.02, n_steps=1500)
         q = TabooQuery((1,), (3,), (0,))
         plus, _ = taboo_cdf(nonsimple1d, q, grid)
-        minus = minus_from_plus(plus, nonsimple1d)
+        minus = minus_from_plus(plus, nonsimple1d, q.x, q.y)
         parts = {}
         for r in (2, -1):
             cur, _ = taboo_cdf(nonsimple1d, TabooQuery((r,), (3,), (0,)), grid)
@@ -456,6 +472,29 @@ class TestMinusCurves:
             )
             assert lhs == pytest.approx(rhs, abs=2e-3)
 
+    @pytest.mark.parametrize(
+        "walk, q",
+        [
+            ("nonsimple1d", TabooQuery((2,), (5,), (0,))),
+            ("diagonal2d", TabooQuery((1, 0), (0, 1), (0, 0))),
+            ("walk3d", TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))),
+        ],
+    )
+    def test_first_jump_reference_second_order(self, request, walk, q):
+        # exact atom at t = 0, and an error that falls by ~4 when the step halves
+        model = request.getfixturevalue(walk)
+        errs = []
+        for h in (0.05, 0.025):
+            grid = TimeGrid(step=h / model.a, n_steps=round(10 / h))
+            plus = taboo_cdf(model, q, grid)
+            minus = [minus_from_plus(c, model, q.x, t) for c, t in zip(plus, (q.y, q.z))]
+            refs = _first_jump_reference(model, q, grid)
+            for m, ref in zip(minus, refs):
+                assert m.values[0] == ref[0]
+            errs.append([np.max(np.abs(m.values - ref)) for m, ref in zip(minus, refs)])
+        for coarse, fine in zip(*errs):
+            assert 3.5 <= coarse / fine <= 4.5
+
     def test_noise_diagnostic(self, simple1d, plus_curve):
         # inject sawtooth noise above the 1% threshold
         noisy_vals = plus_curve.values.copy()
@@ -464,4 +503,4 @@ class TestMinusCurves:
             grid=plus_curve.grid, values=noisy_vals, limit=plus_curve.limit
         )
         with pytest.raises(StepTooCoarse):
-            minus_from_plus(noisy, simple1d)
+            minus_from_plus(noisy, simple1d, (4,), (5,))

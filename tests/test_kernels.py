@@ -15,7 +15,6 @@ from taboowalk import (
     TabooQuery,
     char_exponent,
     green_function,
-    k_kernel,
     rho,
     simple_walk_1d,
     spectral_scalars,
@@ -293,6 +292,12 @@ class TestFarDisplacements1d:
             assert 0.0 <= taboo_limit(model, q) <= 1.0
 
 
+def k_d(model, lam, r):
+    """K_d(lambda; r) = (G_0(0, r) - G_lambda(0, r)) / lambda, d >= 3."""
+    zero = (0,) * model.d
+    return (green_function(model, 0.0, zero, r).value - green_function(model, lam, zero, r).value) / lam
+
+
 class TestKKernel:
     def test_positive_and_oracle(self, walk3d):
         # time-domain oracle: K_d(lam;r) = int p(u;0,r) (1 - e^{-lam u})/lam du,
@@ -302,7 +307,7 @@ class TestKKernel:
         from taboowalk.quadrature import p_curves
 
         lam = 0.5
-        got = k_kernel(walk3d, lam, [0, 0, 0])
+        got = k_d(walk3d, lam, [0, 0, 0])
         assert got > 0
 
         horizon = 300.0
@@ -318,11 +323,7 @@ class TestKKernel:
         zero = [0, 0, 0]
         g0 = green_function(walk3d, 0.0, zero, zero).value
         lam = 1e3
-        assert k_kernel(walk3d, lam, zero) == pytest.approx(g0 / lam, rel=0.01)
-
-    def test_low_dimension_rejected(self, walk2d):
-        with pytest.raises(DivergentGreenFunction):
-            k_kernel(walk2d, 0.5, [0, 0])
+        assert k_d(walk3d, lam, zero) == pytest.approx(g0 / lam, rel=0.01)
 
 
 class TestTrigIdentity:

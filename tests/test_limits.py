@@ -8,15 +8,14 @@ from taboowalk import (
     QuadratureConfig,
     TabooQuery,
     TailOrder,
-    Variant,
     hitting_limit,
     hitting_tail,
     laplace_hitting,
     laplace_taboo,
+    minus_atom,
     rho,
     spectral_scalars,
     taboo_limit,
-    taboo_limit_minus,
     taboo_tail,
 )
 from taboowalk.limits import c1_constant, cd_constant
@@ -295,17 +294,17 @@ class TestC1AgainstTheorem2:
 
 
 class TestMinusVariants:
+    """The minus limit is the plus limit; minus_atom is the atom at t = 0."""
+
     def test_atom_with_direct_jump(self, simple1d):
-        lv = taboo_limit_minus(simple1d, TabooQuery((4,), (5,), (0,)))
-        assert lv.variant is Variant.MINUS
-        assert lv.value == 0.8
-        assert lv.atom_at_zero == 0.5
+        q = TabooQuery((4,), (5,), (0,))
+        assert taboo_limit(simple1d, q) == 0.8
+        assert minus_atom(simple1d, q.x, q.y) == 0.5
 
     def test_no_direct_jump(self, simple1d):
-        lv = taboo_limit_minus(simple1d, TabooQuery((2,), (5,), (0,)))
-        assert lv.value == 0.4
-        assert lv.atom_at_zero == 0.0
+        q = TabooQuery((2,), (5,), (0,))
+        assert taboo_limit(simple1d, q) == 0.4
+        assert minus_atom(simple1d, q.x, q.y) == 0.0
 
     def test_return_has_no_atom(self, nonsimple1d):
-        lv = taboo_limit_minus(nonsimple1d, TabooQuery((3,), (3,), (0,)))
-        assert lv.atom_at_zero == 0.0
+        assert minus_atom(nonsimple1d, (3,), (3,)) == 0.0

@@ -306,13 +306,12 @@ def minus_from_plus(curve: CdfCurve, model: WalkModel, x: Sequence[int], y: Sequ
     values = curve.values + np.gradient(curve.values, curve.grid.step, edge_order=2) / model.a
     values[0] = minus_atom(model, x, y)
     warnings = curve.warnings
-    if len(values) >= 3:
-        noise = float(np.max(np.abs(np.diff(values, 2))))
-        if noise > 0.01 * max(curve.limit, 1e-12):
-            msg = f"second-difference noise {noise:.3e} exceeds 1% of the limit"
-            if strict:
-                raise StepTooCoarse(msg)
-            warnings = warnings + ("step_too_coarse: " + msg,)
+    noise = float(np.max(np.abs(np.diff(values, 2))))  # TimeGrid has at least 3 points
+    if noise > 0.01 * max(curve.limit, 1e-12):
+        msg = f"second-difference noise {noise:.3e} exceeds 1% of the limit"
+        if strict:
+            raise StepTooCoarse(msg)
+        warnings = warnings + ("step_too_coarse: " + msg,)
     return CdfCurve(
         grid=curve.grid,
         values=values,

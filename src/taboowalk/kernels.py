@@ -1,16 +1,17 @@
-"""Torus-integral kernels: p(t;x,y), G_lambda(x,y), rho_d(x).
+"""Fourier kernels: p(t;x,y), G_lambda(x,y), rho_d(x).
 
-All three are Fourier integrals over [-pi, pi]^d built from the walk's
+All three are integrals over [-pi, pi]^d built from the walk's
 characteristic exponent phi.  This module holds their integrands, the
 core bounds of the shell integrals, and the value caches.  Kernel values are
 read by set: rho_values and green_values send the uncached nonzero
-displacements of one request to one shell integral, and rho and
-green_function are their one-element case; quadrature.py sizes and refines
-every grid.  The heat kernel p, the d = 1 potential kernel and the Lemma-5
-identity are smooth torus means.  Green's functions and the d = 2
-potential kernel are singular or sharply peaked at theta = 0 and are shell
-integrals.  In d >= 3 the walk is transient and rho_d(x) = a (G_0(0) -
-G_0(x)) (Spitzer, Principles of Random Walk), from the cached G_0 shells.
+displacements of one request to one ladder, and rho and green_function are
+their one-element case; quadrature.py sizes and refines every grid.  The
+heat kernel p, the d = 1 potential kernel and the Lemma-5 identity are
+smooth torus means.  In d <= 2, the theta_d integral of G_lambda is a sum
+of residues (Katsura et al., J. Math. Phys. 12, 1971): exact in d = 1, a
+one-axis theta_1 ladder for G_lambda and rho in d = 2.  In d >= 3 Green's
+functions are shell integrals, and the walk is transient: rho_d(x) = a (G_0(0)
+- G_0(x)) (Spitzer, Principles of Random Walk), from the cached G_0 shells.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import wraps
-from math import gamma as _gamma_fn, sqrt
+from math import comb, gamma as _gamma_fn, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergentGreenFunction, NotConverged
 from .model import WalkModel, as_vec, simple_walk_1d, spectral_scalars
-from .quadrature import Integrand, QuadratureConfig, default_config, shell_integral, torus_mean
+from .quadrature import (_CACHE, RESIDUE_ROUNDING, Integrand, QuadratureConfig, axis_integral,
+                         default_config, shell_integral, torus_mean)
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,69 @@ def _batched(compute):
     return lookup
 
 
+def _inner_roots(model: WalkModel, lam: float, n: int):
+    """(theta_1, w, 1/P'(w)) at the R roots of P(w) = w^R (lam - phi) in |w| < 1,
+    w = exp(i theta_d), R = max|z_d|: a row per midpoint theta_1 of (0, pi) in
+    d = 2, one row (theta_1 = 0) in d = 1.  lam - phi > 0 on |w| = 1, so R roots
+    lie inside.  They are found as 1 + u from P(1 + u) = sum_k q_k u^k, whose
+    coefficients do not cancel at the double root w = 1 of -phi at theta_1 = 0:
+    in closed form for R = 1, else from the eigenvalues of the companion
+    matrices; P'(w_k) = q_2R prod_{j != k} (u_k - u_j)."""
+
+    def build():
+        th = (2 * np.arange(n) + 1) * (np.pi / (2 * n)) if model.d == 2 else np.zeros(1)
+        big_r = max(abs(z[-1]) for z, _ in model.jumps)
+        binom = np.array([[comb(m, k) for k in range(2 * big_r + 1)] for m in range(2 * big_r + 1)])
+        q = lam * binom[big_r] + np.zeros((len(th), 1), complex)
+        for z, a in model.jumps:  # w^R (1 - e w^m) = (1 - e) w^R + e (w^R - w^(R + m))
+            e, x = np.exp(1j * z[0] * th)[:, None], 0.5 * z[0] * th
+            one_minus_e = (2.0 * np.sin(x) ** 2 - 1j * np.sin(2.0 * x))[:, None]
+            q += a * (one_minus_e * binom[big_r] + e * (binom[big_r] - binom[big_r + z[-1]]))
+        if big_r == 1:  # the root of the larger |t| first, then the other as q_0 / t
+            s = np.sqrt(q[:, 1] ** 2 - 4.0 * q[:, 0] * q[:, 2])
+            t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * s).real >= 0.0, s, -s))
+            u = np.stack([t / q[:, 2], q[:, 0] / t], axis=1)
+        else:
+            comp = np.zeros((len(th), 2 * big_r, 2 * big_r), complex)
+            comp[:, 0], comp[:, 1:, :-1] = -q[:, -2::-1] / q[:, -1:], np.eye(2 * big_r - 1)
+            u = np.linalg.eigvals(comp)
+        u = np.take_along_axis(u, np.argsort(np.abs(1.0 + u), axis=1), axis=1)
+        w, diff = 1.0 + u[:, :big_r], u[:, :big_r, None] - u[:, None, :]
+        diff[:, range(big_r), range(big_r)] = 1.0
+        ip = 1.0 / (q[:, -1:] * diff.prod(axis=2))
+        for v in (th, w, ip):
+            v.setflags(write=False)
+        yield th, w, ip
+
+    return _CACHE.get(("residue", model, lam, n), 1, n, build)[0]
+
+
+def _residue_means(model: WalkModel, lam: float, n: int, rs) -> list:
+    """J_0, then J_r for each r of rs: the mean over the rows of _inner_roots of
+    (2 pi)^-1 * integral over theta_d of exp(i r.theta) / (lam - phi), which is
+    the residue sum exp(+-i r_1 theta_1) sum_k w_k^(|r_d| + R - 1) / P'(w_k),
+    the sign that of r_d.  In d = 1 (n = 1) J_r is G_lambda(0, r) exactly."""
+    th, w, ip = _inner_roots(model, lam, n)
+    out = []
+    for r in ((0,) * model.d, *rs):
+        col = (w ** (abs(r[-1]) + w.shape[1] - 1) * ip).sum(axis=1)
+        if model.d == 2 and r[0]:
+            col = col * np.exp(1j * (r[0] if r[-1] >= 0 else -r[0]) * th)
+        out.append(float(np.mean(col.real)))
+    return out
+
+
 @_batched
 def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple) -> list:
     d = model.d
+    if d == 1:  # a finite residue sum, exact up to rounding
+        return [(g, RESIDUE_ROUNDING * abs(g)) for g in _residue_means(model, lam, 1, rs)[1:]]
+    if d == 2:  # even, periodic and analytic in theta_1 for lam > 0: order 0, scaled by J_0
+        def means(n, ks):
+            j0, *js = _residue_means(model, lam, n, ks)
+            return [np.array((j, j0)) for j in js]
+
+        return axis_integral("green_function", means, rs, cfg.rel_tol, 0)
     eig = np.linalg.eigvalsh(spectral_scalars(model).hessian)
     sig_min, sig_max = float(eig[0]), float(eig[-1])
     omega = 2.0 * np.pi ** (d / 2.0) / _gamma_fn(d / 2.0)
@@ -138,7 +200,7 @@ def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None 
     """G_lambda(0, r) for every r of rs, as KernelValues.
 
     G_lambda(0, 0), which scales the others, is read first; the uncached
-    nonzero displacements then go to one shell integral.  lambda = 0 (the
+    nonzero displacements then go to one ladder.  lambda = 0 (the
     Green's function proper) is finite only for d >= 3; requesting it in
     d <= 2 raises DivergentGreenFunction.
     """
@@ -170,20 +232,19 @@ def green_function(
 
 @_batched
 def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
-    # d <= 2: a (cos(r.theta) - 1) / phi
+    # a (cos(r.theta) - 1) / phi
     a = model.total_rate
-    integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
     if model.d == 1:
         # ratio of analytic functions with matching double zeros: smooth
         # and periodic, so the plain midpoint rule is spectrally accurate
+        integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
         return [torus_mean("rho", model, integrand, r, cfg) for r in rs]
 
-    sig_min = float(np.linalg.eigvalsh(spectral_scalars(model).hessian)[0])
+    def means(n, ks):  # a (J_0 - J_r) at lam = 0, a |theta_1| cusp at 0: order 2
+        j0, *js = _residue_means(model, 0.0, n, ks)
+        return [a * (j0 - j) for j in js]
 
-    def core(half, r):  # |1 - cos(x.theta)| / (-phi) <= a |x|^2 / sig_min near 0
-        return 0.0, (2.0 * half) ** model.d * a * float(sum(c * c for c in r)) / sig_min
-
-    return shell_integral("rho", model, integrand, rs, cfg.rel_tol, core)
+    return axis_integral("rho", means, rs, cfg.rel_tol, 2)
 
 
 def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> list:
@@ -191,7 +252,7 @@ def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> lis
 
     For x != 0 this is a (2 pi)^-d integral of a (cos(x,theta) - 1)/phi(theta);
     the integrand has a finite limit at theta = 0 which the midpoint grids
-    never sample.  The uncached nonzero x go to one shell integral in d = 2.
+    never sample.  The uncached nonzero x go to one theta_1 ladder in d = 2.
     In d >= 3 it equals a (G_0(0) - G_0(x)), from one green_values read.
     """
     zero = (0,) * model.d

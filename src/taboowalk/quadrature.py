@@ -1,14 +1,14 @@
-"""The grid engine: every torus, shell and heat-kernel quadrature, and every
-decision on how a grid is sized and refined until it meets its tolerance.
+"""The grid engine: every torus, shell, one-axis and heat-kernel quadrature,
+and every decision on how a grid is sized and refined until it meets its tolerance.
 
-Every kernel is a midpoint sum over the grid of a box [-s, s]^d: the torus
-(s = pi) for smooth integrands, or dyadic shells [-s, s]^d minus
-[-s/2, s/2]^d with Richardson extrapolation for kernels singular or
-peaked at the origin.  Each integrand is affine in c = cos(r.theta), a
-pair (g, k) of functions of phi summed as sum g(phi) c + sum k(phi).  As
-exp(i s u.r) = prod_j exp(i s r_j u_j) on the tensor grid, the c-part is a
-contraction of the array g(phi), which does not depend on r, with d
-per-axis vectors of n phases (sum factorisation, Orszag 1980): no
+A torus or shell kernel is a midpoint sum over the grid of a box [-s, s]^d:
+the torus (s = pi) for smooth integrands, or, in d >= 3, dyadic shells
+[-s, s]^d minus [-s/2, s/2]^d with Richardson extrapolation for kernels
+singular or peaked at the origin.  Each integrand is affine in c =
+cos(r.theta), a pair (g, k) of functions of phi summed as sum g(phi) c + sum
+k(phi).  As exp(i s u.r) = prod_j exp(i s r_j u_j) on the tensor grid, the
+c-part is a contraction of the array g(phi), which does not depend on r, with
+d per-axis vectors of n phases (sum factorisation, Orszag 1980): no
 cos(r.theta) is evaluated on the grid.
 
 Only the half grid u_0 > 0 is summed, then doubled: phi, g, k and c are
@@ -19,23 +19,24 @@ at shell points only and g is zero on the inner box.  phi comes from
 per-axis phases too: a one-axis jump is one broadcast add, any other a
 product telescoped over its axes; no sine is taken per grid point.
 
-One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks and,
-per integrand key, g blocks with the sum of g + k.  phi enters at the
-eviction end, so it stays only while there is room or a second kernel
-reads it.  A grid with more than a quarter of the budget in one array is
-streamed block by block and never kept.  Block sums are added exactly
-(math.fsum), so results repeat bit for bit.
+One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks, per
+integrand key g blocks with the sum of g + k, and the residue roots of the
+one-axis kernels.  phi enters at the eviction end, so it stays only while
+there is room or a second kernel reads it.  A grid with more than a quarter
+of the budget in one array is streamed block by block and never kept.
+Block sums are added exactly (math.fsum), so results repeat bit for bit.
 
 Refinement policy; a result that misses its tolerance raises NotConverged.
 One driver, ``_refine``, doubles every grid over a capped number of levels,
 one ladder per entry, each entry frozen at the level where it would stop
 alone.  ``torus_mean`` runs order 0 (the last sum) from ``torus_points`` =
 max(cfg.points_per_axis, 4 max|r_j|) points per axis, as below n = |r_j|
-every level aliases r_j to r_j mod n.  ``shell_integral`` adds shells
-s = pi 2^-m, each an order-2 (Richardson) ladder of its displacements, until
-the analytic core bound is negligible.  ``p_curves`` probes its rows at 8
-times ending at the last, order 0, and takes the curve on the coarser grid
-of the last pair.
+every level aliases r_j to r_j mod n.  ``axis_integral`` (d = 2) runs each
+entry from its own floor, 16 * 2^k >= 4 max|r_j|, up to ``_AXIS_POINTS``.
+``shell_integral`` (d >= 3) adds shells s = pi 2^-m, each an order-2
+(Richardson) ladder of its displacements, until the analytic core bound is
+negligible.  ``p_curves`` probes its rows at 8 times ending at the last,
+order 0, and takes the curve on the coarser grid of the last pair.
 Its grid sum is one GEMM per sub-block of phi points, rows (r, t_b) against
 columns of exp(phi tau) offsets, so the exp table is read once.
 """
@@ -56,6 +57,8 @@ from .model import WalkModel
 
 # Soak up rounding noise when an integrand is essentially zero.
 ABS_FLOOR = 1e-13
+# Relative rounding of a residue sum or mean: a few ulps of the mass it sums.
+RESIDUE_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 # Points per block: 512 KB per float array keeps the temporaries of a block,
 # and with them the peak memory of a streamed grid, small.
@@ -64,17 +67,19 @@ _BLOCK_POINTS = 1 << 16
 CACHE_BYTES = 64 << 20
 # Doubles in the rows and columns of one heat-kernel GEMM; bounds the peak memory.
 _EXP_BLOCK = 1 << 18
-# Shells per shell integral, points per axis at a ladder's first level, and
-# the ladder's level cap per dimension (3 above d = 3).
+# Shells per shell integral, points per axis at a ladder's first level, the
+# shell ladder's level cap (3 above d = 3), and the one-axis ladder's cap in points.
 _MAX_SHELLS = 62
 _SHELL_N0 = 16
-_SHELL_LEVELS = {1: 9, 2: 7, 3: 5}
+_SHELL_LEVELS = {3: 5}
+_AXIS_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Grid resolution and tolerance for the torus quadratures; refinement_limit
-    caps torus means and p-curves, not shell ladders, which _SHELL_LEVELS caps."""
+    caps torus means and p-curves.  The shell ladders (d >= 3) and the one-axis
+    ladders (d = 2) have their own level caps, _SHELL_LEVELS and _AXIS_POINTS."""
 
     points_per_axis: int = 256
     refinement_limit: int = 4
@@ -337,9 +342,32 @@ def torus_mean(
     return val, err
 
 
+def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, order: int) -> list:
+    """One-axis integrals for each r of rs, as (value, est_error) or its
+    NotConverged; means(n, rs) gives their means on n midpoints.  Each entry
+    runs its own ladder, so its value does not depend on the set it is read
+    with.  A mean may be an array: its first element is the value, and the
+    others, which must converge with it, scale its tolerance and its error,
+    which is at least RESIDUE_ROUNDING times that scale."""
+    floors: dict = {}
+    for r in rs:  # the first 16 * 2^k >= 4 max|r_j|
+        k = max(0, (max(map(abs, r)) - 1) // 4).bit_length()
+        floors.setdefault(_SHELL_N0 << k, []).append(r)
+    out = {}
+    for n0, group in floors.items():
+        vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), n0,
+                                  max(1, (_AXIS_POINTS // n0).bit_length()),
+                                  [0.0] * len(group), rel_tol, order)
+        for r, v, e, ok in zip(group, vals, errs, oks):
+            scale, v = _size(v), float(np.ravel(v)[0])
+            e = max(e, RESIDUE_ROUNDING * scale)
+            out[r] = (v, e) if ok and e <= rel_tol * scale else _not_converged(name, v, e)
+    return [out[r] for r in rs]
+
+
 def shell_integral(name, model, integrand, rs, rel_tol, core_fn, scale_hints=None):
     """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand toward 0,
-    for each displacement r of rs, one vector ladder per shell.
+    for each displacement r of rs, one vector ladder per shell; d >= 3.
 
     core_fn(half_width, r) gives the estimate for the remaining central box
     and a bound on its error; an entry stops once that bound is negligible

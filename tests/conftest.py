@@ -27,3 +27,17 @@ def walk3d():
 @pytest.fixture(scope="session")
 def diagonal2d():
     return validate_model(2, {(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05})
+
+
+@pytest.fixture(scope="session")
+def crossed2d():
+    # the coefficient of exp(i theta_2) in phi, 2 a cos(theta_1) with a = 1/6,
+    # vanishes at theta_1 = pi/2
+    return validate_model(2, {(1, 0): 1 / 6, (1, 1): 1 / 6, (-1, 1): 1 / 6})
+
+
+@pytest.fixture(scope="session")
+def long2d():
+    # |z_2| up to 2; the coefficient of exp(2 i theta_2) vanishes at theta_1 = pi/2,
+    # and (1, 1) without (1, -1) makes rho(x_1, x_2) differ from rho(x_1, -x_2)
+    return validate_model(2, {(1, 0): 0.2, (0, 1): 0.15, (1, 1): 0.05, (1, 2): 0.05, (-1, 2): 0.05})

@@ -129,12 +129,31 @@ class TestTransitionProbability:
 class TestGreenFunction:
     def test_1d_closed_form(self, simple1d):
         # accuracy is relative to G_lam(0,0); far values decay exponentially
-        for lam in (0.3, 1.0, 4.0):
+        for lam in (1e-9, 0.3, 1.0, 4.0):
             scale = g1d_closed(lam, 0)
             for x in (0, 1, 3):
                 got = green_function(simple1d, lam, [0], [x]).value
                 want = g1d_closed(lam, x)
                 assert abs(got - want) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("k", [0, 8, 16, 30])
+    def test_1d_against_adaptive_quadrature(self, nonsimple1d, k):
+        # G_lam(0, r) = (1/pi) int_0^pi cos(r t) / (lam - phi(t)) dt, with the
+        # peak at t = 0, of width ~ sqrt(lam), split off
+        lam = nonsimple1d.a * 2.0**-k
+        edges = (0.0, math.sqrt(lam), math.pi)
+
+        def want(r):
+            def f(t):
+                return math.cos(r * t) / (lam - char_exponent(nonsimple1d, [t]))
+
+            parts = [quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                     for lo, hi in zip(edges, edges[1:])]
+            return math.fsum(parts) / math.pi
+
+        scale = want(0)
+        for r in (0, 1, 2, 7):
+            assert abs(green_function(nonsimple1d, lam, [0], [r]).value - want(r)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_nonfinite_lambda_rejected(self, simple1d, walk3d, lam):
@@ -207,6 +226,14 @@ class TestRho:
         assert rho(walk2d, [1, 1]) == pytest.approx(4.0 / math.pi, rel=1e-8)
         assert rho(walk2d, [2, 0]) == pytest.approx(4.0 - 8.0 / math.pi, rel=1e-7)
 
+    @pytest.mark.parametrize("x", [(20, 0), (50, 0), (30, -20)])
+    def test_2d_log_asymptote(self, diagonal2d, x):
+        # rho(x) = 2 a gamma_2 ln|x|_Q + kappa + O(|x|^-2) (Fukai & Uchiyama,
+        # Ann. Probab. 1996): doubling x adds 2 a gamma_2 ln 2
+        c = 2.0 * diagonal2d.a * spectral_scalars(diagonal2d).gamma_d
+        gap = rho(diagonal2d, tuple(2 * v for v in x)) - rho(diagonal2d, x)
+        assert abs(gap - c * math.log(2.0)) <= 1e-6
+
     def test_positive_and_even(self, nonsimple1d, walk2d):
         assert rho(nonsimple1d, [1]) > 0
         assert rho(nonsimple1d, [2]) == rho(nonsimple1d, [-2])
@@ -222,7 +249,8 @@ class TestRho:
             )
             assert rho(walk3d, x) == pytest.approx(walk3d.a * g_diff, rel=1e-5)
 
-    @pytest.mark.parametrize("walk, x", [("nonsimple1d", (3,)), ("walk2d", (2, 1)), ("walk3d", (1, 1, 0))])
+    @pytest.mark.parametrize("walk, x", [("nonsimple1d", (3,)), ("walk2d", (2, 1)), ("walk3d", (1, 1, 0)),
+                                         ("crossed2d", (1, 0)), ("long2d", (1, -1))])
     def test_generator_equation(self, walk, x, request):
         # rho~ = rho with rho~(0) = 0 solves sum_z a(z) rho~(v + z) - a rho~(v) = a delta_{v,0};
         # no Green's function enters this check
@@ -360,20 +388,29 @@ class TestConfig:
 @contextlib.contextmanager
 def _grids_per_displacement():
     """Record, per displacement, the (s, n) grid of every midpoint sum that
-    the shell ladders take of it: its shells and Romberg levels."""
+    the shell ladders take of it: its shells and Romberg levels; and the n of
+    every theta_1 grid that the d = 2 axis ladders take of it."""
     grids = collections.defaultdict(list)
-    orig = quadrature.midpoint_sum
+    orig, orig_axis = quadrature.midpoint_sum, kernels.axis_integral
 
     def spy(model, integrand, r, s, n, shell=False):
         for row in np.reshape(r, (-1, model.d)):
             grids[tuple(int(c) for c in row)].append((s, n))
         return orig(model, integrand, r, s, n, shell)
 
-    quadrature.midpoint_sum = spy
+    def axis_spy(name, means, rs, *args):
+        def spied(n, ks):
+            for r in ks:
+                grids[tuple(r)].append(n)
+            return means(n, ks)
+
+        return orig_axis(name, spied, rs, *args)
+
+    quadrature.midpoint_sum, kernels.axis_integral = spy, axis_spy
     try:
         yield grids
     finally:
-        quadrature.midpoint_sum = orig
+        quadrature.midpoint_sum, kernels.axis_integral = orig, orig_axis
 
 
 def _clear_value_caches():
@@ -436,17 +473,18 @@ class TestVectorLadder:
             assert abs(a - b) <= 1e-14 * abs(a)
 
     def test_far_entry_fails_alone(self, diagonal2d, monkeypatch):
-        # (75, -5) hits the level cap (far d = 2 displacements have no grid
-        # floor yet); the near entries of its batch are still cached
+        # a level cap of 256 points lies below the grid floor of (75, -5), 512,
+        # so it fails; the near entries of its batch are still cached
         near = [(1, 2), (3, -1)]
         _clear_value_caches()
+        monkeypatch.setattr(quadrature, "_AXIS_POINTS", 256)
         with pytest.raises(NotConverged):
             kernels.rho_values(diagonal2d, [near[0], (75, -5), near[1]])
 
         def no_quadrature(*args, **kwargs):
             raise LookupError("not cached")
 
-        monkeypatch.setattr(kernels, "shell_integral", no_quadrature)
+        monkeypatch.setattr(kernels, "axis_integral", no_quadrature)
         got = {x: rho(diagonal2d, x) for x in near}
         with pytest.raises(LookupError):
             rho(diagonal2d, (75, -5))
@@ -503,15 +541,17 @@ class TestSetReads:
 
     @pytest.mark.parametrize("walk, lam", [("diagonal2d", 0.25), ("walk3d", 0.0)])
     def test_one_shell_integral_per_set(self, walk, lam, request, monkeypatch):
+        # the shell ladders in d >= 3, the theta_1 ladders in d = 2
         model = request.getfixturevalue(walk)
         d, calls = model.d, []
-        orig = kernels.shell_integral
+        ladder, rs_at = ("shell_integral", 2) if d >= 3 else ("axis_integral", 1)
+        orig = getattr(kernels, ladder)
 
-        def spy(name, model, integrand, rs, *args, **kwargs):
-            calls.append((name, tuple(rs)))
-            return orig(name, model, integrand, rs, *args, **kwargs)
+        def spy(name, *args, **kwargs):
+            calls.append((name, tuple(args[rs_at])))
+            return orig(name, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "shell_integral", spy)
+        monkeypatch.setattr(kernels, ladder, spy)
         zero, e1 = (0,) * d, (1,) + (0,) * (d - 1)
         r, s = (1, 2) + (0,) * (d - 2), (2, -1) + (1,) * (d - 2)
         neg = tuple(-c for c in r)

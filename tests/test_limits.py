@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taboowalk import (
     InvalidQuery,
@@ -308,3 +310,24 @@ class TestMinusVariants:
 
     def test_return_has_no_atom(self, nonsimple1d):
         assert minus_atom(nonsimple1d, (3,), (3,)) == 0.0
+
+
+NEAR_2D = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+FAR_2D = st.tuples(*[st.integers(-100, 100)] * 2).filter(lambda v: max(map(abs, v)) >= 20)
+
+
+class TestFarQueries2d:
+    """Far d = 2 starts or targets, |x - z|_inf or |y - z|_inf in [20, 100]: no
+    NotConverged, and limits that are probabilities of disjoint events."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(far=FAR_2D, near=NEAR_2D, z=NEAR_2D, far_x=st.booleans())
+    def test_limits_are_probabilities(self, diagonal2d, far, near, z, far_x):
+        far = tuple(a + b for a, b in zip(far, z))
+        x, y = (far, near) if far_x else (near, far)
+        if y == z:
+            return
+        q = TabooQuery(x, y, z)
+        h_xyz, h_xzy = taboo_limit(diagonal2d, q), taboo_limit(diagonal2d, q.swapped())
+        assert 0.0 <= h_xyz <= 1.0 and 0.0 <= h_xzy <= 1.0
+        assert h_xyz + h_xzy <= 1.0 + 1e-12

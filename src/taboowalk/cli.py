@@ -227,15 +227,14 @@ def _cmd_simulate(args, model, cfg, x, y, z):
 
 def _suite_rows_identities(model, cfg):
     rows = []
-    for x in range(1, 11):
-        # a quadrature on Z: only a d = 1 model's config applies to it
-        got = trig_identity_check(x, cfg if model.d == 1 else None)
+    for x in range(1, 11):  # rho of the simple walk on Z, whatever the model
+        got = trig_identity_check(x)
         want = 2.0 * np.pi * x
         rows.append((f"trig x={x}", got, want, 1e-8 * want, abs(got - want) <= 1e-8 * want))
-    if is_simple_1d(model):
+    if is_simple_1d(model):  # rho(x) = |x| exactly (Lemma 5)
         for x in (1, 3, 7, -5):
             got = rho(model, (x,), cfg)
-            rows.append((f"rho({x})", got, abs(x), 1e-6, abs(got - abs(x)) <= 1e-6))
+            rows.append((f"rho({x})", got, abs(x), 0.0, got == abs(x)))
     rho0 = rho(model, (0,) * model.d, cfg)
     rows.append(("rho(0)", rho0, 1.0, 0.0, rho0 == 1.0))
     p0 = transition_probability(model, 0.0, (0,) * model.d, (0,) * model.d, cfg).value

@@ -6,10 +6,9 @@ core bounds of the shell integrals, and the value caches.  Kernel values are
 read by set: rho_values and green_values send the uncached nonzero
 displacements of one request to one ladder, and rho and green_function are
 their one-element case; quadrature.py sizes and refines every grid.  The
-heat kernel p, the d = 1 potential kernel and the Lemma-5 identity are
-smooth torus means.  In d <= 2, the theta_d integral of G_lambda is a sum
-of residues (Katsura et al., J. Math. Phys. 12, 1971): exact in d = 1, a
-one-axis theta_1 ladder for G_lambda and rho in d = 2.  In d >= 3 Green's
+heat kernel p is a smooth torus mean.  In d <= 2, the theta_d integrals of
+G_lambda and rho are sums of residues (Katsura et al., J. Math. Phys. 12,
+1971): exact in d = 1, a one-axis theta_1 ladder in d = 2.  In d >= 3 Green's
 functions are shell integrals, and the walk is transient: rho_d(x) = a (G_0(0)
 - G_0(x)) (Spitzer, Principles of Random Walk), from the cached G_0 shells.
 """
@@ -112,13 +111,15 @@ def _batched(compute):
 
 
 def _inner_roots(model: WalkModel, lam: float, n: int):
-    """(theta_1, w, 1/P'(w)) at the R roots of P(w) = w^R (lam - phi) in |w| < 1,
-    w = exp(i theta_d), R = max|z_d|: a row per midpoint theta_1 of (0, pi) in
-    d = 2, one row (theta_1 = 0) in d = 1.  lam - phi > 0 on |w| = 1, so R roots
-    lie inside.  They are found as 1 + u from P(1 + u) = sum_k q_k u^k, whose
-    coefficients do not cancel at the double root w = 1 of -phi at theta_1 = 0:
-    in closed form for R = 1, else from the eigenvalues of the companion
-    matrices; P'(w_k) = q_2R prod_{j != k} (u_k - u_j)."""
+    """(theta_1, w, -1/psi(w)) at the roots of P(w) = w^R (lam - phi) in |w| < 1,
+    w = exp(i theta_d), R = max|z_d|, psi = w dphi/dw: a row per midpoint theta_1
+    of (0, pi) in d = 2, one row (theta_1 = 0) in d = 1.  R roots lie inside, or
+    R - 1 at lam = 0 in d = 1, where -phi has the double root w = 1.  They are
+    found as 1 + u from P(1 + u) = sum_k q_k u^k, whose coefficients do not
+    cancel near w = 1 (q_0 = q_1 = 0 at that double root are dropped): in closed
+    form for two roots, else as companion-matrix eigenvalues.  One Newton step
+    in log w polishes each root, with phi = sum 4 a(z) sinh^2(x/2) and psi =
+    sum 2 a(z) z_d sinh(x) over the pairs +-z, x = i z_1 theta_1 + z_d log w."""
 
     def build():
         th = (2 * np.arange(n) + 1) * (np.pi / (2 * n)) if model.d == 2 else np.zeros(1)
@@ -129,18 +130,29 @@ def _inner_roots(model: WalkModel, lam: float, n: int):
             e, x = np.exp(1j * z[0] * th)[:, None], 0.5 * z[0] * th
             one_minus_e = (2.0 * np.sin(x) ** 2 - 1j * np.sin(2.0 * x))[:, None]
             q += a * (one_minus_e * binom[big_r] + e * (binom[big_r] - binom[big_r + z[-1]]))
-        if big_r == 1:  # the root of the larger |t| first, then the other as q_0 / t
+        if lam == 0.0 and model.d == 1:  # both 0 by symmetry, so dropped untested
+            q = q[:, 2:]
+        deg, u = q.shape[1] - 1, np.zeros((len(th), 0), complex)  # no root for deg = 0
+        if deg == 2:  # the root of the larger |t| first, then the other as q_0 / t
             s = np.sqrt(q[:, 1] ** 2 - 4.0 * q[:, 0] * q[:, 2])
             t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * s).real >= 0.0, s, -s))
             u = np.stack([t / q[:, 2], q[:, 0] / t], axis=1)
-        else:
-            comp = np.zeros((len(th), 2 * big_r, 2 * big_r), complex)
-            comp[:, 0], comp[:, 1:, :-1] = -q[:, -2::-1] / q[:, -1:], np.eye(2 * big_r - 1)
+        elif deg:
+            comp = np.zeros((len(th), deg, deg), complex)
+            comp[:, 0], comp[:, 1:, :-1] = -q[:, -2::-1] / q[:, -1:], np.eye(deg - 1)
             u = np.linalg.eigvals(comp)
-        u = np.take_along_axis(u, np.argsort(np.abs(1.0 + u), axis=1), axis=1)
-        w, diff = 1.0 + u[:, :big_r], u[:, :big_r, None] - u[:, None, :]
-        diff[:, range(big_r), range(big_r)] = 1.0
-        ip = 1.0 / (q[:, -1:] * diff.prod(axis=2))
+        u = np.take_along_axis(u, np.argsort(np.abs(1.0 + u), axis=1), axis=1)[:, : deg // 2]
+        log_w = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag**2) + 1j * np.arctan2(u.imag, 1.0 + u.real)
+        pairs = [(z[-1], a, 1j * z[0] * th[:, None]) for z, a in model.jumps if z > tuple(-c for c in z)]
+
+        def phi_psi(log_w):
+            x = [(m * log_w + phase, a, m) for m, a, phase in pairs]
+            return (sum(4.0 * a * np.sinh(0.5 * v) ** 2 for v, a, _ in x),
+                    sum(2.0 * a * m * np.sinh(v) for v, a, m in x))
+
+        phi, psi = phi_psi(log_w)
+        log_w = log_w + (lam - phi) / psi
+        w, ip = np.exp(log_w), -1.0 / phi_psi(log_w)[1]
         for v in (th, w, ip):
             v.setflags(write=False)
         yield th, w, ip
@@ -148,30 +160,34 @@ def _inner_roots(model: WalkModel, lam: float, n: int):
     return _CACHE.get(("residue", model, lam, n), 1, n, build)[0]
 
 
-def _residue_means(model: WalkModel, lam: float, n: int, rs) -> list:
-    """J_0, then J_r for each r of rs: the mean over the rows of _inner_roots of
-    (2 pi)^-1 * integral over theta_d of exp(i r.theta) / (lam - phi), which is
-    the residue sum exp(+-i r_1 theta_1) sum_k w_k^(|r_d| + R - 1) / P'(w_k),
-    the sign that of r_d.  In d = 1 (n = 1) J_r is G_lambda(0, r) exactly."""
+def _residue_sums(model: WalkModel, lam: float, n: int, rs) -> list:
+    """(J_r, its rounding bound in d = 1, else 0) for each r of rs: the mean over
+    the rows of _inner_roots of (2 pi)^-1 * integral over theta_d of
+    exp(i r.theta) / (lam - phi), the residue sum exp(+-i r_1 theta_1) sum_k
+    w_k^|r_d| / -psi(w_k), the sign that of r_d.  In d = 1 (n = 1) that is exact
+    but for rounding: a root error of a few ulps grows |r| times in w^|r| and
+    about R times in psi, hence the bound RESIDUE_ROUNDING (|r| + R) sum_k |term_k|."""
     th, w, ip = _inner_roots(model, lam, n)
-    out = []
-    for r in ((0,) * model.d, *rs):
-        col = (w ** (abs(r[-1]) + w.shape[1] - 1) * ip).sum(axis=1)
+    big_r, out = max(abs(z[-1]) for z, _ in model.jumps), []
+    for r in rs:
+        terms = w ** abs(r[-1]) * ip
+        col = terms.sum(axis=1)
         if model.d == 2 and r[0]:
             col = col * np.exp(1j * (r[0] if r[-1] >= 0 else -r[0]) * th)
-        out.append(float(np.mean(col.real)))
+        bound = RESIDUE_ROUNDING * (abs(r[0]) + big_r) * float(np.abs(terms).sum()) if model.d == 1 else 0.0
+        out.append((float(np.mean(col.real)), bound))
     return out
 
 
 @_batched
 def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple) -> list:
     d = model.d
-    if d == 1:  # a finite residue sum, exact up to rounding
-        return [(g, RESIDUE_ROUNDING * abs(g)) for g in _residue_means(model, lam, 1, rs)[1:]]
+    if d == 1:  # a finite residue sum
+        return _residue_sums(model, lam, 1, rs)
     if d == 2:  # even, periodic and analytic in theta_1 for lam > 0: order 0, scaled by J_0
         def means(n, ks):
-            j0, *js = _residue_means(model, lam, n, ks)
-            return [np.array((j, j0)) for j in js]
+            (j0, _), *js = _residue_sums(model, lam, n, ((0, 0), *ks))
+            return [np.array((j, j0)) for j, _ in js]
 
         return axis_integral("green_function", means, rs, cfg.rel_tol, 0)
     eig = np.linalg.eigvalsh(spectral_scalars(model).hessian)
@@ -234,15 +250,15 @@ def green_function(
 def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
     # a (cos(r.theta) - 1) / phi
     a = model.total_rate
-    if model.d == 1:
-        # ratio of analytic functions with matching double zeros: smooth
-        # and periodic, so the plain midpoint rule is spectrally accurate
-        integrand = Integrand(("rho", a), lambda ph: a / ph, lambda ph: -a / ph)
-        return [torus_mean("rho", model, integrand, r, cfg) for r in rs]
+    if model.d == 1:  # |r| a/B, half the residue at w = 1 on the circle, + a (J_0 - J_r)
+        slope = a / sum(rate * z[0] ** 2 for z, rate in model.jumps)
+        (j0, e0), *js = _residue_sums(model, 0.0, 1, ((0,), *rs))
+        return [(abs(r[0]) * slope + a * (j0 - j), RESIDUE_ROUNDING * abs(r[0]) * slope + a * (e0 + e))
+                for r, (j, e) in zip(rs, js)]
 
     def means(n, ks):  # a (J_0 - J_r) at lam = 0, a |theta_1| cusp at 0: order 2
-        j0, *js = _residue_means(model, 0.0, n, ks)
-        return [a * (j0 - j) for j in js]
+        (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks))
+        return [a * (j0 - j) for j, _ in js]
 
     return axis_integral("rho", means, rs, cfg.rel_tol, 2)
 
@@ -250,10 +266,11 @@ def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
 def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> list:
     """Potential-kernel values rho_d(x) for every x of xs; rho_d(0) = 1 by definition.
 
-    For x != 0 this is a (2 pi)^-d integral of a (cos(x,theta) - 1)/phi(theta);
-    the integrand has a finite limit at theta = 0 which the midpoint grids
-    never sample.  The uncached nonzero x go to one theta_1 ladder in d = 2.
-    In d >= 3 it equals a (G_0(0) - G_0(x)), from one green_values read.
+    For x != 0 this is a (2 pi)^-d integral of a (cos(x,theta) - 1)/phi(theta).
+    In d = 1 it is the residue sum |x| a/B + a (J_0 - J_x), B = sum a(z) z^2,
+    so rho(x) = |x| exactly on the nearest-neighbor walk.  The uncached
+    nonzero x go to one theta_1 ladder in d = 2.  In d >= 3 it equals
+    a (G_0(0) - G_0(x)), from one green_values read.
     """
     zero = (0,) * model.d
     rs = [canonical_diff(zero, x, model.d) for x in xs]
@@ -277,12 +294,11 @@ def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None)
 # ---------------------------------------------------------------------------
 
 def trig_identity_check(x: int, cfg: QuadratureConfig | None = None) -> float:
-    """Quadrature of integral over [-pi,pi] of (1 - cos(x theta))/(1 - cos theta).
+    """Integral over [-pi,pi] of (1 - cos(x theta))/(1 - cos theta), exactly 2 pi x.
 
-    The exact value is 2 pi x; the integrand is the degree-(x-1) Fejer-type
-    trigonometric polynomial, so the periodic midpoint rule is exact up to
-    rounding once the grid exceeds the degree.  It is 2 pi rho(x) for the
-    simple walk with a = 1, whose phi is cos(theta) - 1.
+    It is 2 pi rho(x) for the simple walk with a = 1, whose phi is
+    cos(theta) - 1.  That walk has R = 1, so no root lies inside the circle
+    and the residue formula is x a/B = x, exact in floating point.
     """
     if not isinstance(x, (int, np.integer)) or x < 1:
         raise ValueError("x must be a positive integer")

@@ -2,7 +2,9 @@
 
 Everything here is a finite arithmetic combination of the potential kernel
 rho_d, the spectral scalar gamma_d, and (for d >= 3) Green's-function values;
-the nearest-neighbor walk on Z is dispatched to its exact piecewise forms.
+the nearest-neighbor walk on Z is dispatched to its exact piecewise tails.
+Its limits need no dispatch: rho(x) = |x| exactly (Lemma 5), so the rho-ratio
+formula gives Theorem 2's rationals, each one correctly rounded division.
 The Laplace-Stieltjes transforms of the hitting and taboo c.d.f.s come from
 G_lambda.  In d >= 3, G_0 is finite, and the transforms at lambda = 0 are
 the limits: hitting_limit and taboo_limit take them from there.
@@ -152,19 +154,6 @@ def hitting_tail(
 # taboo limits (Theorems 1 and 2)
 # ---------------------------------------------------------------------------
 
-def _simple_taboo_limit(X: int, Y: int) -> float:
-    """Exact piecewise limit for the nearest-neighbor walk, z shifted to 0."""
-    if X == 0:
-        return 1.0 / (2.0 * abs(Y))
-    if X == Y:
-        return 1.0 - 1.0 / (2.0 * abs(Y))
-    if (X > 0) != (Y > 0):
-        return 0.0  # taboo strictly between start and target
-    if abs(X) < abs(Y):
-        return X / Y  # start strictly between taboo and target
-    return 1.0  # target strictly between taboo and start
-
-
 def taboo_limit(
     model: WalkModel,
     q: TabooQuery,
@@ -172,17 +161,14 @@ def taboo_limit(
 ) -> float:
     """H_{x,y,z}(infinity).
 
-    Nearest-neighbor walk on Z: exact rational dispatch.  Otherwise the
-    rho-ratio formula in d <= 2, with rho_d(0) = 1 covering x = z and x = y
-    without special cases, and laplace_taboo at lambda = 0 in d >= 3.
+    The rho-ratio formula in d <= 2, with rho_d(0) = 1 covering x = z and
+    x = y without special cases; on the nearest-neighbor walk on Z it is
+    Theorem 2's piecewise rationals.  laplace_taboo at lambda = 0 in d >= 3.
     """
     _check_dims(model, q)
-    X, Y = q.rel_x, q.rel_y
-    if is_simple_1d(model):
-        return _simple_taboo_limit(X[0], Y[0])
     if model.d >= 3:
         return laplace_taboo(model, q, 0.0, cfg)
-    rho_x, rho_y, rho_yx = rho_values(model, (X, Y, q.rel_yx), cfg)
+    rho_x, rho_y, rho_yx = rho_values(model, (q.rel_x, q.rel_y, q.rel_yx), cfg)
     return (rho_x + rho_y - rho_yx) / (2.0 * rho_y)
 
 

@@ -4,14 +4,13 @@ and every decision on how a grid is sized and refined until it meets its toleran
 A torus or shell kernel is a midpoint sum over the grid of a box [-s, s]^d:
 the torus (s = pi) for smooth integrands, or, in d >= 3, dyadic shells
 [-s, s]^d minus [-s/2, s/2]^d with Richardson extrapolation for kernels
-singular or peaked at the origin.  Each integrand is affine in c =
-cos(r.theta), a pair (g, k) of functions of phi summed as sum g(phi) c + sum
-k(phi).  As exp(i s u.r) = prod_j exp(i s r_j u_j) on the tensor grid, the
-c-part is a contraction of the array g(phi), which does not depend on r, with
-d per-axis vectors of n phases (sum factorisation, Orszag 1980): no
-cos(r.theta) is evaluated on the grid.
+singular or peaked at the origin.  Each integrand is g(phi) cos(r.theta)
+for a function g of phi.  As exp(i s u.r) = prod_j exp(i s r_j u_j) on the
+tensor grid, its sum is a contraction of the array g(phi), which does not
+depend on r, with d per-axis vectors of n phases (sum factorisation, Orszag
+1980): no cos(r.theta) is evaluated on the grid.
 
-Only the half grid u_0 > 0 is summed, then doubled: phi, g, k and c are
+Only the half grid u_0 > 0 is summed, then doubled: phi, g and cos(r.theta) are
 even for a symmetric walk, and the midpoint grid with n even (odd n raises
 ValueError) is symmetric.  It is cut into dense blocks of at most
 ``_BLOCK_POINTS`` points along the leading axis; on a shell, phi is kept
@@ -20,18 +19,18 @@ per-axis phases too: a one-axis jump is one broadcast add, any other a
 product telescoped over its axes; no sine is taken per grid point.
 
 One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks, per
-integrand key g blocks with the sum of g + k, and the residue roots of the
-one-axis kernels.  phi enters at the eviction end, so it stays only while
-there is room or a second kernel reads it.  A grid with more than a quarter
-of the budget in one array is streamed block by block and never kept.
+integrand key g blocks, and the residue roots of the d <= 2 kernels.  phi
+enters at the eviction end, so it stays only while there is room or a second
+kernel reads it.  A grid with more than a quarter of the budget in one array
+is streamed block by block and never kept.
 Block sums are added exactly (math.fsum), so results repeat bit for bit.
 
 Refinement policy; a result that misses its tolerance raises NotConverged.
 One driver, ``_refine``, doubles every grid over a capped number of levels,
 one ladder per entry, each entry frozen at the level where it would stop
-alone.  ``torus_mean`` runs order 0 (the last sum) from ``torus_points`` =
-max(cfg.points_per_axis, 4 max|r_j|) points per axis, as below n = |r_j|
-every level aliases r_j to r_j mod n.  ``axis_integral`` (d = 2) runs each
+alone.  ``torus_mean`` (the heat kernel p) runs order 0 (the last sum) from
+``torus_points`` = max(cfg.points_per_axis, 4 max|r_j|) points per axis, as
+below n = |r_j| every level aliases r_j to r_j mod n.  ``axis_integral`` (d = 2) runs each
 entry from its own floor, 16 * 2^k >= 4 max|r_j|, up to ``_AXIS_POINTS``.
 ``shell_integral`` (d >= 3) adds shells s = pi 2^-m, each an order-2
 (Richardson) ladder of its displacements, until the analytic core bound is
@@ -102,11 +101,10 @@ def default_config(d: int) -> QuadratureConfig:
 
 
 class Integrand(NamedTuple):
-    """g(phi) cos(r.theta) + k(phi), k = 0 when None; ``key`` names it in the cache."""
+    """g(phi) cos(r.theta); ``key`` names it in the cache."""
 
     key: Hashable
     g: Callable[[np.ndarray], np.ndarray]
-    k: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 class _GridCache:
@@ -207,7 +205,7 @@ def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
 
 
 def _g_blocks(model: WalkModel, f: Integrand, s: float, n: int, shell: bool):
-    """(i0, dense g block, sum of g + k over the block's points) for each block."""
+    """(i0, dense g block) for each block."""
 
     def build():
         for i0, rows, mask, ph in phi_blocks(model, s, n, shell):
@@ -218,7 +216,7 @@ def _g_blocks(model: WalkModel, f: Integrand, s: float, n: int, shell: bool):
                 g = np.zeros(mask.shape)
                 g[mask] = vals
             g.setflags(write=False)
-            yield i0, g, float(np.sum(vals if f.k is None else vals + f.k(ph)))
+            yield i0, g
 
     return _CACHE.get(("g", model, s, n, shell, f.key), model.d, n, build)
 
@@ -251,35 +249,30 @@ def _cos_weights(rs: Sequence[Sequence[int]], s: float, n: int, i0: int, rows: i
 
 
 def midpoint_sum(model: WalkModel, integrand: Integrand, r, s: float, n: int, shell: bool = False):
-    """h^d * sum of g(phi) cos(r.theta) + k(phi) over the midpoint grid of [-s, s]^d,
+    """h^d * sum of g(phi) cos(r.theta) over the midpoint grid of [-s, s]^d,
     for one displacement r, or the list of m sums for an (m, d) set of them.
 
-    h = 2s/n; ``shell`` skips the inner box [-s/2, s/2]^d.  The sum is taken
-    as sum g (c - 1) + sum (g + k): for rho, g and k grow as theta^-2 at 0
-    and would cancel to a result hundreds of times smaller.  prod_j e_j - 1
-    telescopes into sum_j (prod_{i<j} e_i)(e_j - 1), so each block contracts
-    from the last axis down: one real GEMM against Re(e-1) and Im(e-1) of
-    every displacement and one shared column of ones, then per displacement
-    two partial sums, ``acc`` for the terms past their (e_j - 1) axis and
-    ``ones``, from the shared column, for those still summing ones.
+    h = 2s/n; ``shell`` skips the inner box [-s/2, s/2]^d.  cos(r.theta) is
+    the real part of prod_j e_j, so each block contracts from the last axis
+    down: one real GEMM against Re e and Im e of every displacement, then one
+    complex contraction per remaining axis and displacement.
     """
     rs = np.array(r, dtype=float)
-    e, em1 = _phases(rs.reshape(-1, model.d), s, n)  # (m, d, n)
+    e = _phases(rs.reshape(-1, model.d), s, n)[0]  # (m, d, n)
     m = len(e)
-    last = np.column_stack([em1[:, -1].real.T, em1[:, -1].imag.T, np.ones(n)])
+    last = np.column_stack([e[:, -1].real.T, e[:, -1].imag.T])
     parts = [[] for _ in range(m)]
-    for i0, g, gk in _g_blocks(model, integrand, float(s), n, shell):
+    for i0, g in _g_blocks(model, integrand, float(s), n, shell):
         rows = slice(i0, i0 + g.shape[0])
         v = g.reshape(-1, n) @ last if g.ndim > 1 else None
         for k, part in enumerate(parts):
             if v is None:  # d = 1: the contraction is one dot product
-                part.append(float(g @ em1[k, 0, rows].real) + gk)
+                part.append(float(g @ e[k, 0, rows].real))
                 continue
             acc = (v[:, k] + 1j * v[:, m + k]).reshape(g.shape[:-1])
-            ones = v[:, -1].reshape(g.shape[:-1])
-            for ej, emj in zip([e[k, 0, rows], *e[k, 1:-1]][::-1], [em1[k, 0, rows], *em1[k, 1:-1]][::-1]):
-                acc, ones = acc @ ej + ones @ emj, ones.sum(axis=-1)
-            part.append(float(acc.real) + gk)
+            for ej in [e[k, 0, rows], *e[k, 1:-1]][::-1]:
+                acc = acc @ ej
+            part.append(float(acc.real))
     sums = [2.0 * math.fsum(part) * (2.0 * s / n) ** model.d for part in parts]
     return sums if rs.ndim == 2 else sums[0]
 

@@ -308,6 +308,19 @@ class TestFarDisplacements1d:
         want = slope * abs(x) + beta
         assert rho(NONSIMPLE_1D, (x,)) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("x", [64, 1000, 5000])
+    def test_nonsimple_rho_on_its_asymptote_to_rounding(self, x):
+        # the residue sum leaves |zeta|^|x| of the O(1) part, far below rounding here
+        slope, beta = rho_asymptote_1d(NONSIMPLE_1D)
+        assert rho(NONSIMPLE_1D, (x,)) == pytest.approx(slope * x + beta, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1.0, 0.37, 2.7, 1e-3])
+    def test_simple_walk_rho_is_exactly_abs(self, a):
+        # R = 1 leaves no root inside the circle: rho(x) = |x| a/B with a and B the same sum
+        model = simple_walk_1d(a)
+        for x in [*range(-40, 0), *range(1, 41), 5000, -123457]:
+            assert rho(model, (x,)) == float(abs(x))
+
     @settings(max_examples=30, deadline=None)
     @given(far=FAR, near=st.integers(-6, 6), z=st.integers(-6, 6), far_x=st.booleans(),
            simple=st.booleans())
@@ -318,6 +331,39 @@ class TestFarDisplacements1d:
             return
         for q in (TabooQuery((x,), (y,), (z,)), TabooQuery((x,), (z,), (y,))):
             assert 0.0 <= taboo_limit(model, q) <= 1.0
+
+
+# |z| up to 5: five roots inside the circle for G_lambda, four for rho, all of
+# them from the companion matrix
+LONG_1D = validate_model(1, {(1,): 0.01, (4,): 0.2, (5,): 0.7})
+
+
+def _midpoint_reference(model, f, n=1 << 14):
+    """(2 pi)^-1 * integral over [-pi, pi] of f(theta, -phi(theta)) by the n-point
+    midpoint rule, with -phi in its sine form: spectrally accurate for these
+    analytic periodic integrands, and sharing no code with the residue sums."""
+    th = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
+    neg_phi = sum(2.0 * rate * np.sin(0.5 * z[0] * th) ** 2 for z, rate in model.jumps)
+    return float(np.mean(f(th, neg_phi)))
+
+
+class TestResidueRoots1d:
+    """d = 1 residue sums on a walk whose roots come from the companion matrix."""
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_green_within_est_error(self, k):
+        lam = LONG_1D.a * 2.0**-k
+        for r in (0, 1, 3, 7):
+            want = _midpoint_reference(LONG_1D, lambda th, neg_phi: np.cos(r * th) / (lam + neg_phi))
+            got = green_function(LONG_1D, lam, [0], [r])
+            assert abs(got.value - want) <= 1e-12 * want
+            assert abs(got.value - want) <= got.est_error
+
+    def test_rho(self):
+        a = LONG_1D.a
+        for r in (1, 3, 7):  # a (1 - cos(r theta)) / -phi, in its sine form
+            want = _midpoint_reference(LONG_1D, lambda th, nphi: 2.0 * a * np.sin(0.5 * r * th) ** 2 / nphi)
+            assert abs(rho(LONG_1D, (r,)) - want) <= 1e-14
 
 
 def k_d(model, lam, r):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from taboowalk import (
     laplace_taboo,
     minus_atom,
     rho,
+    simple_walk_1d,
     spectral_scalars,
     taboo_limit,
     taboo_tail,
@@ -144,6 +146,29 @@ class TestTabooLimitSimple:
                 assert taboo_limit(simple1d, q) == want
             qr = TabooQuery((-x[0],), (-y[0],), (-z[0],))
             assert taboo_limit(simple1d, qr) == want
+
+
+def theorem2_limit(X: int, Y: int) -> Fraction:
+    """Theorem 2's limit for the nearest-neighbor walk on Z, z = 0, as a rational."""
+    if X == 0:
+        return Fraction(1, 2 * abs(Y))
+    if X == Y:
+        return 1 - Fraction(1, 2 * abs(Y))
+    if (X > 0) != (Y > 0):
+        return Fraction(0)  # taboo strictly between start and target
+    if abs(X) < abs(Y):
+        return Fraction(X, Y)  # start strictly between taboo and target
+    return Fraction(1)  # target strictly between taboo and start
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37, 2.7, 1e-3])
+def test_simple_walk_limits_are_theorem2_rationals(a):
+    # rho(x) = |x| exactly, so the rho-ratio formula is one correctly rounded division
+    model = simple_walk_1d(a)
+    for X in range(-40, 41):
+        for Y in [*range(-40, 0), *range(1, 41)]:
+            got = taboo_limit(model, TabooQuery((X,), (Y,), (0,)))
+            assert got == float(theorem2_limit(X, Y)), (X, Y)
 
 
 class TestTabooLimitGeneral:

@@ -12,7 +12,7 @@ from taboowalk.quadrature import Integrand, midpoint_sum, phi_blocks
 MULTI_CHUNK = [(1, 1 << 21), (2, 2048), (3, 128)]
 
 ONES = Integrand(("test-ones",), np.ones_like)
-RHO = Integrand(("test-rho",), lambda ph: 1.0 / ph, lambda ph: -1.0 / ph)
+RHO = Integrand(("test-rho",), lambda ph: 1.0 / ph)
 GREEN = Integrand(("test-green",), lambda ph: 1.0 / (0.3 - ph))
 
 
@@ -39,10 +39,10 @@ def fresh_cache(monkeypatch):
 
 
 def _brute_force(model, f, r, s, n, shell):
-    """h^d * sum of g(phi) cos(r.theta) + k(phi) over the full grid, point by point.
+    """h^d * sum of g(phi) cos(r.theta) over the full grid, point by point.
 
-    Returns (sum, h^d * sum of |g| + |k|, the scale of the sum); cos(r.theta)
-    is evaluated at every point.
+    Returns (sum, h^d * sum of |g|, the scale of the sum); cos(r.theta) is
+    evaluated at every point.
     """
     d = model.d
     ax = -s + (np.arange(n) + 0.5) * (2.0 * s / n)
@@ -51,10 +51,9 @@ def _brute_force(model, f, r, s, n, shell):
         theta = theta[np.any(np.abs(theta) > s / 2.0, axis=1)]
     ph = char_exponent_grid(model, theta)
     g = f.g(ph)
-    k = f.k(ph) if f.k is not None else np.zeros_like(ph)
-    terms = g * np.cos(theta @ np.asarray(r, dtype=float)) + k
+    terms = g * np.cos(theta @ np.asarray(r, dtype=float))
     h = (2.0 * s / n) ** d
-    return float(np.sum(terms)) * h, float(np.sum(np.abs(g) + np.abs(k))) * h
+    return float(np.sum(terms)) * h, float(np.sum(np.abs(g))) * h
 
 
 FACTORISED_CASES = [

@@ -118,10 +118,10 @@ def _manifest(args, cfg, query: dict, extras: dict, outputs: list[str], warnings
 
 
 def _quad_config(args, d: int) -> QuadratureConfig:
-    """default_config(d) with the --points/--rel-tol overrides."""
-    base = default_config(d)
-    return dataclasses.replace(base, points_per_axis=args.points or base.points_per_axis,
-                               rel_tol=args.rel_tol or base.rel_tol)
+    """default_config(d) with the --points/--rel-tol overrides of the command."""
+    base, flags = default_config(d), vars(args)
+    return dataclasses.replace(base, points_per_axis=flags.get("points") or base.points_per_axis,
+                               rel_tol=flags.get("rel_tol") or base.rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +349,30 @@ def _cmd_verify(args, model, cfg) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad, unknown or missing flag: main() reports it as input
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # flag values that fail their type check raise ArgumentError, which
-    # main() reports as an invalid-input record
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taboowalk",
-        exit_on_error=False,
         description="Hitting-time and taboo-hitting-time probabilities for lattice random walks.",
     )
     parser.add_argument("--version", action="version", version=f"taboowalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_z: bool):
+    def add_common(p, need_z: bool, *quadrature: str):
         p.add_argument("model", help="model JSON file")
         p.add_argument("--x", required=True, help="start point, comma-separated ints")
         p.add_argument("--y", required=True, help="target point")
         p.add_argument("--z", required=need_z, default=None, help="taboo point")
-        p.add_argument("--points", type=_POINTS, default=None, help="quadrature points per axis")
-        p.add_argument("--rel-tol", type=_POSITIVE, default=None, help="quadrature relative tolerance")
+        for flag in quadrature:  # only those that change a number the command computes
+            kind, text = (_POINTS, "points per axis") if flag == "--points" else (_POSITIVE, "relative tolerance")
+            p.add_argument(flag, type=kind, help=f"quadrature {text}")
 
-    p = sub.add_parser("limit", exit_on_error=False, help="limit probability H(infinity)")
-    add_common(p, need_z=False)
+    p = sub.add_parser("limit", help="limit probability H(infinity)")
+    add_common(p, False, "--rel-tol")
     p.add_argument("--minus", action="store_true", help="clock from the first jump")
     p.add_argument("--verify", action="store_true", help="cross-check with oracle and Monte Carlo")
     p.add_argument("--paths", type=_COUNT, default=100_000)
@@ -377,28 +380,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_COUNT, default=None, help="absorption-oracle box radius")
     p.set_defaults(func=_cmd_limit)
 
-    p = sub.add_parser("tail", exit_on_error=False, help="tail order and constant")
-    add_common(p, need_z=True)
+    p = sub.add_parser("tail", help="tail order and constant")
+    add_common(p, True, "--rel-tol")
     p.add_argument("--minus", action="store_true")
     p.add_argument("--extract", action="store_true", help="also extract the constant numerically")
     p.set_defaults(func=_cmd_tail)
 
-    p = sub.add_parser("curve", exit_on_error=False, help="c.d.f. curve to CSV")
-    add_common(p, need_z=False)
+    p = sub.add_parser("curve", help="c.d.f. curve to CSV")
+    add_common(p, False, "--points", "--rel-tol")
     p.add_argument("--minus", action="store_true")
     p.add_argument("--step", type=_POSITIVE, required=True)
     p.add_argument("--horizon", type=_POSITIVE, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("simulate", exit_on_error=False, help="Monte Carlo estimates")
-    add_common(p, need_z=True)
+    p = sub.add_parser("simulate", help="Monte Carlo estimates")
+    add_common(p, True)
     p.add_argument("--t-list", type=_T_LIST, required=True, help="comma-separated times")
     p.add_argument("--paths", type=_COUNT, default=100_000)
     p.add_argument("--seed", type=int, default=20240501)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", exit_on_error=False, help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--points", type=_POINTS, default=None)

@@ -2,8 +2,8 @@
 
 All three are integrals over [-pi, pi]^d built from the walk's
 characteristic exponent phi.  This module holds their integrands, the
-core bounds of the shell integrals, and the value caches.  Kernel values are
-read by set: rho_values and green_values send the uncached nonzero
+core bounds of the shell integrals, and the value caches, keyed by rel_tol alone.
+Kernel values are read by set: rho_values and green_values send the uncached
 displacements of one request to one ladder, and rho and green_function are
 their one-element case; quadrature.py sizes and refines every grid.  The
 heat kernel p is a smooth torus mean.  In d <= 2, the theta_d integrals of
@@ -83,8 +83,8 @@ def transition_probability(
 # ---------------------------------------------------------------------------
 
 def _batched(compute):
-    """Cache compute(*args, rs) per displacement r of rs, least recently used out
-    past 4096 entries.  The uncached entries go to compute in one call, which returns
+    """Cache compute(*head, rs) by (*head, r) for each r of rs, least recently used
+    out past 4096 entries.  The uncached entries go to compute in one call, which returns
     a value or a NotConverged for each; values are stored before a failure is raised."""
     cache, lock = OrderedDict(), threading.Lock()
 
@@ -180,7 +180,7 @@ def _residue_sums(model: WalkModel, lam: float, n: int, rs) -> list:
 
 
 @_batched
-def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple) -> list:
+def _green_cached(model: WalkModel, rel_tol: float, lam: float, rs: tuple) -> list:
     d = model.d
     if d == 1:  # a finite residue sum
         return _residue_sums(model, lam, 1, rs)
@@ -189,7 +189,7 @@ def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple
             (j0, _), *js = _residue_sums(model, lam, n, ((0, 0), *ks))
             return [np.array((j, j0)) for j, _ in js]
 
-        return axis_integral("green_function", means, rs, cfg.rel_tol, 0)
+        return axis_integral("green_function", means, rs, rel_tol, 0)
     eig = np.linalg.eigvalsh(spectral_scalars(model).hessian)
     sig_min, sig_max = float(eig[0]), float(eig[-1])
     omega = 2.0 * np.pi ** (d / 2.0) / _gamma_fn(d / 2.0)
@@ -201,22 +201,26 @@ def _green_cached(model: WalkModel, cfg: QuadratureConfig, lam: float, rs: tuple
         box = (2.0 * half) ** d / lam
         return box, box * (0.5 * sig_max * rad2 / lam + 0.5 * rnorm**2 * rad2)
 
-    # the unsigned integrand mass is the r = 0 value; seeding the scale with
-    # it keeps oscillatory displacements from over-refining the outer shells
-    hint = 0.0
-    if any(map(any, rs)):
-        hint = _green_cached(model, cfg, lam, ((0,) * d,))[0][0] * (2.0 * np.pi) ** d
-    return shell_integral(
-        "green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)), rs,
-        cfg.rel_tol, core, scale_hints=[hint if any(r) else 0.0 for r in rs],
-    )
+    def shells(ks, hint):
+        return shell_integral("green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)),
+                              ks, rel_tol, core, scale_hints=[hint] * len(ks))
+
+    # G_lam(0, 0), the unsigned integrand mass, is shelled alone, once, through the
+    # cache; seeding the scale of the others with it keeps oscillatory
+    # displacements from over-refining the outer shells
+    zero = (0,) * d
+    if rs == (zero,):
+        return shells(rs, 0.0)
+    g00 = _green_cached(model, rel_tol, lam, (zero,))[0]
+    found = iter(shells([r for r in rs if any(r)], g00[0] * (2.0 * np.pi) ** d))
+    return [g00 if r == zero else next(found) for r in rs]
 
 
 def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None = None) -> list:
-    """G_lambda(0, r) for every r of rs, as KernelValues.
+    """G_lambda(0, r) for every r of rs, as KernelValues, from one cache read.
 
-    G_lambda(0, 0), which scales the others, is read first; the uncached
-    nonzero displacements then go to one ladder.  lambda = 0 (the
+    The uncached displacements go to one ladder; in d >= 3, G_lambda(0, 0),
+    which scales the others, is shelled alone first.  lambda = 0 (the
     Green's function proper) is finite only for d >= 3; requesting it in
     d <= 2 raises DivergentGreenFunction.
     """
@@ -224,20 +228,13 @@ def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None 
         raise ValueError("lambda must be finite and >= 0")
     if lam == 0.0 and model.d <= 2:
         raise DivergentGreenFunction(f"G_0 diverges for d = {model.d} (recurrent walk)")
-    cfg, zero = cfg or default_config(model.d), (0,) * model.d
-    rs = [canonical_diff(zero, r, model.d) for r in rs]
-    (g00,) = _green_cached(model, cfg, float(lam), (zero,))
-    found = iter(_green_cached(model, cfg, float(lam), tuple(r for r in rs if any(r))))
-    return [KernelValue(*(next(found) if any(r) else g00)) for r in rs]
+    rel_tol, zero = (cfg or default_config(model.d)).rel_tol, (0,) * model.d
+    rs = tuple(canonical_diff(zero, r, model.d) for r in rs)
+    return [KernelValue(*v) for v in _green_cached(model, rel_tol, float(lam), rs)]
 
 
-def green_function(
-    model: WalkModel,
-    lam: float,
-    x: Sequence[int],
-    y: Sequence[int],
-    cfg: QuadratureConfig | None = None,
-) -> KernelValue:
+def green_function(model: WalkModel, lam: float, x: Sequence[int], y: Sequence[int],
+                   cfg: QuadratureConfig | None = None) -> KernelValue:
     """G_lambda(x,y) = (2 pi)^-d * integral of cos(theta, y-x) / (lambda - phi)."""
     return green_values(model, lam, (canonical_diff(x, y, model.d),), cfg)[0]
 
@@ -247,7 +244,7 @@ def green_function(
 # ---------------------------------------------------------------------------
 
 @_batched
-def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
+def _rho_cached(model: WalkModel, rel_tol: float, rs: tuple) -> list:
     # a (cos(r.theta) - 1) / phi
     a = model.total_rate
     if model.d == 1:  # |r| a/B, half the residue at w = 1 on the circle, + a (J_0 - J_r)
@@ -260,7 +257,7 @@ def _rho_cached(model: WalkModel, cfg: QuadratureConfig, rs: tuple) -> list:
         (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks))
         return [a * (j0 - j) for j, _ in js]
 
-    return axis_integral("rho", means, rs, cfg.rel_tol, 2)
+    return axis_integral("rho", means, rs, rel_tol, 2)
 
 
 def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> list:
@@ -277,7 +274,7 @@ def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> lis
     nonzero = tuple(r for r in rs if any(r))
     found = iter(())
     if model.d <= 2:
-        found = iter(v for v, _ in _rho_cached(model, cfg or default_config(model.d), nonzero))
+        found = iter(v for v, _ in _rho_cached(model, (cfg or default_config(model.d)).rel_tol, nonzero))
     elif nonzero:
         g00, *gs = green_values(model, 0.0, (zero, *nonzero), cfg)
         found = iter(model.total_rate * (g00.value - g.value) for g in gs)
@@ -293,7 +290,7 @@ def rho(model: WalkModel, x: Sequence[int], cfg: QuadratureConfig | None = None)
 # Lemma-5 trigonometric identity
 # ---------------------------------------------------------------------------
 
-def trig_identity_check(x: int, cfg: QuadratureConfig | None = None) -> float:
+def trig_identity_check(x: int) -> float:
     """Integral over [-pi,pi] of (1 - cos(x theta))/(1 - cos theta), exactly 2 pi x.
 
     It is 2 pi rho(x) for the simple walk with a = 1, whose phi is
@@ -302,4 +299,4 @@ def trig_identity_check(x: int, cfg: QuadratureConfig | None = None) -> float:
     """
     if not isinstance(x, (int, np.integer)) or x < 1:
         raise ValueError("x must be a positive integer")
-    return rho(simple_walk_1d(1.0), (int(x),), cfg) * 2.0 * np.pi
+    return rho(simple_walk_1d(1.0), (int(x),)) * 2.0 * np.pi

@@ -28,10 +28,11 @@ Block sums are added exactly (math.fsum), so results repeat bit for bit.
 Refinement policy; a result that misses its tolerance raises NotConverged.
 One driver, ``_refine``, doubles every grid over a capped number of levels,
 one ladder per entry, each entry frozen at the level where it would stop
-alone.  ``torus_mean`` (the heat kernel p) runs order 0 (the last sum) from
-``torus_points`` = max(cfg.points_per_axis, 4 max|r_j|) points per axis, as
-below n = |r_j| every level aliases r_j to r_j mod n.  ``axis_integral`` (d = 2) runs each
-entry from its own floor, 16 * 2^k >= 4 max|r_j|, up to ``_AXIS_POINTS``.
+alone.  ``torus_mean`` (the heat kernel p) runs order 0 (the last sum) over
+``_TORUS_DOUBLINGS`` doublings from ``torus_points`` = max(cfg.points_per_axis,
+4 max|r_j|) points per axis, as below n = |r_j| every level aliases r_j to
+r_j mod n.  ``axis_integral`` (d = 2) runs each entry from its own floor,
+16 * 2^k >= 4 max|r_j|, up to ``_AXIS_POINTS``.
 ``shell_integral`` (d >= 3) adds shells s = pi 2^-m, each an order-2
 (Richardson) ladder of its displacements, until the analytic core bound is
 negligible.  ``p_curves`` probes its rows at 8 times ending at the last,
@@ -67,28 +68,27 @@ CACHE_BYTES = 64 << 20
 # Doubles in the rows and columns of one heat-kernel GEMM; bounds the peak memory.
 _EXP_BLOCK = 1 << 18
 # Shells per shell integral, points per axis at a ladder's first level, the
-# shell ladder's level cap (3 above d = 3), and the one-axis ladder's cap in points.
+# shell ladder's level cap (3 above d = 3), the one-axis ladder's cap in points,
+# and the doublings of a torus mean (one more for the p-curve probes).
 _MAX_SHELLS = 62
 _SHELL_N0 = 16
 _SHELL_LEVELS = {3: 5}
 _AXIS_POINTS = 1 << 18
+_TORUS_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid resolution and tolerance for the torus quadratures; refinement_limit
-    caps torus means and p-curves.  The shell ladders (d >= 3) and the one-axis
-    ladders (d = 2) have their own level caps, _SHELL_LEVELS and _AXIS_POINTS."""
+    """The starting grid of torus means and p-curves, and the relative tolerance
+    of every quadrature.  Level caps are module constants: _TORUS_DOUBLINGS,
+    _SHELL_LEVELS (d >= 3) and _AXIS_POINTS (d = 2)."""
 
     points_per_axis: int = 256
-    refinement_limit: int = 4
     rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.points_per_axis < 16 or self.points_per_axis % 2:
             raise ValueError("points_per_axis must be even and >= 16")
-        if self.refinement_limit < 0:
-            raise ValueError("refinement_limit must be >= 0")
         if not 0.0 < self.rel_tol < np.inf:
             raise ValueError("rel_tol must be finite and > 0")
 
@@ -329,7 +329,7 @@ def torus_mean(
     (value, est_error): order 0 from torus_points to cfg.rel_tol."""
     (val,), (err,), (ok,) = _refine(
         lambda n, ks: [midpoint_sum(model, integrand, r, np.pi, n) / (2.0 * np.pi) ** model.d],
-        torus_points(cfg, (r,)), cfg.refinement_limit + 1, [ABS_FLOOR], cfg.rel_tol, 0)
+        torus_points(cfg, (r,)), _TORUS_DOUBLINGS + 1, [ABS_FLOOR], cfg.rel_tol, 0)
     if not ok:
         raise _not_converged(name, val, err)
     return val, err
@@ -434,7 +434,7 @@ def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConf
         passes.append(_p_grid_sum(model, rs, times[probe_idx] if passes else times, n))
         return [passes[-1][:, probe_idx] if n == n0 else passes[-1]]
 
-    _, (gap,), (ok,) = _refine(sum_at, n0, cfg.refinement_limit + 2,
+    _, (gap,), (ok,) = _refine(sum_at, n0, _TORUS_DOUBLINGS + 2,
                                [max(cfg.rel_tol, ABS_FLOOR)], 0.0, 0)
     n = n0 * 2 ** (len(passes) - 2)
     vals = np.clip(passes[0] if n == n0 else _p_grid_sum(model, rs, times, n), 0.0, 1.0)

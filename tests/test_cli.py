@@ -136,10 +136,14 @@ class TestLimitCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NotIrreducible"
 
-    @pytest.mark.parametrize("flag", [["--points", "0"], ["--rel-tol", "0"]])
+    # --points is a flag of curve and verify only: it enters no limit
+    @pytest.mark.parametrize("flag", [["curve", "--points", "0"], ["limit", "--rel-tol", "0"]])
     def test_zero_quadrature_flag_exits_2(self, capsys, simple_model_file, flag):
+        command, *flag = flag
+        if command == "curve":
+            flag = ["--step", "0.1", "--horizon", "5", "--out", "c.csv", *flag]
         code, out = run_cli(
-            capsys, "limit", simple_model_file, "--x", "2", "--y", "5", "--z", "0", *flag
+            capsys, command, simple_model_file, "--x", "2", "--y", "5", "--z", "0", *flag
         )
         assert code == 2
         assert "error" in json.loads(out)
@@ -168,7 +172,8 @@ class TestInputContract:
         "args",
         [
             ["limit", "--x", "2", "--y", "5", "--z", "0", "--verify", "--paths", "0"],
-            ["limit", "--x", "2", "--y", "5", "--z", "0", "--points", "18.5"],
+            ["curve", "--x", "2", "--y", "5", "--z", "0", "--step", "0.1", "--horizon", "5", "--out", "c.csv",
+             "--points", "18.5"],
             ["limit", "--x", "2", "--y", "5", "--z", "0", "--rel-tol", "nan"],
             ["limit", "--x", "2", "--y", "5", "--z", "0", "--verify", "--radius", "0"],
             ["curve", "--x", "0", "--y", "1", "--step", "0", "--horizon", "5", "--out", "c.csv"],
@@ -176,6 +181,8 @@ class TestInputContract:
             ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list=-1,5"],
             ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "0"],
             ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "5,x"],
+            ["limit", "--x", "1", "--y", "2", "--bogus", "3"],  # an unknown flag
+            ["limit", "--x", "1"],  # a missing flag
         ],
     )
     def test_bad_flag_value_exits_2(self, capsys, simple_model_file, args):

@@ -241,11 +241,12 @@ class TestBatchedPCurves:
         [np.linspace(0.0, 4.0, 41), 0.25 + 0.1 * np.arange(37), np.array([1.5]),
          np.array([0.3, 0.7]), 0.2 + 0.08 * np.arange(7**2 + 1)],  # B^2 + 1: a partial last block
     )
-    def test_matches_full_grid_reference(self, walk, n, times, request):
+    def test_matches_full_grid_reference(self, walk, n, times, request, monkeypatch):
         model = request.getfixturevalue(walk)
         d = model.d
         rs = ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
-        cfg = QuadratureConfig(points_per_axis=n, refinement_limit=0, rel_tol=1e-6)
+        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
+        cfg = QuadratureConfig(points_per_axis=n, rel_tol=1e-6)
         got = p_curves(model, rs, times, cfg)
         assert got.shape == (3, len(times))
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
@@ -298,7 +299,8 @@ class TestBatchedPCurves:
             return grid_sum(model, rs, times, n)
 
         monkeypatch.setattr(quadrature, "_p_grid_sum", spy)
-        cfg = QuadratureConfig(points_per_axis=32, refinement_limit=2, rel_tol=1e-6)
+        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 2)
+        cfg = QuadratureConfig(points_per_axis=32, rel_tol=1e-6)
         q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
         taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=40), cfg)
         assert calls == [(4, 80, 32), (4, 8, 64)]
@@ -320,8 +322,9 @@ class TestBatchedPCurves:
         taboo_cdf(nonsimple1d, q, grid)
         assert len(solves) == 3
 
-    def test_unconverged_curve_raises(self, walk3d):
-        cfg = QuadratureConfig(points_per_axis=16, refinement_limit=0)
+    def test_unconverged_curve_raises(self, walk3d, monkeypatch):
+        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
+        cfg = QuadratureConfig(points_per_axis=16)
         with pytest.raises(NotConverged) as err:
             hitting_cdf(walk3d, (0, 0, 0), (0, 0, 0), TimeGrid(step=0.1, n_steps=3000), cfg)
         assert err.value.est_error > cfg.rel_tol

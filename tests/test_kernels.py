@@ -27,7 +27,7 @@ from taboowalk import (
 )
 from taboowalk import kernels
 from taboowalk import quadrature
-from taboowalk.kernels import canonical_diff
+from taboowalk.kernels import canonical_diff, default_config
 
 # Watson's integral: G_0(0,0) for the 6-neighbor rate-1/6 walk on Z^3
 WATSON = 1.5163860591528040
@@ -119,8 +119,9 @@ class TestTransitionProbability:
         with pytest.raises(ValueError):
             transition_probability(simple1d, t, [0], [0])
 
-    def test_not_converged(self, simple1d):
-        cfg = QuadratureConfig(points_per_axis=16, refinement_limit=0, rel_tol=1e-12)
+    def test_not_converged(self, simple1d, monkeypatch):
+        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
+        cfg = QuadratureConfig(points_per_axis=16, rel_tol=1e-12)
         with pytest.raises(NotConverged) as exc:
             transition_probability(simple1d, 0.01, [0], [15], cfg)
         assert exc.value.value is not None
@@ -373,7 +374,7 @@ def k_d(model, lam, r):
 
 
 class TestKKernel:
-    def test_positive_and_oracle(self, walk3d):
+    def test_positive_and_oracle(self, walk3d, monkeypatch):
         # time-domain oracle: K_d(lam;r) = int p(u;0,r) (1 - e^{-lam u})/lam du,
         # Simpson on [0, U] plus the gamma_d tail of int_t^inf p beyond U
         from scipy.integrate import simpson
@@ -386,7 +387,8 @@ class TestKKernel:
 
         horizon = 300.0
         times = np.linspace(0.0, horizon, 1201)
-        cfg = QuadratureConfig(points_per_axis=64, refinement_limit=1, rel_tol=1e-6)
+        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 1)
+        cfg = QuadratureConfig(points_per_axis=64, rel_tol=1e-6)
         p_vals = p_curves(walk3d, ((0, 0, 0),), times, cfg)[0]
         body = simpson(p_vals * -np.expm1(-lam * times) / lam, x=times)
         gamma3 = spectral_scalars(walk3d).gamma_d
@@ -605,14 +607,16 @@ class TestSetReads:
         kernels.green_values(model, lam, [e1])
         calls.clear()
         kernels.green_values(model, lam, [r, zero, e1, neg, s, r])
-        assert calls == [("green_function", (r, s))]  # G_lam(0, 0) and e1 are cached
+        # in d >= 3 the read of e1 shelled G_lam(0, 0) first; no d = 2 entry reads it
+        assert calls == [("green_function", (r, s) if d >= 3 else (r, zero, s))]
         calls.clear()
         kernels.green_values(model, lam, [r, zero, e1, neg, s, r])
         assert calls == []
 
         _clear_value_caches()
         kernels.green_values(model, lam, [neg, zero, s])
-        assert calls == [("green_function", (zero,)), ("green_function", (r, s))]
+        want = [(zero,), (r, s)] if d >= 3 else [(r, zero, s)]
+        assert calls == [("green_function", rs) for rs in want]
         calls.clear()
         kernels.green_values(model, lam, [neg, zero, s])
         assert calls == []
@@ -624,6 +628,61 @@ class TestSetReads:
         calls.clear()
         kernels.rho_values(model, [zero, neg, s, r])
         assert calls == []
+
+    def test_2d_request_is_one_axis_ladder(self, diagonal2d, monkeypatch):
+        # neither G_lam(0, 0) nor the other entries are cached: one theta_1 ladder for all
+        calls, orig = [], kernels.axis_integral
+
+        def spy(name, means, rs, *args):
+            calls.append(tuple(rs))
+            return orig(name, means, rs, *args)
+
+        monkeypatch.setattr(kernels, "axis_integral", spy)
+        _clear_value_caches()
+        kernels.green_values(diagonal2d, 0.25, [(1, 2), (0, 0), (3, -1)])
+        assert calls == [((1, 2), (0, 0), (3, -1))]
+
+    @pytest.mark.parametrize("walk", ["nonsimple1d", "diagonal2d"])
+    def test_values_are_keyed_by_rel_tol(self, walk, request, monkeypatch):
+        # only rel_tol enters a rho or G value, so a config that differs in
+        # points_per_axis alone reads what the default config computed
+        model = request.getfixturevalue(walk)
+        d = model.d
+        xs = [(3,) + (1,) * (d - 1), (0,) * d, (-2,) + (0,) * (d - 1)]
+        other = QuadratureConfig(points_per_axis=64, rel_tol=default_config(d).rel_tol)
+        _clear_value_caches()
+        want = kernels.rho_values(model, xs), kernels.green_values(model, 0.25, xs)
+
+        def no_residues(*args):
+            raise AssertionError("a kernel value was computed twice")
+
+        monkeypatch.setattr(kernels, "_residue_sums", no_residues)
+        assert (kernels.rho_values(model, xs, other), kernels.green_values(model, 0.25, xs, other)) == want
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_3d_zero_is_shelled_once(self, walk3d, lam, monkeypatch):
+        # G_lam(0, 0) seeds the scale of r, yet is shelled once, alone, when both
+        # arrive uncached in one request
+        zero, r, shelled, orig = (0, 0, 0), (1, 2, 0), [], kernels.shell_integral
+
+        def spy(name, model, integrand, rs, *args, **kwargs):
+            shelled.append(tuple(rs))
+            return orig(name, model, integrand, rs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "shell_integral", spy)
+        one = []
+        for x in (zero, r):
+            _clear_value_caches()
+            one.append(green_function(walk3d, lam, zero, x))
+        _clear_value_caches()
+        shelled.clear()
+        got = kernels._green_cached(walk3d, default_config(3).rel_tol, lam, (zero, r))
+        assert shelled == [(zero,), (r,)]
+        assert [kernels.KernelValue(*v) for v in got] == one  # bit for bit
+        _clear_value_caches()
+        shelled.clear()
+        assert kernels.green_values(walk3d, lam, [r, zero]) == one[::-1]
+        assert shelled == [(zero,), (r,)]
 
 
 def test_value_cache_is_safe_under_threads():

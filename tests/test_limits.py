@@ -97,8 +97,8 @@ class TestGreenRoute:
             return g_blocks(model, f, *args)
 
         monkeypatch.setattr(quad, "_g_blocks", spy)
-        # a config no other test uses, so no cached kernel value hides a quadrature
-        cfg = QuadratureConfig(points_per_axis=64, refinement_limit=4, rel_tol=2e-6)
+        # a rel_tol no other test uses, so no cached kernel value hides a quadrature
+        cfg = QuadratureConfig(points_per_axis=64, rel_tol=2e-6)
         for x, y, z in self.QUERIES:
             q = TabooQuery(x, y, z)
             taboo_limit(walk3d, q, cfg)

@@ -40,6 +40,7 @@ from .simulate import (
     absorption_limit_bracket,
     estimate_taboo_curve,
     fit_tail_order,
+    sampler_workers,
 )
 
 EXIT_OK = 0
@@ -102,6 +103,9 @@ def _emit(obj: dict) -> None:
 
 
 def _manifest(args, cfg, query: dict, extras: dict, outputs: list[str], warnings: list[str]) -> dict:
+    """The run record; its quadrature block holds only the settings the
+    command reads, those its parser takes flags for."""
+    reads = {field: getattr(cfg, field) for field in args.quadrature}
     return {
         "tool": "taboowalk",
         "version": __version__,
@@ -110,11 +114,20 @@ def _manifest(args, cfg, query: dict, extras: dict, outputs: list[str], warnings
         "model_file": args.model,
         "model_sha256": hashlib.sha256(Path(args.model).read_bytes()).hexdigest(),
         "query": query,
-        "quadrature": dataclasses.asdict(cfg),
+        **({"quadrature": reads} if reads else {}),
         "outputs": outputs,
         "warnings": warnings,
         **extras,
     }
+
+
+def _sim_manifest(sim: SimConfig) -> dict:
+    """How a command ran its Monte Carlo, worker threads included."""
+    return {"horizon": sim.horizon, "n_paths": sim.n_paths, "max_jumps": sim.max_jumps,
+            "workers": sampler_workers(sim.n_paths)}
+
+
+_QUAD_FIELDS = {"--points": "points_per_axis", "--rel-tol": "rel_tol"}
 
 
 def _quad_config(args, d: int) -> QuadratureConfig:
@@ -136,28 +149,28 @@ def _cmd_limit(args, model, cfg, x, y, z):
     q = TabooQuery(x, y, z) if z is not None else None
     record["limit"] = taboo_limit(model, q, cfg) if q else hitting_limit(model, x, y, cfg)
     record["variant"] = (Variant.MINUS if args.minus else Variant.PLUS).value
+    extras: dict = {"seed": args.seed}
     if args.minus:  # same limit as the plus variant, with an atom at t = 0
         record["atom_at_zero"] = minus_atom(model, x, y)
     if args.verify:
         radius = args.radius or {1: 100, 2: 60}.get(model.d, 15)
         lo, hi = absorption_limit_bracket(model, q, radius)
-        horizon = 200.0 / model.a
-        est = estimate_taboo_curve(
-            model, q, [horizon],
-            SimConfig(horizon=horizon, n_paths=args.paths, seed=args.seed),
-        )[0]
+        sim = SimConfig(horizon=200.0 / model.a, n_paths=args.paths, seed=args.seed)
+        est = estimate_taboo_curve(model, q, [sim.horizon], sim)[0]
+        extras["sim"] = _sim_manifest(sim)
         record["verify"] = {
             "oracle": {"lower": lo, "upper": hi, "midpoint": 0.5 * (lo + hi), "radius": radius},
             "monte_carlo": {
-                "t": horizon,
+                "t": sim.horizon,
                 "probability": est.probability,
                 "std_error": est.std_error,
                 "n_paths": est.n_paths,
                 "seed": est.seed,
+                "truncated_paths": est.truncated_paths,
                 "undecided_paths": est.undecided_paths,
             },
         }
-    return record, {"seed": args.seed}, EXIT_OK, [], []
+    return record, extras, EXIT_OK, [], []
 
 
 def _cmd_tail(args, model, cfg, x, y, z):
@@ -217,8 +230,7 @@ def _cmd_simulate(args, model, cfg, x, y, z):
             for t, e in zip(args.t_list, ests)
         ],
     }
-    extras = {"seed": args.seed, "sim": {"horizon": sim.horizon, "n_paths": sim.n_paths, "max_jumps": sim.max_jumps}}
-    return record, extras, EXIT_OK, [], []
+    return record, {"seed": args.seed, "sim": _sim_manifest(sim)}, EXIT_OK, [], []
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in quadrature:  # only those that change a number the command computes
             kind, text = (_POINTS, "points per axis") if flag == "--points" else (_POSITIVE, "relative tolerance")
             p.add_argument(flag, type=kind, help=f"quadrature {text}")
+        # the QuadratureConfig fields those flags set: all the manifest records
+        p.set_defaults(quadrature=[_QUAD_FIELDS[flag] for flag in quadrature])
 
     p = sub.add_parser("limit", help="limit probability H(infinity)")
     add_common(p, False, "--rel-tol")

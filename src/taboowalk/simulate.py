@@ -2,7 +2,12 @@
 
 The path sampler draws every random number from a counter-based hash of
 (seed, path index, step index), so estimates are bit-identical however the
-paths are split into blocks, and a path can be replayed in isolation.
+paths are split into blocks or over worker threads, and a path can be
+replayed in isolation.  A block's paths run on up to one thread per CPU the
+process may use, each thread on a contiguous range of path ids; numpy
+releases the GIL inside the step loop's ufuncs.  A path's position is kept
+as offsets from its start packed into int64 words, so a jump adds one table
+value per word and the y/z test is one compare per word.
 The absorption bracket solves its box system by a matrix-free conjugate
 gradient in numpy on a padded flat layout of the box; scipy.sparse is
 imported only by its sparse-LU fallback, which runs when the CG residual
@@ -11,6 +16,8 @@ misses its bound.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,13 +31,19 @@ _U64 = np.uint64
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MIX_STEPS = ((_U64(30), _MIX1), (_U64(27), _MIX2), (_U64(31), None))
+_SHIFT53 = _U64(11)  # keeps the top 53 bits
 
 
-def _mix64(z):
-    """SplitMix64 finalizer; array-safe, wraps mod 2^64."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix64(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on the uint64 array z; wraps mod 2^64.
+    ``shifted`` is uint64 scratch shaped like z."""
+    for shift, mult in _MIX_STEPS:
+        np.right_shift(z, shift, shifted)
+        z ^= shifted
+        if mult is not None:
+            z *= mult
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -46,26 +59,58 @@ _MASK64 = (1 << 64) - 1
 
 def _path_keys(seed_hash: np.uint64, path_ids: np.ndarray) -> np.ndarray:
     """Per-path stream keys: fixed for the life of a path."""
-    return _mix64(path_ids * _GOLDEN + seed_hash)
+    z = path_ids * _GOLDEN + seed_hash
+    return _mix64(z, np.empty_like(z))
+
+
+def _counter(step: int, sub: int) -> int:
+    """Stream counter of draw ``sub`` of jump ``step``, mixed in exact Python ints."""
+    return ((2 * step + sub) * 0xD1342543DE82EF95 + 0x9E3779B97F4A7C15) & _MASK64
 
 
 def _draw(keys: np.ndarray, step: int, sub: int) -> np.ndarray:
     """U[0,1) for draw ``sub`` of jump ``step`` on each key's stream; 53-bit mantissa."""
-    # counter mixing in exact Python ints, then wrapped to uint64
-    counter = _U64(((2 * step + sub) * 0xD1342543DE82EF95 + 0x9E3779B97F4A7C15) & _MASK64)
-    return (_mix64(keys ^ counter) >> _U64(11)).astype(np.float64) * 2.0**-53
+    z = keys ^ _U64(_counter(step, sub))
+    return (_mix64(z, np.empty_like(z)) >> _U64(11)) * 2.0**-53
 
 
 # Paths simulated together; bounds the sampler's memory whatever n_paths is.
 _BLOCK_PATHS = 1 << 18
+# Fewest paths of a block worth a worker thread of their own.
+_WORKER_PATHS = 1 << 15
+# The step loop drops finished paths from its columns once the live share
+# of them falls below this.
+_LIVE_SHARE = 7 / 8
+# Most jump cuts compared in one broadcast compare: bounds its scratch array.
+_COMPARED_CUTS = 32
+# A position offset must fit in a field of at most this many bits.
+_MAX_FIELD_BITS = 63
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def sampler_workers(n_paths: int) -> int:
+    """Worker threads the sampler runs a block of min(n_paths, _BLOCK_PATHS)
+    paths on: one per CPU the process may use, each with at least
+    _WORKER_PATHS paths."""
+    return max(1, min(_cpus(), min(n_paths, _BLOCK_PATHS) // _WORKER_PATHS))
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run parameters.
 
-    Paths run in fixed-size blocks, so memory does not grow with n_paths;
-    the block size never affects the result.
+    Paths run in fixed-size blocks, so memory does not grow with n_paths,
+    and a block's paths are split over worker threads; neither the block
+    size nor the thread count ever affects the result.  ``max_jumps`` caps
+    each path's jumps; a cap that could carry a path out of exact int64
+    positions is rejected when the walk is sampled.
     """
 
     horizon: float
@@ -78,6 +123,8 @@ class SimConfig:
             raise ValueError("horizon must be finite and > 0")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if self.max_jumps < 1:
+            raise ValueError("max_jumps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,62 +144,183 @@ class McEstimate:
     undecided_paths: int = 0
 
 
+class _Packing:
+    """Lattice displacements packed into int64 words, ``bits`` bits per axis.
+
+    ``reach`` bounds |p_j - x_j| and |p_j - t_j| (t = y, z) for every
+    position p a path takes in max_jumps jumps of range R:
+    reach = max_jumps R + max_j |x_j - t_j|.  A field of ``bits`` =
+    bit length of 2 reach holds any |v| <= reach < 2^bits / 2, so a word
+    sum_f v_f 2^(bits f) over at most 63 // bits fields lies within int64,
+    and two codes are equal exactly when the displacements are.
+    """
+
+    def __init__(self, model: WalkModel, q: TabooQuery, max_jumps: int):
+        jump_range = int(np.max(np.abs(model.support)))
+        reach = max_jumps * jump_range + max(
+            abs(xj - tj) for t in (q.y, q.z) for xj, tj in zip(q.x, t)
+        )
+        self.bits = (2 * reach).bit_length()
+        if self.bits > _MAX_FIELD_BITS:
+            raise ValueError(
+                f"max_jumps = {max_jumps} with jump range {jump_range} needs {self.bits}-bit "
+                f"position fields; exact int64 positions allow {_MAX_FIELD_BITS}"
+            )
+        self.fields = _MAX_FIELD_BITS // self.bits
+        self.n_words = -(-model.d // self.fields)
+
+    def encode(self, vecs) -> np.ndarray:
+        """Codes of the displacement rows of ``vecs``, shape (n_words, len(vecs));
+        axis j is field j % fields of word j // fields."""
+        k = self.fields
+        return np.array(
+            [[sum(int(c) << (self.bits * f) for f, c in enumerate(v[w * k:(w + 1) * k])) for v in vecs]
+             for w in range(self.n_words)],
+            dtype=np.int64,
+        ).reshape(self.n_words, len(vecs))
+
+
+def _equal_codes(words: np.ndarray, code: np.ndarray, out: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """out = whether each column of ``words`` equals ``code``; flag is scratch."""
+    np.equal(words[0], code[0], out)
+    for col, c in zip(words[1:], code[1:]):
+        np.equal(col, c, flag)
+        out &= flag
+    return out
+
+
+def _in_threads(fn, spans: list[tuple[int, int]]) -> list:
+    """[fn(*span) for span in spans], the first on this thread and each other
+    on a thread of its own; the first exception raised is raised here."""
+    results: list = [None] * len(spans)
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(*spans[i])
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(spans))]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bool):
     """Yield (path ids, hit times, truncated, undecided) per block of paths.
 
     The walk jumps at exponential(a) epochs; hitting and taboo are checked
     at jump epochs, which is exact for piecewise-constant paths.  With
     ``minus_clock`` the first holding time does not count toward the clock.
-    Only paths that hit y before z and by the horizon are listed.  The
-    state of the paths still running is kept compacted: a path that
-    passes the horizon or reaches y or z leaves every column at once.
+    Only paths that hit y before z and by the horizon are listed.  Each
+    block is split into contiguous id ranges, one per worker thread.
     """
     _check_dims(model, q)
-    a = model.total_rate
-    axis_jumps = [np.ascontiguousarray(col) for col in model.support.T]
-    # u < 1 = jump_cdf[-1], so the jump index is the number of cuts <= u
-    cuts = model.jump_cdf[:-1]
+    packing = _Packing(model, q, sim.max_jumps)
+    table = packing.encode(model.support)
+    y_code, z_code = packing.encode([np.subtract(t, q.x) for t in (q.y, q.z)]).T
+    # u < 1 = jump_cdf[-1], so the jump index is the number of cuts <= u,
+    # counted by one broadcast compare per group of cuts
+    cuts = model.jump_cdf[:-1, None]
+    groups = [cuts[g:g + _COMPARED_CUTS] for g in range(0, len(cuts), _COMPARED_CUTS)]
+    below_rows = len(groups[0])
     seed_hash = _U64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
+    neg_a = -model.total_rate
 
-    for lo in range(0, sim.n_paths, _BLOCK_PATHS):
-        ids = np.arange(lo, min(lo + _BLOCK_PATHS, sim.n_paths), dtype=np.uint64)
+    def walk(lo: int, hi: int):
+        """(hit ids, hit times, truncated, undecided) of paths lo .. hi - 1.
+
+        Columns hold every path not yet dropped; ``alive`` marks those still
+        running.  A path that passes the horizon or reaches y or z leaves
+        ``alive`` at once, and the columns are compacted once the live share
+        falls below _LIVE_SHARE.  Scratch arrays are allocated once and
+        viewed at the column length.  Ufunc outputs are passed by position:
+        a keyword makes each call hold the GIL, which the workers share,
+        longer.
+        """
+        ids = np.arange(lo, hi, dtype=np.uint64)
         keys = _path_keys(seed_hash, ids)
         clock = np.zeros(ids.size)
-        pos = [np.full(ids.size, c, dtype=np.int64) for c in q.x]
+        words = np.zeros((packing.n_words, ids.size), dtype=np.int64)
+        flat = [np.empty(ids.size, dtype=dt)
+                for dt in (_U64, np.float64, np.uint8, np.intp, np.int64, bool, bool, bool, bool)]
+        below_flat = np.empty(below_rows * ids.size, dtype=bool)
+
+        def scratch(m: int) -> list[np.ndarray]:
+            """The scratch arrays at column length m, each contiguous."""
+            return [b[:m] for b in flat] + [below_flat[: below_rows * m].reshape(below_rows, m)]
+
+        work, u, count, jump, moved, over, at, flag, alive, below = scratch(ids.size)
+        alive.fill(True)
+
+        def uniform(step: int, sub: int, scale: float) -> None:
+            """u = scale * 2^53 * _draw(keys, step, sub), hashed in place."""
+            np.bitwise_xor(keys, _U64(_counter(step, sub)), work)
+            np.right_shift(_mix64(work, u.view(_U64)), _SHIFT53, work)
+            np.multiply(work.view(np.int64), scale, u)  # < 2^53: the same value, a faster cast
+
         hit_ids, hit_times = [], []
-        truncated = undecided = 0
+        live = ids.size
+        undecided = 0
         step = 0
-        while ids.size:
+        while live:
             if step >= sim.max_jumps:
-                truncated = ids.size
-                undecided += ids.size
-                break
+                return hit_ids, hit_times, live, undecided + live
             if not (minus_clock and step == 0):
-                clock += -np.log1p(-_draw(keys, step, 0)) / a
-            over = clock > sim.horizon
-            u = _draw(keys, step, 1)
-            jump = np.zeros(ids.size, dtype=np.intp)
-            for c in cuts:
-                jump += u >= c
-            for p, col in zip(pos, axis_jumps):
-                p += col[jump]
-            at_y = np.logical_and.reduce([p == c for p, c in zip(pos, q.y)])
-            at_z = np.logical_and.reduce([p == c for p, c in zip(pos, q.z)])
-            stay = ~(over | at_y | at_z)
-            hit = at_y & ~over
+                # -u exactly, so that log1p(-u) / -a rounds as -log1p(-u) / a
+                uniform(step, 0, -(2.0**-53))
+                np.log1p(u, u)
+                u /= neg_a
+                clock += u
+            np.greater(clock, sim.horizon, over)
+            over &= alive
             undecided += int(np.count_nonzero(over))
-            if hit.any():
-                hit_ids.append(ids[hit])
-                hit_times.append(clock[hit])
-            if not stay.all():
-                ids, keys, clock = ids[stay], keys[stay], clock[stay]
-                pos = [p[stay] for p in pos]
+            uniform(step, 1, 2.0**-53)
+            for g, group in enumerate(groups):
+                rows = below[: len(group)]
+                np.greater_equal(u, group, rows)
+                np.add.reduce(rows.view(np.uint8), 0, None, count)
+                if g:
+                    jump += count
+                else:
+                    np.copyto(jump, count)
+            for row, col in zip(table, words):
+                row.take(jump, None, moved, "clip")
+                col += moved
+            np.greater(_equal_codes(words, y_code, at, flag), over, flag)  # at y by the horizon
+            flag &= alive
+            idx = flag.nonzero()[0]
+            if idx.size:
+                hit_ids.append(ids[idx])
+                hit_times.append(clock[idx])
+            over |= at
+            over |= _equal_codes(words, z_code, at, flag)
+            np.greater(alive, over, alive)  # alive and not ended
+            live = int(np.count_nonzero(alive))
+            if live < _LIVE_SHARE * ids.size:
+                keep = np.flatnonzero(alive)
+                ids, keys, clock, words = ids[keep], keys[keep], clock[keep], words[:, keep]
+                work, u, count, jump, moved, over, at, flag, alive, below = scratch(live)
+                alive.fill(True)
             step += 1
+        return hit_ids, hit_times, 0, undecided
+
+    for lo in range(0, sim.n_paths, _BLOCK_PATHS):
+        hi = min(lo + _BLOCK_PATHS, sim.n_paths)
+        n_workers = sampler_workers(hi - lo)
+        ends = [lo + (hi - lo) * i // n_workers for i in range(n_workers + 1)]
+        parts = _in_threads(walk, list(zip(ends[:-1], ends[1:])))
         yield (
-            np.concatenate(hit_ids or [ids[:0]]),
-            np.concatenate(hit_times or [clock[:0]]),
-            truncated,
-            undecided,
+            np.concatenate([a for p in parts for a in p[0]] or [np.zeros(0, dtype=np.uint64)]),
+            np.concatenate([a for p in parts for a in p[1]] or [np.zeros(0)]),
+            sum(p[2] for p in parts),
+            sum(p[3] for p in parts),
         )
 
 

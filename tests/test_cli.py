@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import signal
@@ -13,6 +12,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 import taboowalk.cli as cli
+from taboowalk.simulate import sampler_workers
 from taboowalk import (
     ExtrapolationUnstable,
     TabooQuery,
@@ -161,8 +161,47 @@ class TestLimitCommand:
         code, out = run_cli(capsys, "limit", str(path), "--x", point, "--y", point)
         assert code == 0
         manifest = json.loads(out)["manifest"]
-        assert manifest["quadrature"] == dataclasses.asdict(default_config(walk.d))
+        # limit reads only the tolerance of the quadrature config
+        assert manifest["quadrature"] == {"rel_tol": default_config(walk.d).rel_tol}
         _validator("manifest.schema.json").validate(manifest)
+
+    def test_verify_records_how_monte_carlo_ran(self, capsys, simple_model_file):
+        code, out = run_cli(
+            capsys, "limit", simple_model_file, "--x", "2", "--y", "5", "--z", "0",
+            "--verify", "--paths", "3000", "--seed", "7",
+        )
+        assert code == 0
+        rec = json.loads(out)
+        mc = rec["verify"]["monte_carlo"]
+        assert mc["truncated_paths"] == 0
+        assert rec["manifest"]["sim"] == {
+            "horizon": mc["t"], "n_paths": 3000, "max_jumps": 1_000_000, "workers": sampler_workers(3000),
+        }
+        _validator("limit_record.schema.json").validate(rec)
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (["limit", "--x", "2", "--y", "5", "--z", "0"], {"rel_tol"}),
+        (["tail", "--x", "1", "--y", "4", "--z", "6"], {"rel_tol"}),
+        (["curve", "--x", "2", "--y", "5", "--step", "0.1", "--horizon", "5"], {"points_per_axis", "rel_tol"}),
+        (["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "5", "--paths", "200"], set()),
+    ],
+    ids=["limit", "tail", "curve", "simulate"],
+)
+def test_manifest_records_only_the_settings_read(capsys, tmp_path, simple_model_file, argv, reads):
+    out_file = tmp_path / "c.csv"
+    extra = ["--out", str(out_file)] if argv[0] == "curve" else []
+    code, out = run_cli(capsys, argv[0], simple_model_file, *argv[1:], *extra)
+    assert code == 0
+    if extra:
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    else:
+        manifest = json.loads(out)["manifest"]
+    assert set(manifest.get("quadrature", {})) == reads
+    assert ("sim" in manifest) == (argv[0] == "simulate")
+    _validator("manifest.schema.json").validate(manifest)
 
 
 class TestInputContract:

@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -21,13 +23,23 @@ from taboowalk import (
     Variant,
     absorption_limit_bracket,
     fit_tail_order,
+    nearest_neighbor_walk,
     save_model,
     taboo_limit,
     taboo_tail,
+    validate_model,
 )
 import taboowalk
 from taboowalk import simulate
-from taboowalk.simulate import _draw, _mix64_int, _path_keys, _simulate_hit_times, estimate_taboo_curve
+from taboowalk.simulate import (
+    _Packing,
+    _draw,
+    _mix64_int,
+    _path_keys,
+    _simulate_hit_times,
+    estimate_taboo_curve,
+    sampler_workers,
+)
 
 
 class TestRngStream:
@@ -183,6 +195,145 @@ class TestTabooEstimates:
         mean = float(np.mean(probs))
         combined_se = math.sqrt(truth * (1 - truth) / (n_seeds * n_paths))
         assert abs(mean - truth) <= 4 * combined_se
+
+
+_QUERIES = {
+    1: TabooQuery((1,), (3,), (0,)),
+    2: TabooQuery((1, 0), (0, 1), (0, 0)),
+    3: TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+    4: TabooQuery((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)),
+}
+# range 2 in d = 3: 22-bit fields at the default cap, two to a word
+_RANGE2_3D = {(1, 0, 0): 0.1, (0, 1, 0): 0.1, (0, 0, 1): 0.1, (0, 0, 2): 0.05}
+
+
+class TestSplitInvariance:
+    """Hit times, truncated and undecided counts do not depend on how the
+    paths are split into blocks and over worker threads."""
+
+    @pytest.mark.parametrize("walk", ["simple1d", "walk2d", "walk3d"])
+    @pytest.mark.parametrize("minus_clock", [False, True])
+    def test_bitwise_across_workers_and_blocks(self, walk, minus_clock, request, monkeypatch):
+        model = request.getfixturevalue(walk)
+        sim = SimConfig(horizon=15.0, n_paths=3000, seed=8)
+        want = _simulate_hit_times(model, _QUERIES[model.d], sim, minus_clock)
+        assert np.isfinite(want[0]).any() and want[2] > 0
+        monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
+        for workers, block in itertools.product((1, 2, 3), (3000, 1100, 257)):
+            monkeypatch.setattr(simulate, "_cpus", lambda: workers)
+            monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
+            assert sampler_workers(sim.n_paths) == workers
+            got = _simulate_hit_times(model, _QUERIES[model.d], sim, minus_clock)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (workers, block)
+
+    def test_bitwise_with_truncation(self, walk3d, monkeypatch):
+        sim = SimConfig(horizon=15.0, n_paths=2000, seed=8, max_jumps=6)
+        want = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        assert want[1] > 0
+        monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        got = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_cut_groups_match_one_compare(self, walk3d, monkeypatch):
+        sim = SimConfig(horizon=15.0, n_paths=2000, seed=8)
+        want = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        monkeypatch.setattr(simulate, "_COMPARED_CUTS", 2)  # five cuts in groups of 2, 2, 1
+        got = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_more_workers_than_cpus_under_fast_switching(self, walk3d, monkeypatch):
+        # each worker writes only its own result slot; a lost or crossed
+        # result would change the hit times or the counts
+        sim = SimConfig(horizon=10.0, n_paths=4000, seed=21)
+        want = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 5)  # more workers than a small test runner has CPUs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_workers_capped_by_cpus_and_path_floor(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpus", lambda: 4)
+        floor = simulate._WORKER_PATHS
+        assert sampler_workers(1) == sampler_workers(2 * floor - 1) == 1
+        assert sampler_workers(2 * floor) == 2
+        assert sampler_workers(10**9) == min(4, simulate._BLOCK_PATHS // floor)
+
+    def test_worker_exception_reaches_caller(self, walk3d, monkeypatch):
+        keys = simulate._path_keys
+
+        def failing(seed_hash, ids):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return keys(seed_hash, ids)
+
+        monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "_path_keys", failing)
+        sim = SimConfig(horizon=5.0, n_paths=100, seed=1)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            estimate_taboo_curve(walk3d, _QUERIES[3], [5.0], sim)
+
+
+class TestPackedPositions:
+    @pytest.mark.parametrize(
+        "jumps, d", [(_RANGE2_3D, 3), (None, 4)], ids=["range2-d3", "nn-d4"]
+    )
+    def test_multi_word_walk_matches_reference(self, jumps, d):
+        model = validate_model(d, jumps) if jumps else nearest_neighbor_walk(d)
+        q = _QUERIES[d]
+        sim = SimConfig(horizon=8.0, n_paths=600, seed=12)
+        assert _Packing(model, q, sim.max_jumps).n_words == 2
+        want = _simulate_reference(model, q, sim)
+        got = _simulate_hit_times(model, q, sim, minus_clock=False)
+        assert got[1:] == want[1:]
+        assert np.isfinite(want[0]).any()
+        assert np.array_equal(np.isinf(want[0]), np.isinf(got[0]))
+        finite = np.isfinite(want[0])
+        assert np.allclose(want[0][finite], got[0][finite], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "jumps, d, max_jumps",
+        [(_RANGE2_3D, 3, 1_000_000), (None, 2, 1_000_000), (None, 3, 7), (None, 1, 2**61)],
+        ids=["range2-d3", "nn-d2", "nn-d3-small-cap", "nn-d1-63-bits"],
+    )
+    def test_extreme_displacements_have_distinct_codes(self, jumps, d, max_jumps):
+        model = validate_model(d, jumps) if jumps else nearest_neighbor_walk(d)
+        packing = _Packing(model, _QUERIES[d], max_jumps)
+        edge = (1 << packing.bits) // 2 - 1  # every reachable |p_j - t_j| is at most this
+        vecs = list(itertools.product((-edge, -1, 0, 1, edge), repeat=d))
+        codes = packing.encode(vecs)
+        assert codes.shape == (packing.n_words, len(vecs))
+        assert len({tuple(c) for c in codes.T}) == len(vecs)
+        # the codes are exact: each field decodes back to its axis
+        k, half = packing.fields, 1 << (packing.bits - 1)
+        for v, c in zip(vecs, codes.T):
+            got = []
+            for word in c.tolist():
+                for _ in range(min(k, d - len(got))):
+                    field = (word + half) % (1 << packing.bits) - half
+                    got.append(field)
+                    word = (word - field) >> packing.bits
+            assert tuple(got) == v
+
+    def test_rejects_cap_beyond_exact_positions(self, nonsimple1d):
+        q = TabooQuery((1,), (3,), (0,))
+        # range 2: max_jumps 2^61 needs 64-bit fields
+        with pytest.raises(ValueError, match="exact int64 positions"):
+            estimate_taboo_curve(nonsimple1d, q, [1.0], SimConfig(horizon=1.0, n_paths=10, seed=0, max_jumps=2**61))
+        # the largest cap that fits samples as the default cap does
+        big = estimate_taboo_curve(nonsimple1d, q, [1.0], SimConfig(horizon=1.0, n_paths=500, seed=0, max_jumps=2**60))
+        assert big == estimate_taboo_curve(nonsimple1d, q, [1.0], SimConfig(horizon=1.0, n_paths=500, seed=0))
+
+    @pytest.mark.parametrize("max_jumps", [0, -3])
+    def test_rejects_cap_below_one(self, max_jumps):
+        with pytest.raises(ValueError, match="max_jumps"):
+            SimConfig(horizon=1.0, n_paths=10, seed=0, max_jumps=max_jumps)
 
 
 def _trajectory(model, q, sim, path_id, max_steps=100_000):

@@ -26,23 +26,24 @@ is streamed block by block and never kept.
 Block sums are added exactly (math.fsum), so results repeat bit for bit.
 
 Refinement policy; a result that misses its tolerance raises NotConverged.
-One driver, ``_refine``, doubles every grid over a capped number of levels,
+One driver, ``_refine``, doubles every grid but the p-curves' over capped levels,
 one ladder per entry, each entry frozen at the level where it would stop
 alone.  ``torus_mean`` (the heat kernel p) runs order 0 (the last sum) over
 ``_TORUS_DOUBLINGS`` doublings from ``torus_points`` = max(cfg.points_per_axis,
 4 max|r_j|) points per axis, as below n = |r_j| every level aliases r_j to
-r_j mod n.  ``axis_integral`` (d = 2) runs each entry from its own floor,
+r_j mod n, but from 64 at least.  ``axis_integral`` (d = 2) runs each entry from its own floor,
 16 * 2^k >= 4 max|r_j|, up to ``_AXIS_POINTS``.
 ``shell_integral`` (d >= 3) adds shells s = pi 2^-m, each an order-2
 (Richardson) ladder of its displacements, until the analytic core bound is
-negligible.  ``p_curves`` probes its rows at 8 times ending at the last,
-order 0, and takes the curve on the coarser grid of the last pair.
-Its grid sum is one GEMM per sub-block of phi points, rows (r, t_b) against
+negligible.  ``p_curves`` is one grid sum on the first torus_points * 2^k,
+k <= _TORUS_DOUBLINGS + 1, whose a priori aliasing bound (``_alias_bound``)
+meets the tolerance: one GEMM per sub-block of phi points, rows (r, t_b) against
 columns of exp(phi tau) offsets, so the exp table is read once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -53,7 +54,7 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotConverged
-from .model import WalkModel
+from .model import WalkModel, char_exponent_grid
 
 # Soak up rounding noise when an integrand is essentially zero.
 ABS_FLOOR = 1e-13
@@ -69,7 +70,7 @@ CACHE_BYTES = 64 << 20
 _EXP_BLOCK = 1 << 18
 # Shells per shell integral, points per axis at a ladder's first level, the
 # shell ladder's level cap (3 above d = 3), the one-axis ladder's cap in points,
-# and the doublings of a torus mean (one more for the p-curve probes).
+# and the doublings of a torus mean (one more for a p-curve grid).
 _MAX_SHELLS = 62
 _SHELL_N0 = 16
 _SHELL_LEVELS = {3: 5}
@@ -79,9 +80,9 @@ _TORUS_DOUBLINGS = 4
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The starting grid of torus means and p-curves, and the relative tolerance
-    of every quadrature.  Level caps are module constants: _TORUS_DOUBLINGS,
-    _SHELL_LEVELS (d >= 3) and _AXIS_POINTS (d = 2)."""
+    """The floor of the grid of torus means and p-curves, in points per axis,
+    and the relative tolerance of every quadrature.  Level caps are module
+    constants: _TORUS_DOUBLINGS, _SHELL_LEVELS (d >= 3) and _AXIS_POINTS (d = 2)."""
 
     points_per_axis: int = 256
     rel_tol: float = 1e-8
@@ -94,10 +95,11 @@ class QuadratureConfig:
 
 
 def default_config(d: int) -> QuadratureConfig:
-    """256 points per axis and rel_tol 1e-8 in d <= 2; 64 in d = 3, else 32, and 1e-6."""
+    """Floors of 256 points per axis and rel_tol 1e-8 in d <= 2 (a d = 1 curve to
+    t = 1000 needs 256), and 16 and 1e-6 in d >= 3; a torus mean starts at 64."""
     if d <= 2:
         return QuadratureConfig()
-    return QuadratureConfig(points_per_axis=64 if d == 3 else 32, rel_tol=1e-6)
+    return QuadratureConfig(points_per_axis=16, rel_tol=1e-6)
 
 
 class Integrand(NamedTuple):
@@ -326,10 +328,11 @@ def torus_mean(
     name: str, model: WalkModel, integrand: Integrand, r: Sequence[int], cfg: QuadratureConfig
 ) -> tuple[float, float]:
     """(2 pi)^-d * torus integral of the integrand at displacement r, as
-    (value, est_error): order 0 from torus_points to cfg.rel_tol."""
+    (value, est_error): order 0 to cfg.rel_tol from torus_points, but at least 64:
+    below that, two grids can both miss the narrow peak of a long-time p and agree."""
     (val,), (err,), (ok,) = _refine(
         lambda n, ks: [midpoint_sum(model, integrand, r, np.pi, n) / (2.0 * np.pi) ** model.d],
-        torus_points(cfg, (r,)), _TORUS_DOUBLINGS + 1, [ABS_FLOOR], cfg.rel_tol, 0)
+        max(torus_points(cfg, (r,)), 64), _TORUS_DOUBLINGS + 1, [ABS_FLOOR], cfg.rel_tol, 0)
     if not ok:
         raise _not_converged(name, val, err)
     return val, err
@@ -420,24 +423,57 @@ def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.nd
     return 2.0 * out.reshape(len(rs), -1)[:, : len(times)] / n**model.d
 
 
-def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """p(t; 0, r) on equally spaced times, one row per r, refined until rel_tol.
+def _return_bound(model: WalkModel, ts: np.ndarray, n: int) -> np.ndarray:
+    """n^-d sum of exp(t phi) over the grid 2 pi j / n, j in Z_n^d, for each t of ts:
+    sum_k p(t; 0, n k) over k in Z^d, so at least p(t; 0, 0).  phi is even, so the
+    first axis runs over j_0 = 0..n/2, its inner values counted twice."""
+    shape = (n // 2 + 1,) + (n,) * (model.d - 1)
+    size, out = math.prod(shape), np.zeros(len(ts))
+    for i0 in range(0, size, _BLOCK_POINTS):
+        j = np.array(np.unravel_index(np.arange(i0, min(i0 + _BLOCK_POINTS, size)), shape)).T
+        ph = char_exponent_grid(model, 2.0 * np.pi / n * j)
+        e = np.multiply.outer(ts, ph)
+        out += np.exp(e, out=e) @ np.where(j[:, 0] % (n // 2), 2.0, 1.0)
+    return out / n**model.d
 
-    The grid starts at torus_points, so no row aliases.  The rows are probed
-    together at 8 equally spaced times ending at the last, the full pass being
-    the first probe, and taken on the coarser grid of the last pair.
+
+def _alias_bound(model: WalkModel, rs: tuple, t: float, n: int) -> float:
+    """A bound on the error of the n-point midpoint mean of p(t'; 0, r), every r in rs
+    and t' <= t.  For n even that mean is sum_k (-1)^|k|_1 p(t'; 0, r + n k), k in Z^d
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), off by at most the sum over k != 0.
+    A complex shift of p's Fourier integral gives p(t; 0, x) <= p(t; 0, 0)
+    exp(-sigma.x + t sum_z a(z) (cosh(sigma.z) - 1)); the k of each sign pattern e
+    take sigma = s e, the least over a grid of s (s |e.z| <= 700), and sum as a
+    geometric series.  p(t; 0, 0) falls with t and the rest grows: over brackets
+    [a, b] ending at t (eight 2^(i/4) below it, four an octave apart, then 0), take
+    _return_bound at a (1 at 0) times the rest at b.
     """
-    probe_idx = np.arange(len(times) - 1, -1, -max(1, (len(times) - 1) // 7))[:8][::-1]
-    n0, passes = torus_points(cfg, rs), []
+    if t <= 0.0:
+        return 0.0  # p(0; 0, r) is summed exactly
+    e = np.array([c for c in itertools.product((-1, 0, 1), repeat=model.d) if any(c)])
+    ez = e @ model.support.T  # (sign patterns, jumps)
+    s = 700.0 / np.abs(ez).max() * 2.0 ** -np.arange(0.0, 30.0, 0.125)
+    lam = (np.cosh(np.multiply.outer(ez, s)) - 1.0).transpose(0, 2, 1) @ model.rates
+    decay = np.abs(e) @ (n - np.abs(np.array(rs)).max(axis=0))
+    geo = np.abs(e).sum(axis=1)[:, None] * np.log1p(-np.exp(-n * s))
+    ts = np.append(t, 2.0 ** ((np.ceil(4.0 * np.log2(t)) - np.r_[1:9, 12:25:4]) / 4.0))
+    with np.errstate(over="ignore"):  # t cosh(s z) may pass the float range: inf, never the least
+        rest = np.exp(np.min(ts[:, None, None] * lam - s * decay[:, None] - geo, axis=2)).sum(axis=1)
+    return float(np.max(rest * np.append(_return_bound(model, ts[1:], n), 1.0)))
 
-    def sum_at(n, ks):
-        passes.append(_p_grid_sum(model, rs, times[probe_idx] if passes else times, n))
-        return [passes[-1][:, probe_idx] if n == n0 else passes[-1]]
 
-    _, (gap,), (ok,) = _refine(sum_at, n0, _TORUS_DOUBLINGS + 2,
-                               [max(cfg.rel_tol, ABS_FLOOR)], 0.0, 0)
-    n = n0 * 2 ** (len(passes) - 2)
-    vals = np.clip(passes[0] if n == n0 else _p_grid_sum(model, rs, times, n), 0.0, 1.0)
-    if not ok:
-        raise _not_converged("p-curve", vals, gap)
+def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """p(t; 0, r) on equally spaced times, one row per r, in one grid pass.
+
+    The grid is the first torus_points(cfg, rs) * 2^k points per axis,
+    k <= _TORUS_DOUBLINGS + 1, whose aliasing bound over the times is at most
+    max(rel_tol, ABS_FLOOR); NotConverged if none is.
+    """
+    tol, t, n = max(cfg.rel_tol, ABS_FLOOR), float(np.max(times)), torus_points(cfg, rs)
+    top = n << (_TORUS_DOUBLINGS + 1)
+    while (bound := _alias_bound(model, rs, t, n)) > tol and n < top:
+        n *= 2
+    vals = np.clip(_p_grid_sum(model, rs, times, n), 0.0, 1.0)
+    if bound > tol:
+        raise _not_converged("p-curve", vals, bound)
     return vals

@@ -324,20 +324,6 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
         )
 
 
-def _simulate_hit_times(
-    model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bool
-) -> tuple[np.ndarray, int, int]:
-    """Per-path taboo-hitting times (inf when the event fails by the horizon),
-    for replaying paths one by one; holds one float per path."""
-    hit_times = np.full(sim.n_paths, np.inf)
-    truncated = undecided = 0
-    for ids, times, trunc, und in _hit_blocks(model, q, sim, minus_clock):
-        hit_times[ids.astype(np.int64)] = times
-        truncated += trunc
-        undecided += und
-    return hit_times, truncated, undecided
-
-
 def _estimate_at(hits: int, sim: SimConfig, truncated: int, undecided: int) -> McEstimate:
     n = sim.n_paths
     p = hits / n

@@ -289,24 +289,25 @@ class TestBatchedPCurves:
         assert torus_points(default_config(3), ((16, -2, 0),)) == 64
         assert torus_points(default_config(1), ((1000,),)) == 4000
 
-    def test_taboo_cdf_makes_one_pass_plus_probe(self, walk3d, monkeypatch):
-        calls, seen = [], []
+    def test_taboo_cdf_makes_one_pass(self, walk3d, monkeypatch):
+        # the aliasing bound sizes the grid before any sum: one grid sum per curve
+        calls = []
         grid_sum = quadrature._p_grid_sum
 
         def spy(model, rs, times, n):
             calls.append((len(rs), len(times), n))
-            seen.append(times)
             return grid_sum(model, rs, times, n)
 
         monkeypatch.setattr(quadrature, "_p_grid_sum", spy)
-        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 2)
         cfg = QuadratureConfig(points_per_axis=32, rel_tol=1e-6)
         q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
         taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=40), cfg)
-        assert calls == [(4, 80, 32), (4, 8, 64)]
-        times, probe = seen
-        assert probe[-1] == times[-1]
-        np.testing.assert_allclose(np.diff(probe), probe[1] - probe[0], rtol=1e-12)
+        assert calls == [(4, 80, 32)]
+        # the verify curve of the nearest-neighbour walk (t <= 40): the bound
+        # is 2.9e-6 at n = 16 and 2.6e-15 at n = 32, so the default floor 16 doubles once
+        calls.clear()
+        taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=800))
+        assert calls == [(4, 1600, 32)]
 
     def test_taboo_cdf_reuses_the_zy_solve(self, nonsimple1d, monkeypatch):
         grid = TimeGrid(step=0.05, n_steps=200)

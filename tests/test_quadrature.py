@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
-from taboowalk import nearest_neighbor_walk, simple_walk_1d, validate_model
+from taboowalk import (TabooQuery, TimeGrid, nearest_neighbor_walk, simple_walk_1d, taboo_cdf,
+                       transition_probability, validate_model)
 from taboowalk import quadrature as quad
 from taboowalk.model import char_exponent_grid
 from taboowalk.quadrature import Integrand, midpoint_sum, phi_blocks
@@ -280,3 +283,102 @@ def test_refine_order_0_takes_the_largest_gap_of_an_array():
     assert err == np.max(np.abs((0.5 + c / 64) - (0.5 + c / 32)))
     (_,), (err1,), (ok1,) = quad._refine(_Spy(lambda h: 0.5 + c * h), 1, 1, [1e-4], 0.0, 0)
     assert not ok1 and err1 == math.inf  # one level has no gap
+
+
+# The four walks of the aliasing-bound checks: a non-simple d = 1 walk, diagonal
+# jumps in d = 2, the nearest-neighbour walk and a range-2 walk in d = 3.
+_BOUND_WALKS = {
+    "nonsimple1d": validate_model(1, {(1,): 0.4, (2,): 0.1}),
+    "diagonal2d": validate_model(2, {(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05}),
+    "walk3d": nearest_neighbor_walk(3),
+    "range2_3d": validate_model(3, {(1, 0, 0): 0.1, (0, 1, 0): 0.1, (0, 0, 1): 0.1, (0, 0, 2): 0.05}),
+}
+
+
+def _bound_rows(d):
+    return ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
+
+
+class TestAliasBound:
+    @pytest.mark.parametrize("walk", list(_BOUND_WALKS))
+    @pytest.mark.parametrize("t", [0.0, 0.5, 5.0, 40.0, 200.0])
+    def test_bounds_the_measured_aliasing(self, walk, t):
+        # |p_n - p_4n| against the bound at n, from the 16-point floor up to the
+        # first n the default tolerance accepts; p_4n errs by bound(4n), and
+        # both sums by a few ulps of the unit mass
+        model = _BOUND_WALKS[walk]
+        rs, tol = _bound_rows(model.d), max(quad.default_config(model.d).rel_tol, quad.ABS_FLOOR)
+        n, checked = 16, 0
+        while True:
+            bound = quad._alias_bound(model, rs, t, n)
+            diff = np.max(np.abs(quad._p_grid_sum(model, rs, np.array([t]), n)
+                                 - quad._p_grid_sum(model, rs, np.array([t]), 4 * n)))
+            assert diff <= bound + quad._alias_bound(model, rs, t, 4 * n) + quad.RESIDUE_ROUNDING
+            checked += diff > quad.RESIDUE_ROUNDING
+            if bound <= tol:
+                break
+            n *= 2
+        assert t < 5.0 or checked  # the long times test the bound above rounding
+
+    @pytest.mark.parametrize("walk", list(_BOUND_WALKS))
+    def test_monotone_in_n_and_t(self, walk):
+        model = _BOUND_WALKS[walk]
+        rs = _bound_rows(model.d)
+        ts = np.linspace(0.0, 400.0, 21)
+        # n <= 64 in d = 3: the bound sums e^{phi t} over the n^3 grid
+        table = np.array([[quad._alias_bound(model, rs, t, 16 << k) for t in ts]
+                          for k in range(3 if model.d == 3 else 6)])
+        assert np.all(np.diff(table, axis=0) <= 0.0)
+        assert np.all(np.diff(table, axis=1) >= 0.0)
+        assert np.all(table[:, 0] == 0.0)  # p(0; 0, r) is summed exactly
+
+    def test_long_times_raise_no_overflow_warning(self):
+        # t cosh(s z) passes the float range on the large s of the grid; those
+        # exponents are never the least, and numpy must not warn about them
+        model = nearest_neighbor_walk(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < quad._alias_bound(model, ((0, 0, 0),), 1e5, 16) < math.inf
+
+    def test_verify_curve_matches_the_64_point_grid(self):
+        # the nearest-neighbour verify curve on its bound-sized grid (n = 32)
+        # against the same curve on a 64-point floor
+        walk = nearest_neighbor_walk(3)
+        q, grid = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0)), TimeGrid(step=0.05, n_steps=800)
+        fine = quad.QuadratureConfig(points_per_axis=64, rel_tol=1e-6)
+        for got, want in zip(taboo_cdf(walk, q, grid), taboo_cdf(walk, q, grid, fine)):
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-13)
+
+
+class TestProductFormReference3d:
+    """The nearest-neighbour walk jumps along the axes only, so its heat kernel is
+    a product of d = 1 ones: p(t; 0, x) = prod_j exp(-t/3) I_{x_j}(t/3)."""
+
+    XS = ((0, 0, 0), (1, 0, 0), (2, -1, 3))
+
+    @staticmethod
+    def _want(x, t):
+        return scipy.special.ive(np.abs(x), np.asarray(t)[..., None] / 3.0).prod(axis=-1)
+
+    @pytest.mark.parametrize("t", [0.5, 3.0, 20.0])
+    @pytest.mark.parametrize("x", XS)
+    def test_transition_probability_within_its_error(self, t, x):
+        # rounding of a few ulps of the unit mass comes on top of the estimated error
+        got = transition_probability(nearest_neighbor_walk(3), t, (0, 0, 0), x)
+        assert abs(got.value - float(self._want(x, t))) <= got.est_error + quad.RESIDUE_ROUNDING
+
+    @pytest.mark.parametrize("t", [2000.0, 5000.0])
+    def test_long_time_transition_probability(self, t):
+        # the torus mean starts at 64 and tops out at 1024 in d = 3: from the
+        # 16 floor, the grids 16 and 32 both miss the narrow peak and agree on ~0
+        got = transition_probability(nearest_neighbor_walk(3), t, (0, 0, 0), (0, 0, 0))
+        assert abs(got.value - float(self._want((0, 0, 0), t))) <= got.est_error + quad.RESIDUE_ROUNDING
+
+    @pytest.mark.parametrize("times", [0.5 * np.arange(1, 41), 1000.0 * np.arange(1, 9)],
+                             ids=["to-20", "to-8000"])
+    def test_p_curves_within_rel_tol(self, times):
+        # 0.5, 3 and 20 among the short times; to t = 8000 the bound takes n = 128
+        cfg = quad.default_config(3)
+        got = quad.p_curves(nearest_neighbor_walk(3), self.XS, times, cfg)
+        want = np.array([self._want(x, times) for x in self.XS])
+        np.testing.assert_allclose(got, want, rtol=0, atol=cfg.rel_tol)

@@ -36,10 +36,21 @@ from taboowalk.simulate import (
     _draw,
     _mix64_int,
     _path_keys,
-    _simulate_hit_times,
     estimate_taboo_curve,
     sampler_workers,
 )
+
+
+def _simulate_hit_times(model, q, sim, minus_clock):
+    """Per-path taboo-hitting times (inf when the event fails by the horizon),
+    for replaying paths one by one; holds one float per path."""
+    hit_times = np.full(sim.n_paths, np.inf)
+    truncated = undecided = 0
+    for ids, times, trunc, und in simulate._hit_blocks(model, q, sim, minus_clock):
+        hit_times[ids.astype(np.int64)] = times
+        truncated += trunc
+        undecided += und
+    return hit_times, truncated, undecided
 
 
 class TestRngStream:
@@ -114,8 +125,6 @@ class TestTabooEstimates:
         q = TabooQuery((1,), (3,), (0,))
         sim = SimConfig(horizon=25.0, n_paths=1000, seed=77)
         hit, _, _ = _simulate_reference(simple1d, q, sim)
-        from taboowalk.simulate import _simulate_hit_times
-
         got, _, _ = _simulate_hit_times(simple1d, q, sim, minus_clock=False)
         assert np.array_equal(np.isinf(hit), np.isinf(got))
         finite = np.isfinite(hit)
@@ -155,8 +164,6 @@ class TestTabooEstimates:
         # must classify every path identically
         q = TabooQuery((1,), (3,), (0,))
         sim = SimConfig(horizon=15.0, n_paths=1000, seed=4321)
-        from taboowalk.simulate import _simulate_hit_times
-
         epoch_times, _, _ = _simulate_hit_times(simple1d, q, sim, minus_clock=False)
         dt = 0.01
         for i in range(sim.n_paths):

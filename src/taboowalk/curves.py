@@ -86,7 +86,7 @@ def _grid_p_curves(model: WalkModel, rs, grid: TimeGrid, cfg: QuadratureConfig) 
     j = 1..2N: odd j are the kernel's half-grid times, even j the rhs times."""
     rs = tuple(dict.fromkeys(((0,) * model.d,) + tuple(rs)))
     times = np.arange(1, 2 * grid.n_steps + 1) * (0.5 * grid.step)
-    return dict(zip(rs, p_curves(model, rs, times, cfg)))
+    return dict(zip(rs, p_curves(model, rs, times, cfg)[0]))
 
 
 # Unknowns per leaf of the Toeplitz solver's halving recursion.

@@ -1,16 +1,17 @@
 """Fourier kernels: p(t;x,y), G_lambda(x,y), rho_d(x).
 
 All three are integrals over [-pi, pi]^d built from the walk's
-characteristic exponent phi.  This module holds their integrands, the
-core bounds of the shell integrals, and the value caches, keyed by rel_tol alone.
-Kernel values are read by set: rho_values and green_values send the uncached
-displacements of one request to one ladder, and rho and green_function are
-their one-element case; quadrature.py sizes and refines every grid.  The
-heat kernel p is a smooth torus mean.  In d <= 2, the theta_d integrals of
-G_lambda and rho are sums of residues (Katsura et al., J. Math. Phys. 12,
-1971): exact in d = 1, a one-axis theta_1 ladder in d = 2.  In d >= 3 Green's
-functions are shell integrals, and the walk is transient: rho_d(x) = a (G_0(0)
-- G_0(x)) (Spitzer, Principles of Random Walk), from the cached G_0 shells.
+characteristic exponent phi.  This module holds the residue sums and the
+value caches, keyed by rel_tol alone; quadrature.py sizes and refines every
+grid.  Kernel values are read by set: rho_values and green_values send the
+uncached displacements of one request to one ladder, and rho and
+green_function are their one-element case.  The heat kernel p is a smooth
+torus mean, one p-curve of two times.  For G_lambda and rho, lambda - phi is a
+Laurent polynomial in w = exp(i theta_d) at fixed theta' = (theta_1, ...,
+theta_{d-1}), so the theta_d integral is a sum of residues (Katsura et al.,
+J. Math. Phys. 12, 1971): exact in d = 1, a ladder over the theta' grid in
+d >= 2.  In d >= 3 the walk is transient: rho_d(x) = a (G_0(0) - G_0(x))
+(Spitzer, Principles of Random Walk), from the cached G_0 values.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import wraps
-from math import comb, gamma as _gamma_fn, sqrt
+from math import comb, fsum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergentGreenFunction, NotConverged
-from .model import WalkModel, as_vec, simple_walk_1d, spectral_scalars
-from .quadrature import (_CACHE, RESIDUE_ROUNDING, Integrand, QuadratureConfig, axis_integral,
-                         default_config, shell_integral, torus_mean)
+from .model import WalkModel, as_vec, simple_walk_1d
+from .quadrature import (_CACHE, RESIDUE_ROUNDING, QuadratureConfig, _residue_grid, _residue_points,
+                         axis_integral, default_config, p_curves)
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,16 @@ def transition_probability(
     """p(t;x,y) = (2 pi)^-d * integral of exp(phi(theta) t) cos(theta, y-x).
 
     The imaginary part vanishes by symmetry; at t = 0 it is delta_xy exactly.
+    For t > 0 it is the p-curve of the times 0 and t, and its est_error is
+    absolute: the aliasing bound, at most max(rel_tol, 1e-13), plus rounding.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("t must be finite and >= 0")
     r = canonical_diff(x, y, model.d)
     if t == 0:
         return KernelValue(value=0.0 if any(r) else 1.0, est_error=0.0)
-    p = Integrand(("p", float(t)), lambda ph: np.exp(ph * t))
-    val, err = torus_mean("transition_probability", model, p, r, cfg or default_config(model.d))
-    return KernelValue(value=min(1.0, max(0.0, val)), est_error=err)
+    vals, err = p_curves(model, (r,), np.array([0.0, t]), cfg or default_config(model.d))
+    return KernelValue(value=float(vals[0, 1]), est_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -110,73 +112,82 @@ def _batched(compute):
     return lookup
 
 
-def _inner_roots(model: WalkModel, lam: float, n: int):
-    """(theta_1, w, -1/psi(w)) at the roots of P(w) = w^R (lam - phi) in |w| < 1,
-    w = exp(i theta_d), R = max|z_d|, psi = w dphi/dw: a row per midpoint theta_1
-    of (0, pi) in d = 2, one row (theta_1 = 0) in d = 1.  R roots lie inside, or
-    R - 1 at lam = 0 in d = 1, where -phi has the double root w = 1.  They are
-    found as 1 + u from P(1 + u) = sum_k q_k u^k, whose coefficients do not
-    cancel near w = 1 (q_0 = q_1 = 0 at that double root are dropped): in closed
-    form for two roots, else as companion-matrix eigenvalues.  One Newton step
-    in log w polishes each root, with phi = sum 4 a(z) sinh^2(x/2) and psi =
-    sum 2 a(z) z_d sinh(x) over the pairs +-z, x = i z_1 theta_1 + z_d log w."""
+def _dot(th: np.ndarray, v, unit=1.0) -> np.ndarray:
+    """unit * th @ v, one product (unit v_j) theta_j per nonzero v_j: in d = 2
+    exactly (unit v_1) theta_1."""
+    terms = [(unit * c) * th[:, j] for j, c in enumerate(v) if c]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(len(th))
+
+
+def _inner_roots(model: WalkModel, lam: float, th: np.ndarray, big_r: int):
+    """(w, -1/psi(w)) at the roots of P(w) = w^R (lam - phi) in |w| < 1, a row per
+    point theta' of th, w = exp(i theta_d), R = max|z_d| (big_r), psi = w dphi/dw.
+    R roots lie inside, or R - 1 at lam = 0 in d = 1, where -phi has the double
+    root w = 1.  They are found as 1 + u from P(1 + u) = sum_k q_k u^k, whose
+    coefficients do not cancel near w = 1 (q_0 = q_1 = 0 at that double root are
+    dropped): in closed form for two roots, else as companion-matrix eigenvalues.
+    One Newton step in log w polishes each root, with phi = sum 4 a(z)
+    sinh^2(x/2) and psi = sum 2 a(z) z_d sinh(x) over the pairs +-z,
+    x = i z'.theta' + z_d log w."""
+    binom = np.array([[comb(m, k) for k in range(2 * big_r + 1)] for m in range(2 * big_r + 1)])
+    q = lam * binom[big_r] + np.zeros((len(th), 1), complex)
+    for z, a in model.jumps:  # w^R (1 - e w^m) = (1 - e) w^R + e (w^R - w^(R + m))
+        x = _dot(th, z[:-1])
+        e, one_minus_e = np.exp(1j * x)[:, None], (2.0 * np.sin(0.5 * x) ** 2 - 1j * np.sin(x))[:, None]
+        q += a * (one_minus_e * binom[big_r] + e * (binom[big_r] - binom[big_r + z[-1]]))
+    if lam == 0.0 and model.d == 1:  # both 0 by symmetry, so dropped untested
+        q = q[:, 2:]
+    deg, u = q.shape[1] - 1, np.zeros((len(th), 0), complex)  # no root for deg = 0
+    if deg == 2:  # the root of the larger |t|, the other as q_0 / t; the one nearer w = 0 is kept
+        s = np.sqrt(q[:, 1] ** 2 - 4.0 * q[:, 0] * q[:, 2])
+        t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * s).real >= 0.0, s, -s))
+        u, other = t / q[:, 2], q[:, 0] / t
+        u = np.where(np.abs(1.0 + u) <= np.abs(1.0 + other), u, other)[:, None]
+    elif deg:
+        comp = np.zeros((len(th), deg, deg), complex)
+        comp[:, 0], comp[:, 1:, :-1] = -q[:, -2::-1] / q[:, -1:], np.eye(deg - 1)
+        u = np.linalg.eigvals(comp)
+        u = np.take_along_axis(u, np.argsort(np.abs(1.0 + u), axis=1), axis=1)[:, : deg // 2]
+    log_w = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag**2) + 1j * np.arctan2(u.imag, 1.0 + u.real)
+    pairs = [(z[-1], a, 1j * _dot(th, z[:-1])[:, None]) for z, a in model.jumps if z > tuple(-c for c in z)]
+
+    def psi(log_w):  # pairs with z_d = 0 add 0
+        return sum(2.0 * a * m * np.sinh(m * log_w + phase) for m, a, phase in pairs if m)
+
+    phi = sum(4.0 * a * np.sinh(0.5 * (m * log_w + phase)) ** 2 for m, a, phase in pairs)
+    log_w = log_w + (lam - phi) / psi(log_w)
+    return np.exp(log_w), -1.0 / psi(log_w)
+
+
+def _residue_sums(model: WalkModel, lam: float, n: int, rs, mapped: bool = False) -> list:
+    """(J_r, its rounding bound in d = 1, else 0) for each r of rs: the mean over
+    the residue grid of n (quadrature._residue_grid) of (2 pi)^-1 * integral over
+    theta_d of exp(i r.theta) / (lam - phi), the residue sum exp(+-i r'.theta')
+    sum_k w_k^|r_d| / -psi(w_k), the sign that of r_d.  The grid and its roots
+    are kept in the grid cache.  In d = 1 (n = 1) that is exact but for
+    rounding: a root error of a few ulps grows |r| times in w^|r| and about R
+    times in psi, hence the bound RESIDUE_ROUNDING (|r| + R) sum_k |term_k|."""
+    big_r, size = max(abs(z[-1]) for z, _ in model.jumps), _residue_points(model.d, n)
 
     def build():
-        th = (2 * np.arange(n) + 1) * (np.pi / (2 * n)) if model.d == 2 else np.zeros(1)
-        big_r = max(abs(z[-1]) for z, _ in model.jumps)
-        binom = np.array([[comb(m, k) for k in range(2 * big_r + 1)] for m in range(2 * big_r + 1)])
-        q = lam * binom[big_r] + np.zeros((len(th), 1), complex)
-        for z, a in model.jumps:  # w^R (1 - e w^m) = (1 - e) w^R + e (w^R - w^(R + m))
-            e, x = np.exp(1j * z[0] * th)[:, None], 0.5 * z[0] * th
-            one_minus_e = (2.0 * np.sin(x) ** 2 - 1j * np.sin(2.0 * x))[:, None]
-            q += a * (one_minus_e * binom[big_r] + e * (binom[big_r] - binom[big_r + z[-1]]))
-        if lam == 0.0 and model.d == 1:  # both 0 by symmetry, so dropped untested
-            q = q[:, 2:]
-        deg, u = q.shape[1] - 1, np.zeros((len(th), 0), complex)  # no root for deg = 0
-        if deg == 2:  # the root of the larger |t| first, then the other as q_0 / t
-            s = np.sqrt(q[:, 1] ** 2 - 4.0 * q[:, 0] * q[:, 2])
-            t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * s).real >= 0.0, s, -s))
-            u = np.stack([t / q[:, 2], q[:, 0] / t], axis=1)
-        elif deg:
-            comp = np.zeros((len(th), deg, deg), complex)
-            comp[:, 0], comp[:, 1:, :-1] = -q[:, -2::-1] / q[:, -1:], np.eye(deg - 1)
-            u = np.linalg.eigvals(comp)
-        u = np.take_along_axis(u, np.argsort(np.abs(1.0 + u), axis=1), axis=1)[:, : deg // 2]
-        log_w = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag**2) + 1j * np.arctan2(u.imag, 1.0 + u.real)
-        pairs = [(z[-1], a, 1j * z[0] * th[:, None]) for z, a in model.jumps if z > tuple(-c for c in z)]
+        for th, weight in _residue_grid(model.d, n, mapped):
+            block = (th, weight, *_inner_roots(model, lam, th, big_r))
+            for v in block:
+                if v is not None:
+                    v.setflags(write=False)
+            yield block
 
-        def phi_psi(log_w):
-            x = [(m * log_w + phase, a, m) for m, a, phase in pairs]
-            return (sum(4.0 * a * np.sinh(0.5 * v) ** 2 for v, a, _ in x),
-                    sum(2.0 * a * m * np.sinh(v) for v, a, m in x))
-
-        phi, psi = phi_psi(log_w)
-        log_w = log_w + (lam - phi) / psi
-        w, ip = np.exp(log_w), -1.0 / phi_psi(log_w)[1]
-        for v in (th, w, ip):
-            v.setflags(write=False)
-        yield th, w, ip
-
-    return _CACHE.get(("residue", model, lam, n), 1, n, build)[0]
-
-
-def _residue_sums(model: WalkModel, lam: float, n: int, rs) -> list:
-    """(J_r, its rounding bound in d = 1, else 0) for each r of rs: the mean over
-    the rows of _inner_roots of (2 pi)^-1 * integral over theta_d of
-    exp(i r.theta) / (lam - phi), the residue sum exp(+-i r_1 theta_1) sum_k
-    w_k^|r_d| / -psi(w_k), the sign that of r_d.  In d = 1 (n = 1) that is exact
-    but for rounding: a root error of a few ulps grows |r| times in w^|r| and
-    about R times in psi, hence the bound RESIDUE_ROUNDING (|r| + R) sum_k |term_k|."""
-    th, w, ip = _inner_roots(model, lam, n)
-    big_r, out = max(abs(z[-1]) for z, _ in model.jumps), []
-    for r in rs:
-        terms = w ** abs(r[-1]) * ip
-        col = terms.sum(axis=1)
-        if model.d == 2 and r[0]:
-            col = col * np.exp(1j * (r[0] if r[-1] >= 0 else -r[0]) * th)
-        bound = RESIDUE_ROUNDING * (abs(r[0]) + big_r) * float(np.abs(terms).sum()) if model.d == 1 else 0.0
-        out.append((float(np.mean(col.real)), bound))
-    return out
+    parts, bounds = [[] for _ in rs], [0.0] * len(rs)
+    for th, weight, w, ip in _CACHE.get(("residue", model, lam, n, mapped), size * (8 * model.d + 32 * big_r), build):
+        for k, r in enumerate(rs):
+            terms = w ** abs(r[-1]) * ip
+            col = terms.sum(axis=1)
+            if any(r[:-1]):  # r_d < 0 reads the roots at -theta': the phase of -r'
+                col = col * np.exp(_dot(th, r[:-1], 1j if r[-1] >= 0 else -1j))
+            parts[k].append(np.sum(col.real if weight is None else weight * col.real))
+            if model.d == 1:
+                bounds[k] = RESIDUE_ROUNDING * (abs(r[0]) + big_r) * float(np.abs(terms).sum())
+    return [(fsum(part) / size, bound) for part, bound in zip(parts, bounds)]
 
 
 @_batched
@@ -184,43 +195,24 @@ def _green_cached(model: WalkModel, rel_tol: float, lam: float, rs: tuple) -> li
     d = model.d
     if d == 1:  # a finite residue sum
         return _residue_sums(model, lam, 1, rs)
-    if d == 2:  # even, periodic and analytic in theta_1 for lam > 0: order 0, scaled by J_0
-        def means(n, ks):
-            (j0, _), *js = _residue_sums(model, lam, n, ((0, 0), *ks))
-            return [np.array((j, j0)) for j, _ in js]
+    # lam > 0: analytic in theta', with a peak of width sqrt(lam) at 0, on the
+    # graded grid; lam = 0 (d >= 3): a |theta'|^-1 singularity at 0, on the
+    # uniform grid, whose midpoint error runs in h^(d-2), h^d, h^(d+2).  Each
+    # entry's tolerance is scaled by J_0 = G_lam(0, 0) from its own grids.
+    mapped, zero = lam > 0.0, (0,) * d
 
-        return axis_integral("green_function", means, rs, rel_tol, 0)
-    eig = np.linalg.eigvalsh(spectral_scalars(model).hessian)
-    sig_min, sig_max = float(eig[0]), float(eig[-1])
-    omega = 2.0 * np.pi ** (d / 2.0) / _gamma_fn(d / 2.0)
+    def means(n, ks):
+        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks), mapped)
+        return [np.array((j, j0)) for j, _ in js]
 
-    def core(half, r):  # the central box's estimate and a bound on its error
-        if lam == 0.0:
-            return 0.0, (2.0 / sig_min) * omega * (half * np.sqrt(d)) ** (d - 2) / (d - 2)
-        rad2, rnorm = d * half * half, sqrt(sum(c * c for c in r))
-        box = (2.0 * half) ** d / lam
-        return box, box * (0.5 * sig_max * rad2 / lam + 0.5 * rnorm**2 * rad2)
-
-    def shells(ks, hint):
-        return shell_integral("green_function", model, Integrand(("green", lam), lambda ph: 1.0 / (lam - ph)),
-                              ks, rel_tol, core, scale_hints=[hint] * len(ks))
-
-    # G_lam(0, 0), the unsigned integrand mass, is shelled alone, once, through the
-    # cache; seeding the scale of the others with it keeps oscillatory
-    # displacements from over-refining the outer shells
-    zero = (0,) * d
-    if rs == (zero,):
-        return shells(rs, 0.0)
-    g00 = _green_cached(model, rel_tol, lam, (zero,))[0]
-    found = iter(shells([r for r in rs if any(r)], g00[0] * (2.0 * np.pi) ** d))
-    return [g00 if r == zero else next(found) for r in rs]
+    return axis_integral("green_function", means, rs, rel_tol, () if mapped else (d - 2, d, d + 2), mapped)
 
 
 def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None = None) -> list:
     """G_lambda(0, r) for every r of rs, as KernelValues, from one cache read.
 
-    The uncached displacements go to one ladder; in d >= 3, G_lambda(0, 0),
-    which scales the others, is shelled alone first.  lambda = 0 (the
+    The uncached displacements go to one ladder, each scaled by
+    G_lambda(0, 0) on its own grids.  lambda = 0 (the
     Green's function proper) is finite only for d >= 3; requesting it in
     d <= 2 raises DivergentGreenFunction.
     """
@@ -253,11 +245,11 @@ def _rho_cached(model: WalkModel, rel_tol: float, rs: tuple) -> list:
         return [(abs(r[0]) * slope + a * (j0 - j), RESIDUE_ROUNDING * abs(r[0]) * slope + a * (e0 + e))
                 for r, (j, e) in zip(rs, js)]
 
-    def means(n, ks):  # a (J_0 - J_r) at lam = 0, a |theta_1| cusp at 0: order 2
+    def means(n, ks):  # a (J_0 - J_r) at lam = 0, a |theta_1| cusp at 0: h^2, h^4
         (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks))
         return [a * (j0 - j) for j, _ in js]
 
-    return axis_integral("rho", means, rs, rel_tol, 2)
+    return axis_integral("rho", means, rs, rel_tol, (2, 4), False)
 
 
 def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> list:

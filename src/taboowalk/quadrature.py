@@ -1,44 +1,38 @@
-"""The grid engine: every torus, shell, one-axis and heat-kernel quadrature,
-and every decision on how a grid is sized and refined until it meets its tolerance.
+"""The grid engine: every torus, residue and heat-kernel quadrature, and every
+decision on how a grid is sized and refined until it meets its tolerance.
 
-A torus or shell kernel is a midpoint sum over the grid of a box [-s, s]^d:
-the torus (s = pi) for smooth integrands, or, in d >= 3, dyadic shells
-[-s, s]^d minus [-s/2, s/2]^d with Richardson extrapolation for kernels
-singular or peaked at the origin.  Each integrand is g(phi) cos(r.theta)
-for a function g of phi.  As exp(i s u.r) = prod_j exp(i s r_j u_j) on the
-tensor grid, its sum is a contraction of the array g(phi), which does not
-depend on r, with d per-axis vectors of n phases (sum factorisation, Orszag
-1980): no cos(r.theta) is evaluated on the grid.
+Two engines.  The heat kernel p(t; 0, r) is a midpoint mean over the torus
+[-pi, pi]^d of exp(phi t) cos(r.theta) (``p_curves``).  As exp(i u.r) =
+prod_j exp(i r_j u_j) on the tensor grid, cos(r.theta) is an outer product of
+per-axis phases (sum factorisation, Orszag 1980), and phi comes from per-axis
+phases too: a one-axis jump is one broadcast add, any other a product
+telescoped over its axes; no sine is taken per grid point.  Only the half grid
+u_0 > 0 is summed, then doubled: phi and cos(r.theta) are even for a symmetric
+walk, and the midpoint grid with n even (odd n raises ValueError) is symmetric.
+It is cut into dense blocks of at most ``_BLOCK_POINTS`` points along the
+leading axis.  The grid is the first torus_points * 2^k, k <= _TORUS_DOUBLINGS
++ 1, whose a priori aliasing bound (``_alias_bound``) meets the tolerance: one
+GEMM per sub-block of phi points, rows (r, t_b) against columns of exp(phi tau)
+offsets, so the exp table is read once.  Nothing is refined.
 
-Only the half grid u_0 > 0 is summed, then doubled: phi, g and cos(r.theta) are
-even for a symmetric walk, and the midpoint grid with n even (odd n raises
-ValueError) is symmetric.  It is cut into dense blocks of at most
-``_BLOCK_POINTS`` points along the leading axis; on a shell, phi is kept
-at shell points only and g is zero on the inner box.  phi comes from
-per-axis phases too: a one-axis jump is one broadcast add, any other a
-product telescoped over its axes; no sine is taken per grid point.
+G_lambda and rho are residue ladders (``axis_integral``) over theta' =
+(theta_1, ..., theta_{d-1}): the theta_d integral at each point of
+``_residue_grid`` is a sum of residues (kernels._residue_sums).  One driver,
+``_refine``, doubles n, one ladder per entry, each entry frozen at the level
+where it would stop alone, from its own floor 16 * 2^k >= 4 max|r_j| (8 on the
+graded grid, whose theta' runs twice as fast at u = pi) up to ``_GRID_POINTS``
+points.  The grid and the Richardson powers follow the integrand: lambda > 0
+is analytic but peaked at theta' = 0, so its axes are graded and the ladder
+takes the last sum (no powers); lambda = 0 is singular at 0, so its grid is
+uniform and the ladder removes h^2, h^4 (rho in d = 2) or h^(d-2), h^d,
+h^(d+2) (G_0 in d >= 3; Lyness, Math. Comp. 30, 1976).
 
-One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks, per
-integrand key g blocks, and the residue roots of the d <= 2 kernels.  phi
-enters at the eviction end, so it stays only while there is room or a second
-kernel reads it.  A grid with more than a quarter of the budget in one array
-is streamed block by block and never kept.
-Block sums are added exactly (math.fsum), so results repeat bit for bit.
-
-Refinement policy; a result that misses its tolerance raises NotConverged.
-One driver, ``_refine``, doubles every grid but the p-curves' over capped levels,
-one ladder per entry, each entry frozen at the level where it would stop
-alone.  ``torus_mean`` (the heat kernel p) runs order 0 (the last sum) over
-``_TORUS_DOUBLINGS`` doublings from ``torus_points`` = max(cfg.points_per_axis,
-4 max|r_j|) points per axis, as below n = |r_j| every level aliases r_j to
-r_j mod n, but from 64 at least.  ``axis_integral`` (d = 2) runs each entry from its own floor,
-16 * 2^k >= 4 max|r_j|, up to ``_AXIS_POINTS``.
-``shell_integral`` (d >= 3) adds shells s = pi 2^-m, each an order-2
-(Richardson) ladder of its displacements, until the analytic core bound is
-negligible.  ``p_curves`` is one grid sum on the first torus_points * 2^k,
-k <= _TORUS_DOUBLINGS + 1, whose a priori aliasing bound (``_alias_bound``)
-meets the tolerance: one GEMM per sub-block of phi points, rows (r, t_b) against
-columns of exp(phi tau) offsets, so the exp table is read once.
+One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks and the
+residue roots.  phi enters at the eviction end, so it stays only while there is
+room or a second curve reads it.  A grid whose value takes more than a quarter
+of the budget is streamed block by block and never kept.  Block sums are added
+exactly (math.fsum), so results repeat bit for bit.  A result that misses its
+tolerance raises NotConverged.
 """
 
 from __future__ import annotations
@@ -48,8 +42,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Callable, Hashable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,25 +58,22 @@ RESIDUE_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # Points per block: 512 KB per float array keeps the temporaries of a block,
 # and with them the peak memory of a streamed grid, small.
 _BLOCK_POINTS = 1 << 16
-# Bytes of phi and g blocks the grid cache may hold.
+# Bytes of phi blocks and residue roots the grid cache may hold.
 CACHE_BYTES = 64 << 20
 # Doubles in the rows and columns of one heat-kernel GEMM; bounds the peak memory.
 _EXP_BLOCK = 1 << 18
-# Shells per shell integral, points per axis at a ladder's first level, the
-# shell ladder's level cap (3 above d = 3), the one-axis ladder's cap in points,
-# and the doublings of a torus mean (one more for a p-curve grid).
-_MAX_SHELLS = 62
-_SHELL_N0 = 16
-_SHELL_LEVELS = {3: 5}
-_AXIS_POINTS = 1 << 18
+# Points per axis at a residue ladder's lowest floor, its cap in points per
+# grid (n = 1024 in d = 3), and the doublings of a p-curve grid, less one.
+_LADDER_FLOOR = 16
+_GRID_POINTS = 1 << 21
 _TORUS_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The floor of the grid of torus means and p-curves, in points per axis,
-    and the relative tolerance of every quadrature.  Level caps are module
-    constants: _TORUS_DOUBLINGS, _SHELL_LEVELS (d >= 3) and _AXIS_POINTS (d = 2)."""
+    """The floor of the grid of p-curves, in points per axis, and the relative
+    tolerance of every quadrature.  Level caps are module constants:
+    _TORUS_DOUBLINGS (p-curves) and _GRID_POINTS (residue ladders)."""
 
     points_per_axis: int = 256
     rel_tol: float = 1e-8
@@ -96,17 +87,10 @@ class QuadratureConfig:
 
 def default_config(d: int) -> QuadratureConfig:
     """Floors of 256 points per axis and rel_tol 1e-8 in d <= 2 (a d = 1 curve to
-    t = 1000 needs 256), and 16 and 1e-6 in d >= 3; a torus mean starts at 64."""
+    t = 1000 needs 256), and 16 and 1e-6 in d >= 3."""
     if d <= 2:
         return QuadratureConfig()
     return QuadratureConfig(points_per_axis=16, rel_tol=1e-6)
-
-
-class Integrand(NamedTuple):
-    """g(phi) cos(r.theta); ``key`` names it in the cache."""
-
-    key: Hashable
-    g: Callable[[np.ndarray], np.ndarray]
 
 
 class _GridCache:
@@ -118,11 +102,11 @@ class _GridCache:
         self._items: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key, d: int, n: int, build: Callable, cold: bool = False):
-        """The blocks build() yields for a grid of n^d points, or a stream of
-        them when one array over the half grid exceeds a quarter of the
-        budget.  A ``cold`` value enters at the eviction end."""
-        if 8 * (n**d // 2) > self.budget // 4:
+    def get(self, key, nbytes: int, build: Callable, cold: bool = False):
+        """The blocks build() yields, or a stream of them when their arrays, of
+        ``nbytes`` in all, exceed a quarter of the budget.  A ``cold`` value
+        enters at the eviction end."""
+        if nbytes > self.budget // 4:
             return build()
         with self._lock:
             if key in self._items:
@@ -152,21 +136,17 @@ def _axis_offsets(n: int) -> np.ndarray:
     return ax
 
 
-def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
-    """(i0, rows, mask, phi) for each block of rows i0..i0+rows of the half grid.
+def phi_blocks(model: WalkModel, s: float, n: int):
+    """(i0, rows, phi) for each block of rows i0..i0+rows of the half grid.
 
-    phi is phi(s u) at the block's shell points (``mask``; None: all), in C
-    order.  A shell needs n divisible by 4, so its inner box ends on cell edges.
-    A jump pair z along one axis j adds -4 a(z) sin^2(s z_j u_j / 2), summed per
-    axis; any other adds 2 a(z) Re(sum_j prod_{i<j} (1 + A_i) A_j) over the axes
-    with z_j != 0, A_j = exp(i s z_j u_j) - 1 from ``_phases``.
+    phi is phi(s u) on the block, in C order.  A jump pair z along one axis j
+    adds -4 a(z) sin^2(s z_j u_j / 2), summed per axis; any other adds
+    2 a(z) Re(sum_j prod_{i<j} (1 + A_i) A_j) over the axes with z_j != 0,
+    A_j = exp(i s z_j u_j) - 1 from ``_phases``.
     """
     if n % 2:
         raise ValueError("n must be even for the half-grid fold")
-    if shell and n % 4:
-        raise ValueError("n must be divisible by 4 for shell sums")
     d = model.d
-    outer = np.abs(2 * np.arange(n) + 1 - n) * 2 > n  # |offset| > 1/2, in integers
     step = max(1, _BLOCK_POINTS // n ** (d - 1))
 
     def along(v, j):  # a vector of n values along axis j of the grid
@@ -187,11 +167,6 @@ def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
         pairs = [(a2, [(j, along(next(em1), j)) for j in nz]) for a2, z, nz in pairs]
         for i0 in range(n // 2, n, step):
             rows = slice(i0, min(i0 + step, n))
-            mask = None
-            if shell:
-                flags = np.meshgrid(outer[rows], *[outer] * (d - 1), indexing="ij", sparse=True)
-                mask = reduce(np.logical_or, flags)
-                mask = None if mask.all() else mask
             ph = axis[0][rows] + sum(axis[1:], 0.0)
             for a2, axes in pairs:
                 *head, last = [aj[rows] if j == 0 else aj for j, aj in axes]
@@ -199,28 +174,11 @@ def phi_blocks(model: WalkModel, s: float, n: int, shell: bool = False):
                 for aj in head:
                     term, prod = term + prod * aj, prod * (1.0 + aj)
                 ph += a2 * (term + prod * last).real
-            ph = ph.ravel() if mask is None else ph[mask]
+            ph = ph.ravel()
             ph.setflags(write=False)
-            yield i0, rows.stop - i0, mask, ph
+            yield i0, rows.stop - i0, ph
 
-    return _CACHE.get(("phi", model, float(s), n, shell), d, n, build, cold=True)
-
-
-def _g_blocks(model: WalkModel, f: Integrand, s: float, n: int, shell: bool):
-    """(i0, dense g block) for each block."""
-
-    def build():
-        for i0, rows, mask, ph in phi_blocks(model, s, n, shell):
-            vals = f.g(ph)
-            if mask is None:
-                g = vals.reshape((rows,) + (n,) * (model.d - 1))
-            else:
-                g = np.zeros(mask.shape)
-                g[mask] = vals
-            g.setflags(write=False)
-            yield i0, g
-
-    return _CACHE.get(("g", model, s, n, shell, f.key), model.d, n, build)
+    return _CACHE.get(("phi", model, float(s), n), 8 * (n**d // 2), build, cold=True)
 
 
 def _phases(r, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,47 +194,18 @@ def _phases(r, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return em1 + 1.0, em1
 
 
-def _cos_weights(rs: Sequence[Sequence[int]], s: float, n: int, i0: int, rows: int) -> np.ndarray:
-    """cos(s u.r) on the block of rows i0..i0+rows, one row per r in rs: outer
-    products of the per-axis phases, real from the last axis on."""
-    e = _phases(rs, s, n)[0]
+def _cos_weights(e: np.ndarray, i0: int, rows: int) -> np.ndarray:
+    """cos(s u.r) on the block of rows i0..i0+rows, one row per r, from the
+    phases e = _phases(rs, s, n)[0]: outer products of the per-axis phases,
+    real from the last axis on."""
     a = e[:, 0, i0 : i0 + rows]
     for j in range(1, e.shape[1] - 1):
-        a = (a[:, :, None] * e[:, j, None, :]).reshape(len(rs), -1)
+        a = (a[:, :, None] * e[:, j, None, :]).reshape(len(e), -1)
     if e.shape[1] == 1:
         return a.real
     w = a.real[:, :, None] * e[:, -1, None, :].real
     w -= a.imag[:, :, None] * e[:, -1, None, :].imag
-    return w.reshape(len(rs), -1)
-
-
-def midpoint_sum(model: WalkModel, integrand: Integrand, r, s: float, n: int, shell: bool = False):
-    """h^d * sum of g(phi) cos(r.theta) over the midpoint grid of [-s, s]^d,
-    for one displacement r, or the list of m sums for an (m, d) set of them.
-
-    h = 2s/n; ``shell`` skips the inner box [-s/2, s/2]^d.  cos(r.theta) is
-    the real part of prod_j e_j, so each block contracts from the last axis
-    down: one real GEMM against Re e and Im e of every displacement, then one
-    complex contraction per remaining axis and displacement.
-    """
-    rs = np.array(r, dtype=float)
-    e = _phases(rs.reshape(-1, model.d), s, n)[0]  # (m, d, n)
-    m = len(e)
-    last = np.column_stack([e[:, -1].real.T, e[:, -1].imag.T])
-    parts = [[] for _ in range(m)]
-    for i0, g in _g_blocks(model, integrand, float(s), n, shell):
-        rows = slice(i0, i0 + g.shape[0])
-        v = g.reshape(-1, n) @ last if g.ndim > 1 else None
-        for k, part in enumerate(parts):
-            if v is None:  # d = 1: the contraction is one dot product
-                part.append(float(g @ e[k, 0, rows].real))
-                continue
-            acc = (v[:, k] + 1j * v[:, m + k]).reshape(g.shape[:-1])
-            for ej in [e[k, 0, rows], *e[k, 1:-1]][::-1]:
-                acc = acc @ ej
-            part.append(float(acc.real))
-    sums = [2.0 * math.fsum(part) * (2.0 * s / n) ** model.d for part in parts]
-    return sums if rs.ndim == 2 else sums[0]
+    return w.reshape(len(e), -1)
 
 
 def torus_points(cfg: QuadratureConfig, rs) -> int:
@@ -290,28 +219,27 @@ def _size(x) -> float:
     return float(np.max(np.abs(x))) if isinstance(x, np.ndarray) else abs(x)
 
 
-def _refine(sum_at: Callable, n0: int, levels: int, tol_abs: list, tol_rel: float, order: int):
+def _refine(sum_at: Callable, n0: int, levels: int, tol_abs: list, tol_rel: float, order: tuple):
     """Midpoint sums at n = n0 * 2^k, k < levels, one ladder per entry of tol_abs:
-    sum_at(n, ks) returns the sums at n of the live entries ks.  Order 0 takes the
-    last sum, its error the gap to the one before; order 2 extrapolates in h^2,
-    then h^4.  An entry is frozen, and not summed again, once its error is at most
-    max(tol_abs, tol_rel * |value|).  Returns lists (value, est_error, converged)."""
-    m = len(tol_abs)
-    best, err, prev, rich, ks = [None] * m, [math.inf] * m, [None] * m, [None] * m, list(range(m))
+    sum_at(n, ks) returns the sums at n of the live entries ks.  Each level
+    extrapolates in h by the powers of ``order`` in turn, one more per level
+    (Richardson); the value is the last column.  Its error is the gap of the
+    sums when at most one power is removed, else the gap to the column before
+    plus a tenth of that column's change from the level before.  An entry is
+    frozen, and not summed again, once its error is at most max(tol_abs,
+    tol_rel * |value|).  Returns lists (value, est_error, converged)."""
+    m, steps = len(tol_abs), [(2.0**p, 2.0**p - 1.0) for p in order]
+    best, err, rows, ks = [None] * m, [math.inf] * m, [()] * m, list(range(m))
     for lev in range(levels):
         for k, v in zip(ks, sum_at(n0 * 2**lev, ks)):
-            if lev == 0:
-                best[k] = v
-            elif order == 0:
-                best[k], err[k] = v, _size(v - prev[k])
-            elif lev == 1:
-                best[k] = rich[k] = (4.0 * v - prev[k]) / 3.0
-                err[k] = abs(v - prev[k])
-            else:
-                r = (4.0 * v - prev[k]) / 3.0
-                best[k] = (16.0 * r - rich[k]) / 15.0
-                err[k], rich[k] = abs(best[k] - r) + 0.1 * abs(r - rich[k]), r
-            prev[k] = v
+            row, prev = [v], rows[k]
+            for (f, g), below in zip(steps, prev):
+                row.append((f * row[-1] - below) / g)
+            if len(row) > 2:
+                err[k] = _size(row[-1] - row[-2]) + 0.1 * _size(row[-2] - prev[len(row) - 2])
+            elif lev:
+                err[k] = _size(v - prev[0])
+            best[k], rows[k] = row[-1], row
         ks = [k for k in ks if not err[k] <= max(tol_abs[k], tol_rel * _size(best[k]))]
         if not ks:
             break
@@ -324,80 +252,55 @@ def _not_converged(name, value, err) -> NotConverged:
                         value=value, est_error=err)
 
 
-def torus_mean(
-    name: str, model: WalkModel, integrand: Integrand, r: Sequence[int], cfg: QuadratureConfig
-) -> tuple[float, float]:
-    """(2 pi)^-d * torus integral of the integrand at displacement r, as
-    (value, est_error): order 0 to cfg.rel_tol from torus_points, but at least 64:
-    below that, two grids can both miss the narrow peak of a long-time p and agree."""
-    (val,), (err,), (ok,) = _refine(
-        lambda n, ks: [midpoint_sum(model, integrand, r, np.pi, n) / (2.0 * np.pi) ** model.d],
-        max(torus_points(cfg, (r,)), 64), _TORUS_DOUBLINGS + 1, [ABS_FLOOR], cfg.rel_tol, 0)
-    if not ok:
-        raise _not_converged(name, val, err)
-    return val, err
+def _residue_points(d: int, n: int) -> int:
+    """Points of the residue grid of n: n (2n)^(d - 2), or 1 in d = 1."""
+    return n * (2 * n) ** (d - 2) if d > 1 else 1
 
 
-def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, order: int) -> list:
-    """One-axis integrals for each r of rs, as (value, est_error) or its
-    NotConverged; means(n, rs) gives their means on n midpoints.  Each entry
-    runs its own ladder, so its value does not depend on the set it is read
-    with.  A mean may be an array: its first element is the value, and the
-    others, which must converge with it, scale its tolerance and its error,
-    which is at least RESIDUE_ROUNDING times that scale."""
-    floors: dict = {}
-    for r in rs:  # the first 16 * 2^k >= 4 max|r_j|
-        k = max(0, (max(map(abs, r)) - 1) // 4).bit_length()
-        floors.setdefault(_SHELL_N0 << k, []).append(r)
+def _residue_grid(d: int, n: int, mapped: bool):
+    """(theta', weight) for each block of at most _BLOCK_POINTS points of the grid
+    of theta' = (theta_1, ..., theta_{d-1}): u on n midpoints of (0, pi) on the
+    first axis and 2n of (-pi, pi) on each other, theta' = u with weight None,
+    or, ``mapped``, theta' = u - sin u with weight prod_j (1 - cos u_j), whose
+    mean is 1 (Sidi's sin-map: the points cluster at theta' = 0).  d = 1 has
+    the one point theta' = ()."""
+    if d == 1:
+        yield np.zeros((1, 0)), None
+        return
+    shape, size = (n,) + (2 * n,) * (d - 2), _residue_points(d, n)
+    for k0 in range(0, size, _BLOCK_POINTS):
+        idx = np.unravel_index(np.arange(k0, min(k0 + _BLOCK_POINTS, size)), shape)
+        u = np.stack([(2 * i + 1 - 2 * n * (j > 0)) * (np.pi / (2 * n)) for j, i in enumerate(idx)], axis=1)
+        if not mapped:
+            yield u, None
+            continue
+        yield u - np.sin(u), np.prod(2.0 * np.sin(0.5 * u) ** 2, axis=1)
+
+
+def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, order: tuple,
+                  mapped: bool) -> list:
+    """Residue-ladder integrals for each r of rs, as (value, est_error) or its
+    NotConverged; means(n, rs) gives their means on the residue grid of n
+    (``mapped`` or not).  Each entry runs its own ladder, so its value does not
+    depend on the set it is read with.  A mean may be an array: its first
+    element is the value, and the others, which must converge with it, scale
+    its tolerance and its error, which is at least RESIDUE_ROUNDING times that
+    scale."""
+    d, per_r, floors = len(rs[0]), 8 if mapped else 4, {}
+    # the finest grid, _LADDER_FLOOR 2^top, has 2^(d-2) n^(d-1) <= _GRID_POINTS points
+    top = (_GRID_POINTS.bit_length() - d + 1) // (d - 1) - _LADDER_FLOOR.bit_length() + 1
+    for r in rs:  # the first 16 * 2^k >= per_r max|r_j|, low enough for every power of order
+        k = max(0, (per_r * max(map(abs, r)) - 1) // _LADDER_FLOOR).bit_length()
+        floors.setdefault(max(0, min(k, top - len(order))), []).append(r)
     out = {}
-    for n0, group in floors.items():
-        vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), n0,
-                                  max(1, (_AXIS_POINTS // n0).bit_length()),
-                                  [0.0] * len(group), rel_tol, order)
+    for k0, group in floors.items():
+        vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), _LADDER_FLOOR << k0,
+                                  top + 1 - k0, [0.0] * len(group), rel_tol, order)
         for r, v, e, ok in zip(group, vals, errs, oks):
             scale, v = _size(v), float(np.ravel(v)[0])
             e = max(e, RESIDUE_ROUNDING * scale)
             out[r] = (v, e) if ok and e <= rel_tol * scale else _not_converged(name, v, e)
     return [out[r] for r in rs]
-
-
-def shell_integral(name, model, integrand, rs, rel_tol, core_fn, scale_hints=None):
-    """(2 pi)^-d * sum of dyadic-shell quadratures of the integrand toward 0,
-    for each displacement r of rs, one vector ladder per shell; d >= 3.
-
-    core_fn(half_width, r) gives the estimate for the remaining central box
-    and a bound on its error; an entry stops once that bound is negligible
-    at rel_tol.  Each entry's scale tracks its largest running total, from
-    its scale hint (default 0): an oscillatory value may be exponentially
-    smaller than the mass integrated, and accuracy is only meaningful
-    relative to that mass.  Returns (value, est_error) per entry, or its
-    NotConverged when a shell or the core bound hit its cap and the error
-    exceeds rel_tol times the scale.
-    """
-    total, err, refined = [0.0] * len(rs), [0.0] * len(rs), [True] * len(rs)
-    scale, live = list(scale_hints or total), list(range(len(rs)))
-    for sh in range(_MAX_SHELLS + 1):
-        s, shelling = np.pi * 2.0**-sh, [rs[k] for k in live]
-        tol_abs = [0.05 * rel_tol * max(abs(total[k]), scale[k], ABS_FLOOR) for k in live]
-        vs, es, convs = _refine(
-            lambda n, ks: midpoint_sum(model, integrand, [shelling[k] for k in ks], s, n, True),
-            _SHELL_N0, _SHELL_LEVELS.get(model.d, 3), tol_abs, 0.05 * rel_tol, 2)
-        for k, v, e, conv in zip(list(live), vs, es, convs):
-            total[k], err[k], refined[k] = total[k] + v, err[k] + e, refined[k] and conv
-            scale[k] = max(scale[k], abs(total[k]))
-            core_value, core_bound = core_fn(s / 2.0, rs[k])
-            done = core_bound <= 0.02 * rel_tol * max(scale[k], ABS_FLOOR)
-            if done or sh == _MAX_SHELLS:
-                total[k], err[k] = total[k] + core_value, err[k] + core_bound
-                refined[k] = refined[k] and done
-                scale[k] = max(scale[k], abs(total[k]))
-                live.remove(k)
-        if not live:
-            break
-    norm = (2.0 * np.pi) ** model.d
-    return [_not_converged(name, t / norm, e / norm)
-            if not ok and e > max(rel_tol * sc, ABS_FLOOR * norm) else (t / norm, e / norm)
-            for t, e, ok, sc in zip(total, err, refined, scale)]
 
 
 def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.ndarray:
@@ -412,9 +315,9 @@ def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.nd
     b = int(np.ceil(np.sqrt(len(times))))
     starts, tau = times[::b], times[:b] - times[0]
     q = max(1, _EXP_BLOCK // (len(rs) * len(starts) + b))
-    out = np.zeros((len(rs) * len(starts), b))
-    for i0, rows, _, ph in phi_blocks(model, np.pi, n):
-        w = _cos_weights(rs, np.pi, n, i0, rows)
+    out, phases = np.zeros((len(rs) * len(starts), b)), _phases(rs, np.pi, n)[0]
+    for i0, rows, ph in phi_blocks(model, np.pi, n):
+        w = _cos_weights(phases, i0, rows)
         for k0 in range(0, len(ph), q):
             p = ph[k0 : k0 + q]
             lhs = (w[:, None, k0 : k0 + q] * np.exp(np.outer(starts, p))).reshape(-1, len(p))
@@ -437,7 +340,7 @@ def _return_bound(model: WalkModel, ts: np.ndarray, n: int) -> np.ndarray:
     return out / n**model.d
 
 
-def _alias_bound(model: WalkModel, rs: tuple, t: float, n: int) -> float:
+def _alias_bound(model: WalkModel, rs: tuple, t: float, n: int, tol: float = 0.0) -> float:
     """A bound on the error of the n-point midpoint mean of p(t'; 0, r), every r in rs
     and t' <= t.  For n even that mean is sum_k (-1)^|k|_1 p(t'; 0, r + n k), k in Z^d
     (Trefethen & Weideman, SIAM Rev. 56, 2014), off by at most the sum over k != 0.
@@ -446,7 +349,8 @@ def _alias_bound(model: WalkModel, rs: tuple, t: float, n: int) -> float:
     take sigma = s e, the least over a grid of s (s |e.z| <= 700), and sum as a
     geometric series.  p(t; 0, 0) falls with t and the rest grows: over brackets
     [a, b] ending at t (eight 2^(i/4) below it, four an octave apart, then 0), take
-    _return_bound at a (1 at 0) times the rest at b.
+    _return_bound at a (1 at 0) times the rest at b.  A bracket whose rest is at
+    most ``tol`` takes 1 for p(a; 0, 0) <= 1: it cannot lift the bound above tol.
     """
     if t <= 0.0:
         return 0.0  # p(0; 0, r) is summed exactly
@@ -459,21 +363,25 @@ def _alias_bound(model: WalkModel, rs: tuple, t: float, n: int) -> float:
     ts = np.append(t, 2.0 ** ((np.ceil(4.0 * np.log2(t)) - np.r_[1:9, 12:25:4]) / 4.0))
     with np.errstate(over="ignore"):  # t cosh(s z) may pass the float range: inf, never the least
         rest = np.exp(np.min(ts[:, None, None] * lam - s * decay[:, None] - geo, axis=2)).sum(axis=1)
-    return float(np.max(rest * np.append(_return_bound(model, ts[1:], n), 1.0)))
+    start = np.ones(len(ts))
+    if (need := np.flatnonzero(rest[:-1] > tol)).size:
+        start[need] = _return_bound(model, ts[need + 1], n)
+    return float(np.max(rest * start))
 
 
-def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """p(t; 0, r) on equally spaced times, one row per r, in one grid pass.
+def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> tuple:
+    """(p(t; 0, r) on equally spaced times, one row per r, est_error), in one grid pass.
 
     The grid is the first torus_points(cfg, rs) * 2^k points per axis,
     k <= _TORUS_DOUBLINGS + 1, whose aliasing bound over the times is at most
-    max(rel_tol, ABS_FLOOR); NotConverged if none is.
+    max(rel_tol, ABS_FLOOR); NotConverged if none is.  est_error is that bound
+    plus RESIDUE_ROUNDING, the rounding of a mean of unit mass.
     """
     tol, t, n = max(cfg.rel_tol, ABS_FLOOR), float(np.max(times)), torus_points(cfg, rs)
     top = n << (_TORUS_DOUBLINGS + 1)
-    while (bound := _alias_bound(model, rs, t, n)) > tol and n < top:
+    while (bound := _alias_bound(model, rs, t, n, tol)) > tol and n < top:
         n *= 2
     vals = np.clip(_p_grid_sum(model, rs, times, n), 0.0, 1.0)
     if bound > tol:
-        raise _not_converged("p-curve", vals, bound)
-    return vals
+        raise _not_converged("p-curve", vals, bound + RESIDUE_ROUNDING)
+    return vals, bound + RESIDUE_ROUNDING

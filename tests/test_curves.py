@@ -247,7 +247,7 @@ class TestBatchedPCurves:
         rs = ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
         monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
         cfg = QuadratureConfig(points_per_axis=n, rel_tol=1e-6)
-        got = p_curves(model, rs, times, cfg)
+        got, _ = p_curves(model, rs, times, cfg)
         assert got.shape == (3, len(times))
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
 
@@ -268,7 +268,7 @@ class TestBatchedPCurves:
         a = 0.8
         model = simple_walk_1d(a)
         times = np.linspace(0.0, 1e4 / a, 101)
-        got = p_curves(model, ((17,), (300,)), times, default_config(1))
+        got, _ = p_curves(model, ((17,), (300,)), times, default_config(1))
         want = scipy.special.ive([[17], [300]], a * times)
         assert want[1, -1] > 1e-5
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -279,7 +279,7 @@ class TestBatchedPCurves:
         curve = hitting_cdf(simple1d, (0,), (1000,), TimeGrid(0.05, 2000))
         assert np.max(np.abs(curve.values)) <= 1e-12
         times = 10.0 * np.arange(1, 11)
-        row = p_curves(simple1d, ((1000,),), times, default_config(1))[0]
+        row = p_curves(simple1d, ((1000,),), times, default_config(1))[0][0]
         want = [transition_probability(simple1d, t, (0,), (1000,)).value for t in times]
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 

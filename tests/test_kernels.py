@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ellipkm1, ive
 
 from taboowalk import (
     DivergentGreenFunction,
@@ -15,6 +16,8 @@ from taboowalk import (
     TabooQuery,
     char_exponent,
     green_function,
+    green_values,
+    nearest_neighbor_walk,
     rho,
     simple_walk_1d,
     spectral_scalars,
@@ -54,7 +57,7 @@ class TestTransitionProbability:
         def no_grid(*args):
             raise AssertionError("a grid was summed for p(0; x, y)")
 
-        monkeypatch.setattr(quad, "_g_blocks", no_grid)
+        monkeypatch.setattr(quad, "_p_grid_sum", no_grid)
         assert transition_probability(simple1d, 0.0, [0], [0]).value == 1.0
         assert transition_probability(simple1d, 0.0, [0], [3]).value == 0.0
         assert transition_probability(walk2d, 0.0, [1, 1], [1, 1]).value == 1.0
@@ -120,10 +123,11 @@ class TestTransitionProbability:
             transition_probability(simple1d, t, [0], [0])
 
     def test_not_converged(self, simple1d, monkeypatch):
+        # the grids 60 and 120 alias r = 15 onto r - 120, which p(1000; 0, .) still reaches
         monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
         cfg = QuadratureConfig(points_per_axis=16, rel_tol=1e-12)
         with pytest.raises(NotConverged) as exc:
-            transition_probability(simple1d, 0.01, [0], [15], cfg)
+            transition_probability(simple1d, 1000.0, [0], [15], cfg)
         assert exc.value.value is not None
 
 
@@ -170,15 +174,15 @@ class TestGreenFunction:
             green_function(walk2d, 0.0, [0, 0], [1, 0])
 
     def test_shell_ladder_not_converged(self, walk2d):
-        # rel_tol below rounding: the shell ladders hit their level cap
+        # rel_tol below rounding: no residue ladder can meet it
         with pytest.raises(NotConverged) as exc:
             green_function(walk2d, 0.5, (0, 0), (3, 1), QuadratureConfig(rel_tol=1e-15))
         assert math.isfinite(exc.value.value) and math.isfinite(exc.value.est_error)
 
     def test_watson_3d(self, walk3d):
         zero = [0, 0, 0]
-        got = green_function(walk3d, 0.0, zero, zero).value
-        assert got == pytest.approx(WATSON, rel=2e-6)
+        got = green_function(walk3d, 0.0, zero, zero)
+        assert abs(got.value - WATSON) <= min(got.est_error, 1e-10)
         # backward equation at the origin: G_0(0,e1) = G_0(0,0) - 1
         got_e1 = green_function(walk3d, 0.0, zero, [1, 0, 0]).value
         assert got_e1 == pytest.approx(WATSON - 1.0, rel=2e-5)
@@ -210,6 +214,71 @@ class TestGreenFunction:
         est, _ = quad(integrand, 0.0, 120.0, limit=300)
         want = green_function(simple1d, lam, [0], [y]).value
         assert est == pytest.approx(want, rel=1e-4)
+
+
+def product_form_green(x, lam, a=1.0):
+    """G_lam(0, x) of the nearest-neighbour walk of total rate a on Z^d: its heat
+    kernel is prod_j exp(-a t/d) I_{x_j}(a t/d), so G_lam is the integral over t of
+    exp(-lam t) prod_j ive(x_j, a t/d), by adaptive quadrature; no grid enters."""
+    d = len(x)
+
+    def f(t):
+        return math.exp(-lam * t) * float(np.prod(ive(np.abs(x), a * t / d)))
+
+    edges = (0.0, 1.0, 10.0, 100.0, 1e3, 1e4, math.inf)
+    return math.fsum(quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+                     for lo, hi in zip(edges, edges[1:]))
+
+
+# diagonal jumps, and |z_3| = 2: four roots of P(w) from the companion matrix
+SKEWED_3D = validate_model(3, {(1, 0, 0): 0.15, (0, 1, 0): 0.15, (0, 0, 1): 0.1, (1, 1, 0): 0.05,
+                               (0, 1, -1): 0.05, (0, 0, 2): 0.05})
+
+
+class TestResidueLadders:
+    """G_lambda in d >= 2 from the residue ladders over theta' = (theta_1, ..., theta_{d-1})."""
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0**-16, 0.5])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_product_form_reference(self, d, lam):
+        # the 4-D walk runs the h^2, h^4, h^6 ladder at lam = 0
+        xs = [(0,) * d, (1,) + (0,) * (d - 1), (2, -1, 3) + (0,) * (d - 3)]
+        for x, got in zip(xs, green_values(nearest_neighbor_walk(d), lam, xs)):
+            assert abs(got.value - product_form_green(x, lam)) <= got.est_error, x
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_poisson_identity(self, lam):
+        # (lam - L) G_lam = delta_0: a wrong phase z'.theta', root or scale fails it
+        model, a = SKEWED_3D, SKEWED_3D.a
+        for v in ((0, 0, 0), (1, 0, 0), (1, -1, 2)):
+            nbrs = [tuple(c + dz for c, dz in zip(v, z)) for z, _ in model.jumps]
+            g, *gs = green_values(model, lam, [v, *nbrs])
+            residual = (lam + a) * g.value - math.fsum(r * h.value for (_, r), h in zip(model.jumps, gs))
+            tol = (lam + a) * g.est_error + math.fsum(r * h.est_error for (_, r), h in zip(model.jumps, gs))
+            assert abs(residual - (0.0 if any(v) else 1.0)) <= tol, v
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-6, 1e-3, 1.0])
+    def test_2d_graded_grid_against_elliptic_k(self, walk2d, lam, monkeypatch):
+        # G_lam(0, 0) = (2/pi) K(1 / (1 + lam)^2) / (1 + lam) for the rate-1 nearest-neighbour walk
+        grids, ladder = [], kernels.axis_integral
+
+        def spy(name, means, rs, *args):
+            return ladder(name, lambda n, ks: grids.append(n) or means(n, ks), rs, *args)
+
+        monkeypatch.setattr(kernels, "axis_integral", spy)
+        kernels._green_cached.cache_clear()
+        want = (2.0 / math.pi) / (1.0 + lam) * ellipkm1(lam * (2.0 + lam) / (1.0 + lam) ** 2)
+        got = green_function(walk2d, lam, (0, 0), (0, 0))
+        assert abs(got.value - want) <= min(got.est_error, 1e-8 * want)
+        # the 1024-point sum of lam = 1e-12 is 5e-12 off, but its gap to 512 is 4e-7
+        assert max(grids) <= (2048 if lam < 1e-9 else 1024)
+
+    @pytest.mark.parametrize("x", [(40, 0, 0), (0, 0, 60)])
+    def test_far_3d_green_follows_its_far_field(self, walk3d, x):
+        # G_0(x) = 3 / (2 pi |x|) (1 + O(|x|^-2)) for the rate-1 nearest-neighbour walk
+        r = math.hypot(*x)
+        got = green_function(walk3d, 0.0, (0, 0, 0), x)
+        assert abs(got.value * 2.0 * math.pi * r / 3.0 - 1.0) <= r**-2
 
 
 class TestRho:
@@ -389,7 +458,7 @@ class TestKKernel:
         times = np.linspace(0.0, horizon, 1201)
         monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 1)
         cfg = QuadratureConfig(points_per_axis=64, rel_tol=1e-6)
-        p_vals = p_curves(walk3d, ((0, 0, 0),), times, cfg)[0]
+        p_vals = p_curves(walk3d, ((0, 0, 0),), times, cfg)[0][0]
         body = simpson(p_vals * -np.expm1(-lam * times) / lam, x=times)
         gamma3 = spectral_scalars(walk3d).gamma_d
         tail = gamma3 * 2.0 / (lam * math.sqrt(horizon))
@@ -435,16 +504,10 @@ class TestConfig:
 
 @contextlib.contextmanager
 def _grids_per_displacement():
-    """Record, per displacement, the (s, n) grid of every midpoint sum that
-    the shell ladders take of it: its shells and Romberg levels; and the n of
-    every theta_1 grid that the d = 2 axis ladders take of it."""
+    """Record, per displacement, the n of every residue grid that the ladders
+    take of it."""
     grids = collections.defaultdict(list)
-    orig, orig_axis = quadrature.midpoint_sum, kernels.axis_integral
-
-    def spy(model, integrand, r, s, n, shell=False):
-        for row in np.reshape(r, (-1, model.d)):
-            grids[tuple(int(c) for c in row)].append((s, n))
-        return orig(model, integrand, r, s, n, shell)
+    orig_axis = kernels.axis_integral
 
     def axis_spy(name, means, rs, *args):
         def spied(n, ks):
@@ -454,11 +517,11 @@ def _grids_per_displacement():
 
         return orig_axis(name, spied, rs, *args)
 
-    quadrature.midpoint_sum, kernels.axis_integral = spy, axis_spy
+    kernels.axis_integral = axis_spy
     try:
         yield grids
     finally:
-        quadrature.midpoint_sum, kernels.axis_integral = orig, orig_axis
+        kernels.axis_integral = orig_axis
 
 
 def _clear_value_caches():
@@ -471,8 +534,8 @@ NEAR_3D = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
 
 
 class TestVectorLadder:
-    """A shell integral over a set of displacements gives each entry the value,
-    shells and levels it gets alone."""
+    """A residue ladder over a set of displacements gives each entry the value
+    and levels it gets alone."""
 
     @staticmethod
     def _batched_vs_alone(model, xs, batch, alone, scale=0.0):
@@ -496,8 +559,7 @@ class TestVectorLadder:
     @settings(max_examples=6, deadline=None)
     @given(xs=st.lists(NEAR_3D, min_size=1, max_size=3), lam=st.sampled_from([0.0, 0.05, 0.5]))
     def test_green_3d(self, walk3d, xs, lam):
-        # G_lam(0, r) can be 1e-4 of the mass G_lam(0, 0) its shells integrate;
-        # a wider GEMM may round that mass differently in its last bit
+        # G_lam(0, r) can be 1e-4 of G_lam(0, 0), the mass its grids integrate
         zero = (0, 0, 0)
         self._batched_vs_alone(walk3d, xs,
                                lambda xs: [g.value for g in kernels.green_values(walk3d, lam, xs)],
@@ -525,7 +587,7 @@ class TestVectorLadder:
         # so it fails; the near entries of its batch are still cached
         near = [(1, 2), (3, -1)]
         _clear_value_caches()
-        monkeypatch.setattr(quadrature, "_AXIS_POINTS", 256)
+        monkeypatch.setattr(quadrature, "_GRID_POINTS", 256)
         with pytest.raises(NotConverged):
             kernels.rho_values(diagonal2d, [near[0], (75, -5), near[1]])
 
@@ -589,17 +651,15 @@ class TestSetReads:
 
     @pytest.mark.parametrize("walk, lam", [("diagonal2d", 0.25), ("walk3d", 0.0)])
     def test_one_shell_integral_per_set(self, walk, lam, request, monkeypatch):
-        # the shell ladders in d >= 3, the theta_1 ladders in d = 2
+        # one residue ladder per set of uncached displacements, in every d
         model = request.getfixturevalue(walk)
-        d, calls = model.d, []
-        ladder, rs_at = ("shell_integral", 2) if d >= 3 else ("axis_integral", 1)
-        orig = getattr(kernels, ladder)
+        d, calls, orig = model.d, [], kernels.axis_integral
 
-        def spy(name, *args, **kwargs):
-            calls.append((name, tuple(args[rs_at])))
-            return orig(name, *args, **kwargs)
+        def spy(name, means, rs, *args):
+            calls.append((name, tuple(rs)))
+            return orig(name, means, rs, *args)
 
-        monkeypatch.setattr(kernels, ladder, spy)
+        monkeypatch.setattr(kernels, "axis_integral", spy)
         zero, e1 = (0,) * d, (1,) + (0,) * (d - 1)
         r, s = (1, 2) + (0,) * (d - 2), (2, -1) + (1,) * (d - 2)
         neg = tuple(-c for c in r)
@@ -607,23 +667,22 @@ class TestSetReads:
         kernels.green_values(model, lam, [e1])
         calls.clear()
         kernels.green_values(model, lam, [r, zero, e1, neg, s, r])
-        # in d >= 3 the read of e1 shelled G_lam(0, 0) first; no d = 2 entry reads it
-        assert calls == [("green_function", (r, s) if d >= 3 else (r, zero, s))]
+        # no entry reads G_lam(0, 0) alone: each scales itself on its own grids
+        assert calls == [("green_function", (r, zero, s))]
         calls.clear()
         kernels.green_values(model, lam, [r, zero, e1, neg, s, r])
         assert calls == []
 
         _clear_value_caches()
         kernels.green_values(model, lam, [neg, zero, s])
-        want = [(zero,), (r, s)] if d >= 3 else [(r, zero, s)]
-        assert calls == [("green_function", rs) for rs in want]
+        assert calls == [("green_function", (r, zero, s))]
         calls.clear()
         kernels.green_values(model, lam, [neg, zero, s])
         assert calls == []
 
         _clear_value_caches()
         kernels.rho_values(model, [zero, neg, s, r])
-        want = [("rho", (r, s))] if d == 2 else [("green_function", (zero,)), ("green_function", (r, s))]
+        want = [("rho", (r, s))] if d == 2 else [("green_function", (zero, r, s))]
         assert calls == want
         calls.clear()
         kernels.rho_values(model, [zero, neg, s, r])
@@ -658,31 +717,6 @@ class TestSetReads:
 
         monkeypatch.setattr(kernels, "_residue_sums", no_residues)
         assert (kernels.rho_values(model, xs, other), kernels.green_values(model, 0.25, xs, other)) == want
-
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_3d_zero_is_shelled_once(self, walk3d, lam, monkeypatch):
-        # G_lam(0, 0) seeds the scale of r, yet is shelled once, alone, when both
-        # arrive uncached in one request
-        zero, r, shelled, orig = (0, 0, 0), (1, 2, 0), [], kernels.shell_integral
-
-        def spy(name, model, integrand, rs, *args, **kwargs):
-            shelled.append(tuple(rs))
-            return orig(name, model, integrand, rs, *args, **kwargs)
-
-        monkeypatch.setattr(kernels, "shell_integral", spy)
-        one = []
-        for x in (zero, r):
-            _clear_value_caches()
-            one.append(green_function(walk3d, lam, zero, x))
-        _clear_value_caches()
-        shelled.clear()
-        got = kernels._green_cached(walk3d, default_config(3).rel_tol, lam, (zero, r))
-        assert shelled == [(zero,), (r,)]
-        assert [kernels.KernelValue(*v) for v in got] == one  # bit for bit
-        _clear_value_caches()
-        shelled.clear()
-        assert kernels.green_values(walk3d, lam, [r, zero]) == one[::-1]
-        assert shelled == [(zero,), (r,)]
 
 
 def test_value_cache_is_safe_under_threads():

@@ -12,7 +12,6 @@ All numbers are emitted with repr/%.17g formatting, locale-independent.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -89,7 +88,6 @@ def _checked(convert, ok, what: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_POINTS = _checked(int, lambda v: v >= 16 and v % 2 == 0, "an even integer >= 16")
 _POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _T_LIST = _checked(
     lambda text: [float(t) for t in text.split(",")],
@@ -103,9 +101,8 @@ def _emit(obj: dict) -> None:
 
 
 def _manifest(args, cfg, query: dict, extras: dict, outputs: list[str], warnings: list[str]) -> dict:
-    """The run record; its quadrature block holds only the settings the
-    command reads, those its parser takes flags for."""
-    reads = {field: getattr(cfg, field) for field in args.quadrature}
+    """The run record; a command that takes --rel-tol, the quadrature
+    setting, records it in a quadrature block."""
     return {
         "tool": "taboowalk",
         "version": __version__,
@@ -114,7 +111,7 @@ def _manifest(args, cfg, query: dict, extras: dict, outputs: list[str], warnings
         "model_file": args.model,
         "model_sha256": hashlib.sha256(Path(args.model).read_bytes()).hexdigest(),
         "query": query,
-        **({"quadrature": reads} if reads else {}),
+        **({"quadrature": {"rel_tol": cfg.rel_tol}} if "rel_tol" in vars(args) else {}),
         "outputs": outputs,
         "warnings": warnings,
         **extras,
@@ -127,14 +124,9 @@ def _sim_manifest(sim: SimConfig) -> dict:
             "workers": sampler_workers(sim.n_paths)}
 
 
-_QUAD_FIELDS = {"--points": "points_per_axis", "--rel-tol": "rel_tol"}
-
-
 def _quad_config(args, d: int) -> QuadratureConfig:
-    """default_config(d) with the --points/--rel-tol overrides of the command."""
-    base, flags = default_config(d), vars(args)
-    return dataclasses.replace(base, points_per_axis=flags.get("points") or base.points_per_axis,
-                               rel_tol=flags.get("rel_tol") or base.rel_tol)
+    """default_config(d), or the --rel-tol of the command."""
+    return QuadratureConfig(args.rel_tol) if vars(args).get("rel_tol") else default_config(d)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +140,8 @@ def _cmd_limit(args, model, cfg, x, y, z):
     record: dict = {"method": "closed-form"}
     q = TabooQuery(x, y, z) if z is not None else None
     record["limit"] = taboo_limit(model, q, cfg) if q else hitting_limit(model, x, y, cfg)
-    record["variant"] = (Variant.MINUS if args.minus else Variant.PLUS).value
+    variant = Variant.MINUS if args.minus else Variant.PLUS
+    record["variant"] = variant.value
     extras: dict = {"seed": args.seed}
     if args.minus:  # same limit as the plus variant, with an atom at t = 0
         record["atom_at_zero"] = minus_atom(model, x, y)
@@ -156,7 +149,7 @@ def _cmd_limit(args, model, cfg, x, y, z):
         radius = args.radius or {1: 100, 2: 60}.get(model.d, 15)
         lo, hi = absorption_limit_bracket(model, q, radius)
         sim = SimConfig(horizon=200.0 / model.a, n_paths=args.paths, seed=args.seed)
-        est = estimate_taboo_curve(model, q, [sim.horizon], sim)[0]
+        est = estimate_taboo_curve(model, q, [sim.horizon], sim, variant)[0]
         extras["sim"] = _sim_manifest(sim)
         record["verify"] = {
             "oracle": {"lower": lo, "upper": hi, "midpoint": 0.5 * (lo + hi), "radius": radius},
@@ -374,19 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"taboowalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_z: bool, *quadrature: str):
+    def add_common(p, need_z: bool, rel_tol: bool = False):
         p.add_argument("model", help="model JSON file")
         p.add_argument("--x", required=True, help="start point, comma-separated ints")
         p.add_argument("--y", required=True, help="target point")
         p.add_argument("--z", required=need_z, default=None, help="taboo point")
-        for flag in quadrature:  # only those that change a number the command computes
-            kind, text = (_POINTS, "points per axis") if flag == "--points" else (_POSITIVE, "relative tolerance")
-            p.add_argument(flag, type=kind, help=f"quadrature {text}")
-        # the QuadratureConfig fields those flags set: all the manifest records
-        p.set_defaults(quadrature=[_QUAD_FIELDS[flag] for flag in quadrature])
+        if rel_tol:  # only where it changes a number the command computes
+            p.add_argument("--rel-tol", type=_POSITIVE, help="quadrature relative tolerance")
 
     p = sub.add_parser("limit", help="limit probability H(infinity)")
-    add_common(p, False, "--rel-tol")
+    add_common(p, False, rel_tol=True)
     p.add_argument("--minus", action="store_true", help="clock from the first jump")
     p.add_argument("--verify", action="store_true", help="cross-check with oracle and Monte Carlo")
     p.add_argument("--paths", type=_COUNT, default=100_000)
@@ -395,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("tail", help="tail order and constant")
-    add_common(p, True, "--rel-tol")
+    add_common(p, True, rel_tol=True)
     p.add_argument("--minus", action="store_true")
     p.add_argument("--extract", action="store_true", help="also extract the constant numerically")
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("curve", help="c.d.f. curve to CSV")
-    add_common(p, False, "--points", "--rel-tol")
+    add_common(p, False, rel_tol=True)
     p.add_argument("--minus", action="store_true")
     p.add_argument("--step", type=_POSITIVE, required=True)
     p.add_argument("--horizon", type=_POSITIVE, required=True)
@@ -418,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
-    p.add_argument("--points", type=_POINTS, default=None)
     p.add_argument("--rel-tol", type=_POSITIVE, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser

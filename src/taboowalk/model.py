@@ -227,14 +227,26 @@ def is_simple_1d(model: WalkModel) -> bool:
     return model.d == 1 and set(z for z, _ in model.jumps) == {(1,), (-1,)}
 
 
+def _json(v, kind: str, keys: tuple = ()):
+    """v if it is a JSON value of the schema type kind: an "object" with exactly
+    the given keys, an "array", a "number" or an "integer" (1.0 is one; a bool
+    is neither)."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not {"object": isinstance(v, dict) and set(v) == set(keys), "array": isinstance(v, list),
+            "number": number, "integer": number and (isinstance(v, int) or v.is_integer())}[kind]:
+        with_keys = f" with the keys {', '.join(keys)}" if keys else ""
+        raise ValueError(f"expected a JSON {kind}{with_keys}, got {v!r}")
+    return v
+
+
 def model_from_dict(obj: dict) -> WalkModel:
-    """Build a model from the JSON object {"d": ..., "jumps": [{"z", "rate"}]}."""
-    try:
-        d = obj["d"]
-        raw = [(entry["z"], entry["rate"]) for entry in obj["jumps"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model object: {exc}") from exc
-    return validate_model(d, raw)
+    """Build a model from the JSON object {"d": ..., "jumps": [{"z", "rate"}]}.
+    Anything schemas/model.schema.json rejects raises ValueError: a missing or
+    unknown key, or a bool or a string where a number belongs."""
+    obj = _json(obj, "object", ("d", "jumps"))
+    jumps = [_json(e, "object", ("z", "rate")) for e in _json(obj["jumps"], "array")]
+    raw = [([_json(c, "integer") for c in _json(e["z"], "array")], _json(e["rate"], "number")) for e in jumps]
+    return validate_model(int(_json(obj["d"], "integer")), raw)
 
 
 def load_model(path) -> WalkModel:

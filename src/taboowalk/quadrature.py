@@ -10,16 +10,17 @@ telescoped over its axes; no sine is taken per grid point.  Only the half grid
 u_0 > 0 is summed, then doubled: phi and cos(r.theta) are even for a symmetric
 walk, and the midpoint grid with n even (odd n raises ValueError) is symmetric.
 It is cut into dense blocks of at most ``_BLOCK_POINTS`` points along the
-leading axis.  The grid is the first torus_points * 2^k, k <= _TORUS_DOUBLINGS
-+ 1, whose a priori aliasing bound (``_alias_bound``) meets the tolerance: one
-GEMM per sub-block of phi points, rows (r, t_b) against columns of exp(phi tau)
+leading axis.  The grid is the first n = 16 * 2^k >= 4 max|r_j| (``_floor_level``,
+the floor of the residue ladders too) whose a priori aliasing bound
+(``_alias_bound``) meets the tolerance, n^d at most ``_TORUS_POINTS``: one GEMM
+per sub-block of phi points, rows (r, t_b) against columns of exp(phi tau)
 offsets, so the exp table is read once.  Nothing is refined.
 
 G_lambda and rho are residue ladders (``axis_integral``) over theta' =
 (theta_1, ..., theta_{d-1}): the theta_d integral at each point of
 ``_residue_grid`` is a sum of residues (kernels._residue_sums).  One driver,
 ``_refine``, doubles n, one ladder per entry, each entry frozen at the level
-where it would stop alone, from its own floor 16 * 2^k >= 4 max|r_j| (8 on the
+where it would stop alone, from its own floor ``_floor_level`` (8 max|r_j| on the
 graded grid, whose theta' runs twice as fast at u = pi) up to ``_GRID_POINTS``
 points.  The grid and the Richardson powers follow the integrand: lambda > 0
 is analytic but peaked at theta' = 0, so its axes are graded and the ladder
@@ -62,35 +63,29 @@ _BLOCK_POINTS = 1 << 16
 CACHE_BYTES = 64 << 20
 # Doubles in the rows and columns of one heat-kernel GEMM; bounds the peak memory.
 _EXP_BLOCK = 1 << 18
-# Points per axis at a residue ladder's lowest floor, its cap in points per
-# grid (n = 1024 in d = 3), and the doublings of a p-curve grid, less one.
+# Points per axis at the lowest grid floor; caps in points per grid of a residue
+# ladder (n = 1024 in d = 3) and a p-curve (8192 per axis in d = 2, 512 in d = 3).
 _LADDER_FLOOR = 16
 _GRID_POINTS = 1 << 21
-_TORUS_DOUBLINGS = 4
+_TORUS_POINTS = 1 << 27
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The floor of the grid of p-curves, in points per axis, and the relative
-    tolerance of every quadrature.  Level caps are module constants:
-    _TORUS_DOUBLINGS (p-curves) and _GRID_POINTS (residue ladders)."""
+    """The relative tolerance of every quadrature.  Each grid follows from it, from
+    the floor 16 * 2^k >= 4 max|r_j| (8 max|r_j| on a graded residue grid) up to
+    2^27 points for a p-curve (_TORUS_POINTS) or _GRID_POINTS for a residue ladder."""
 
-    points_per_axis: int = 256
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.points_per_axis < 16 or self.points_per_axis % 2:
-            raise ValueError("points_per_axis must be even and >= 16")
         if not 0.0 < self.rel_tol < np.inf:
             raise ValueError("rel_tol must be finite and > 0")
 
 
 def default_config(d: int) -> QuadratureConfig:
-    """Floors of 256 points per axis and rel_tol 1e-8 in d <= 2 (a d = 1 curve to
-    t = 1000 needs 256), and 16 and 1e-6 in d >= 3."""
-    if d <= 2:
-        return QuadratureConfig()
-    return QuadratureConfig(points_per_axis=16, rel_tol=1e-6)
+    """rel_tol 1e-8 in d <= 2 and 1e-6 in d >= 3; the grids follow from it."""
+    return QuadratureConfig() if d <= 2 else QuadratureConfig(rel_tol=1e-6)
 
 
 class _GridCache:
@@ -208,10 +203,11 @@ def _cos_weights(e: np.ndarray, i0: int, rows: int) -> np.ndarray:
     return w.reshape(len(e), -1)
 
 
-def torus_points(cfg: QuadratureConfig, rs) -> int:
-    """Points per axis a torus grid for the displacements rs starts at:
-    max(cfg.points_per_axis, 4 max|r_j|), the floor against aliasing."""
-    return max(cfg.points_per_axis, 4 * max(abs(c) for r in rs for c in r))
+def _floor_level(rs, per_r: int = 4) -> int:
+    """k of the floor against aliasing of the displacements rs, the first grid
+    of _LADDER_FLOOR * 2^k >= per_r max|r_j| points per axis."""
+    reach = per_r * max(abs(c) for r in rs for c in r)
+    return max(0, (reach - 1) // _LADDER_FLOOR).bit_length()
 
 
 def _size(x) -> float:
@@ -289,9 +285,8 @@ def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, orde
     d, per_r, floors = len(rs[0]), 8 if mapped else 4, {}
     # the finest grid, _LADDER_FLOOR 2^top, has 2^(d-2) n^(d-1) <= _GRID_POINTS points
     top = (_GRID_POINTS.bit_length() - d + 1) // (d - 1) - _LADDER_FLOOR.bit_length() + 1
-    for r in rs:  # the first 16 * 2^k >= per_r max|r_j|, low enough for every power of order
-        k = max(0, (per_r * max(map(abs, r)) - 1) // _LADDER_FLOOR).bit_length()
-        floors.setdefault(max(0, min(k, top - len(order))), []).append(r)
+    for r in rs:  # each r at its floor, low enough for every power of order
+        floors.setdefault(max(0, min(_floor_level((r,), per_r), top - len(order))), []).append(r)
     out = {}
     for k0, group in floors.items():
         vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), _LADDER_FLOOR << k0,
@@ -372,13 +367,14 @@ def _alias_bound(model: WalkModel, rs: tuple, t: float, n: int, tol: float = 0.0
 def p_curves(model: WalkModel, rs: tuple, times: np.ndarray, cfg: QuadratureConfig) -> tuple:
     """(p(t; 0, r) on equally spaced times, one row per r, est_error), in one grid pass.
 
-    The grid is the first torus_points(cfg, rs) * 2^k points per axis,
-    k <= _TORUS_DOUBLINGS + 1, whose aliasing bound over the times is at most
+    The grid is the first n = 2^k points per axis from the floor _floor_level(rs),
+    n^d at most _TORUS_POINTS, whose aliasing bound over the times is at most
     max(rel_tol, ABS_FLOOR); NotConverged if none is.  est_error is that bound
     plus RESIDUE_ROUNDING, the rounding of a mean of unit mass.
     """
-    tol, t, n = max(cfg.rel_tol, ABS_FLOOR), float(np.max(times)), torus_points(cfg, rs)
-    top = n << (_TORUS_DOUBLINGS + 1)
+    tol, t = max(cfg.rel_tol, ABS_FLOOR), float(np.max(times))
+    top = 1 << (_TORUS_POINTS.bit_length() - 1) // model.d  # top^d <= _TORUS_POINTS
+    n = min(_LADDER_FLOOR << _floor_level(rs), top)
     while (bound := _alias_bound(model, rs, t, n, tol)) > tol and n < top:
         n *= 2
     vals = np.clip(_p_grid_sum(model, rs, times, n), 0.0, 1.0)

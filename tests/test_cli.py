@@ -12,9 +12,11 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 import taboowalk.cli as cli
-from taboowalk.simulate import sampler_workers
+from taboowalk.limits import Variant
+from taboowalk.simulate import SimConfig, estimate_taboo_curve, sampler_workers
 from taboowalk import (
     ExtrapolationUnstable,
+    QuadratureConfig,
     TabooQuery,
     TimeGrid,
     default_config,
@@ -136,8 +138,7 @@ class TestLimitCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NotIrreducible"
 
-    # --points is a flag of curve and verify only: it enters no limit
-    @pytest.mark.parametrize("flag", [["curve", "--points", "0"], ["limit", "--rel-tol", "0"]])
+    @pytest.mark.parametrize("flag", [["curve", "--rel-tol", "0"], ["limit", "--rel-tol", "0"]])
     def test_zero_quadrature_flag_exits_2(self, capsys, simple_model_file, flag):
         command, *flag = flag
         if command == "curve":
@@ -179,13 +180,28 @@ class TestLimitCommand:
         }
         _validator("limit_record.schema.json").validate(rec)
 
+    def test_minus_verify_runs_the_minus_clock(self, capsys, nonsimple_model_file):
+        code, out = run_cli(
+            capsys, "limit", nonsimple_model_file, "--x", "0", "--y", "15", "--z", "-15",
+            "--minus", "--verify", "--paths", "3000", "--seed", "7",
+        )
+        assert code == 0
+        mc = json.loads(out)["verify"]["monte_carlo"]
+        # a far query, so that some paths hit between t - (first holding time) and t
+        model, q = load_model(nonsimple_model_file), TabooQuery((0,), (15,), (-15,))
+        sim = SimConfig(horizon=mc["t"], n_paths=3000, seed=7)
+        minus, plus = (estimate_taboo_curve(model, q, [mc["t"]], sim, v)[0]
+                       for v in (Variant.MINUS, Variant.PLUS))
+        assert (mc["probability"], mc["std_error"]) == (minus.probability, minus.std_error)
+        assert minus.probability != plus.probability
+
 
 @pytest.mark.parametrize(
     "argv, reads",
     [
         (["limit", "--x", "2", "--y", "5", "--z", "0"], {"rel_tol"}),
         (["tail", "--x", "1", "--y", "4", "--z", "6"], {"rel_tol"}),
-        (["curve", "--x", "2", "--y", "5", "--step", "0.1", "--horizon", "5"], {"points_per_axis", "rel_tol"}),
+        (["curve", "--x", "2", "--y", "5", "--step", "0.1", "--horizon", "5"], {"rel_tol"}),
         (["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "5", "--paths", "200"], set()),
     ],
     ids=["limit", "tail", "curve", "simulate"],
@@ -212,7 +228,7 @@ class TestInputContract:
         [
             ["limit", "--x", "2", "--y", "5", "--z", "0", "--verify", "--paths", "0"],
             ["curve", "--x", "2", "--y", "5", "--z", "0", "--step", "0.1", "--horizon", "5", "--out", "c.csv",
-             "--points", "18.5"],
+             "--rel-tol", "inf"],
             ["limit", "--x", "2", "--y", "5", "--z", "0", "--rel-tol", "nan"],
             ["limit", "--x", "2", "--y", "5", "--z", "0", "--verify", "--radius", "0"],
             ["curve", "--x", "0", "--y", "1", "--step", "0", "--horizon", "5", "--out", "c.csv"],
@@ -222,6 +238,10 @@ class TestInputContract:
             ["simulate", "--x", "0", "--y", "3", "--z", "0", "--t-list", "5,x"],
             ["limit", "--x", "1", "--y", "2", "--bogus", "3"],  # an unknown flag
             ["limit", "--x", "1"],  # a missing flag
+            # the grid follows from --rel-tol: there is no --points
+            ["curve", "--x", "2", "--y", "5", "--step", "0.1", "--horizon", "5", "--out", "c.csv",
+             "--points", "64"],
+            ["verify", "--points", "64"],
         ],
     )
     def test_bad_flag_value_exits_2(self, capsys, simple_model_file, args):
@@ -236,6 +256,7 @@ class TestInputContract:
             ('{"d": 1}', "ModelError"),
             ('{"d": 1, "jumps": [{"z": ["a"], "rate": 0.5}]}', "ModelError"),
             ('{"d": 1, "jumps": [{"z": [1], "rate": null}]}', "ModelError"),
+            ('{"d": true, "jumps": [{"z": [true], "rate": true}]}', "ModelError"),  # not the simple walk
         ],
     )
     def test_malformed_model_file_exits_2(self, capsys, tmp_path, text, error):
@@ -543,8 +564,7 @@ class TestVerifyCommand:
             cli._SUITES, "identities", lambda model, cfg: seen.append(cfg) or []
         )
         code, _ = run_cli(
-            capsys, "verify", simple_model_file, "--suite", "identities",
-            "--points", "32", "--rel-tol", "1e-9",
+            capsys, "verify", simple_model_file, "--suite", "identities", "--rel-tol", "1e-9",
         )
         assert code == 0
-        assert (seen[0].points_per_axis, seen[0].rel_tol) == (32, 1e-9)
+        assert seen[0] == QuadratureConfig(rel_tol=1e-9)

@@ -31,7 +31,7 @@ from taboowalk.curves import _LADDER_KS
 from taboowalk.kernels import default_config, transition_probability
 from taboowalk.limits import c1_constant
 from taboowalk.model import char_exponent_grid
-from taboowalk.quadrature import p_curves, torus_points
+from taboowalk.quadrature import p_curves
 
 
 def g1d_closed(lam, x, a=1.0):
@@ -245,8 +245,10 @@ class TestBatchedPCurves:
         model = request.getfixturevalue(walk)
         d = model.d
         rs = ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
-        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
-        cfg = QuadratureConfig(points_per_axis=n, rel_tol=1e-6)
+        # a floor and a cap of n points per axis: the grid is n
+        monkeypatch.setattr(quadrature, "_LADDER_FLOOR", n)
+        monkeypatch.setattr(quadrature, "_TORUS_POINTS", n**d)
+        cfg = QuadratureConfig(rel_tol=1e-6)
         got, _ = p_curves(model, rs, times, cfg)
         assert got.shape == (3, len(times))
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
@@ -284,10 +286,14 @@ class TestBatchedPCurves:
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
     def test_near_displacements_keep_their_grid(self):
-        assert torus_points(default_config(1), ((0,), (64,), (-3,))) == 256
-        assert torus_points(default_config(2), ((64, -64),)) == 256
-        assert torus_points(default_config(3), ((16, -2, 0),)) == 64
-        assert torus_points(default_config(1), ((1000,),)) == 4000
+        # the floor of p-curves and residue ladders: the first 16 * 2^k >= 4 max|r_j|
+        def floor(rs):
+            return quadrature._LADDER_FLOOR << quadrature._floor_level(rs)
+
+        assert floor(((0,), (64,), (-3,))) == 256
+        assert floor(((64, -64),)) == 256
+        assert floor(((16, -2, 0),)) == 64
+        assert floor(((1000,),)) == 4096
 
     def test_taboo_cdf_makes_one_pass(self, walk3d, monkeypatch):
         # the aliasing bound sizes the grid before any sum: one grid sum per curve
@@ -299,15 +305,18 @@ class TestBatchedPCurves:
             return grid_sum(model, rs, times, n)
 
         monkeypatch.setattr(quadrature, "_p_grid_sum", spy)
-        cfg = QuadratureConfig(points_per_axis=32, rel_tol=1e-6)
         q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
-        taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=40), cfg)
-        assert calls == [(4, 80, 32)]
         # the verify curve of the nearest-neighbour walk (t <= 40): the bound
-        # is 2.9e-6 at n = 16 and 2.6e-15 at n = 32, so the default floor 16 doubles once
-        calls.clear()
+        # is 2.9e-6 at n = 16 and 2.6e-15 at n = 32, so the floor 16 doubles once
         taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=800))
         assert calls == [(4, 1600, 32)]
+        # a floor of 32 on the grid of t <= 2 (the bound takes 16 there); the
+        # limits were read above, so no residue ladder starts at that floor
+        calls.clear()
+        monkeypatch.setattr(quadrature, "_LADDER_FLOOR", 32)
+        cfg = QuadratureConfig(rel_tol=1e-6)
+        taboo_cdf(walk3d, q, TimeGrid(step=0.05, n_steps=40), cfg)
+        assert calls == [(4, 80, 32)]
 
     def test_taboo_cdf_reuses_the_zy_solve(self, nonsimple1d, monkeypatch):
         grid = TimeGrid(step=0.05, n_steps=200)
@@ -324,8 +333,8 @@ class TestBatchedPCurves:
         assert len(solves) == 3
 
     def test_unconverged_curve_raises(self, walk3d, monkeypatch):
-        monkeypatch.setattr(quadrature, "_TORUS_DOUBLINGS", 0)
-        cfg = QuadratureConfig(points_per_axis=16)
+        monkeypatch.setattr(quadrature, "_TORUS_POINTS", 32**3)  # the grids 16 and 32
+        cfg = QuadratureConfig()
         with pytest.raises(NotConverged) as err:
             hitting_cdf(walk3d, (0, 0, 0), (0, 0, 0), TimeGrid(step=0.1, n_steps=3000), cfg)
         assert err.value.est_error > cfg.rel_tol

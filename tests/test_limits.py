@@ -98,7 +98,7 @@ class TestGreenRoute:
 
         monkeypatch.setattr(kernels, "axis_integral", spy)
         # a rel_tol no other test uses, so no cached kernel value hides a quadrature
-        cfg = QuadratureConfig(points_per_axis=64, rel_tol=2e-6)
+        cfg = QuadratureConfig(rel_tol=2e-6)
         for x, y, z in self.QUERIES:
             q = TabooQuery(x, y, z)
             taboo_limit(walk3d, q, cfg)

@@ -1,14 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft7Validator
 
+import taboowalk
 from taboowalk import (
     AsymmetricRates,
     EmptySupport,
+    ModelError,
     NonpositiveRate,
     NotIrreducible,
     ZeroJumpInSupport,
@@ -254,3 +258,45 @@ class TestModelFiles:
     def test_malformed(self):
         with pytest.raises(ValueError):
             model_from_dict({"jumps": []})
+
+    MODEL_SCHEMA = json.loads((Path(taboowalk.__file__).parent / "schemas" / "model.schema.json").read_text())
+    ONE_JUMP = {"z": [1], "rate": 0.5}
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"d": 1, "jumps": [ONE_JUMP]},
+            {"d": 1.0, "jumps": [{"z": [1.0], "rate": 1}]},  # integral numbers are integers in JSON
+            {"d": 2, "jumps": [{"z": [1, 0], "rate": 0.2}, {"z": [0, -1], "rate": 0.3}]},
+            {"d": True, "jumps": [{"z": [True], "rate": True}]},
+            {"d": True, "jumps": [ONE_JUMP]},
+            {"d": 1, "jumps": [{"z": [True], "rate": 0.5}]},
+            {"d": 1, "jumps": [{"z": [1], "rate": True}]},
+            {"d": "1", "jumps": [ONE_JUMP]},
+            {"d": 1, "jumps": [{"z": ["1"], "rate": 0.5}]},
+            {"d": 1, "jumps": [{"z": "1", "rate": 0.5}]},
+            {"d": 1, "jumps": [{"z": [1], "rate": "0.5"}]},
+            {"d": 1, "jumps": [{"z": [1], "rate": None}]},
+            {"d": 1, "jumps": [{"z": [1.5], "rate": 0.5}]},
+            {"d": 1.5, "jumps": [ONE_JUMP]},
+            {"d": 0, "jumps": [ONE_JUMP]},
+            {"d": 1, "jumps": []},
+            {"d": 1, "jumps": [{"z": [], "rate": 0.5}]},
+            {"d": 1, "jumps": [{"z": [1], "rate": 0}]},
+            {"d": 1, "jumps": [{"z": [1]}]},
+            {"d": 1, "jumps": [{"z": [1], "rate": 0.5, "note": "x"}]},
+            {"d": 1, "jumps": [ONE_JUMP], "name": "simple"},
+            {"d": 1, "jumps": ONE_JUMP},
+            {"d": 1, "jumps": [[1, 0.5]]},
+            {"jumps": [ONE_JUMP]},
+            [ONE_JUMP],
+        ],
+    )
+    def test_load_rejects_what_the_schema_rejects(self, tmp_path, obj):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        if Draft7Validator(self.MODEL_SCHEMA).is_valid(obj):
+            load_model(path)
+        else:
+            with pytest.raises(ModelError):
+                load_model(path)

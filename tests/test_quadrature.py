@@ -335,6 +335,10 @@ def _bound_rows(d):
     return ((0,) * d, (1,) + (0,) * (d - 1), (3,) + (-2,) * (d - 1))
 
 
+# diagonal2d is the benchmark walk w2, walk3d nn3 and nonsimple1d ns1
+_PICK_WALKS = {**_BOUND_WALKS, "R5": validate_model(1, {(1,): 0.01, (4,): 0.2, (5,): 0.7})}
+
+
 class TestAliasBound:
     @pytest.mark.parametrize("walk", list(_BOUND_WALKS))
     @pytest.mark.parametrize("t", [0.0, 0.5, 5.0, 40.0, 200.0])
@@ -378,10 +382,12 @@ class TestAliasBound:
 
     # n picked by the bound taken at every bracket (measured before brackets
     # whose rest factor is below the tolerance took 1 for p): rows 0, e1 and
-    # (3, -2, ...), times to T on 41 points, the default configuration
+    # (3, -2, ...), times to T on 41 points, the default configuration.
+    # nonsimple1d to 20 and diagonal2d to 200 took 256 while d <= 2 grids had
+    # a floor of 256 points per axis; the bound alone takes 64 there
     PICKED_N = {
-        ("nonsimple1d", 20.0): 256, ("nonsimple1d", 2000.0): 512, ("nonsimple1d", 20000.0): 1024,
-        ("diagonal2d", 200.0): 256, ("diagonal2d", 20000.0): 512,
+        ("nonsimple1d", 20.0): 64, ("nonsimple1d", 2000.0): 512, ("nonsimple1d", 20000.0): 1024,
+        ("diagonal2d", 200.0): 64, ("diagonal2d", 20000.0): 512,
         ("walk3d", 20.0): 16, ("walk3d", 200.0): 64, ("walk3d", 2000.0): 128,
         ("range2_3d", 20.0): 32, ("range2_3d", 200.0): 64, ("range2_3d", 2000.0): 128,
     }
@@ -393,14 +399,42 @@ class TestAliasBound:
         quad.p_curves(model, _bound_rows(model.d), np.linspace(0.0, horizon, 41), quad.default_config(model.d))
         assert picked == [self.PICKED_N[walk, horizon]]
 
-    def test_verify_curve_matches_the_64_point_grid(self):
+    @staticmethod
+    def _fixed_floor_pick(model, rs, horizon):
+        """n by the rule the shared floor replaced: from max(256 in d <= 2 or 16
+        in d >= 3, 4 max|r_j|) points per axis, doubled at most five times."""
+        tol = max(quad.default_config(model.d).rel_tol, quad.ABS_FLOOR)
+        n = max(256 if model.d <= 2 else 16, 4 * max(abs(c) for r in rs for c in r))
+        for _ in range(5):
+            if quad._alias_bound(model, rs, horizon, n, tol) <= tol:
+                break
+            n *= 2
+        return n
+
+    @pytest.mark.parametrize(
+        "walk, horizon, rs",
+        [(w, t, _bound_rows(_PICK_WALKS[w].d)) for w in _PICK_WALKS for t in (20.0, 200.0, 2000.0)]
+        # a 4 max|r_j| floor not rounded to 16 * 2^k would take 384 here
+        + [("nonsimple1d", 1000.0, ((-2,), (1,), (3,)))],
+    )
+    def test_no_grid_above_the_fixed_floor_rule(self, walk, horizon, rs, monkeypatch):
+        model, picked = _PICK_WALKS[walk], []
+        monkeypatch.setattr(quad, "_p_grid_sum",
+                            lambda m, rs, times, n: picked.append(n) or np.zeros((len(rs), len(times))))
+        quad.p_curves(model, rs, np.linspace(0.0, horizon, 41), quad.default_config(model.d))
+        assert picked[0] <= self._fixed_floor_pick(model, rs, horizon)
+
+    def test_verify_curve_matches_the_64_point_grid(self, monkeypatch):
         # the nearest-neighbour verify curve on its bound-sized grid (n = 32)
-        # against the same curve on a 64-point floor
+        # against the same curve summed on 64 points per axis
         walk = nearest_neighbor_walk(3)
         q, grid = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0)), TimeGrid(step=0.05, n_steps=800)
-        fine = quad.QuadratureConfig(points_per_axis=64, rel_tol=1e-6)
-        for got, want in zip(taboo_cdf(walk, q, grid), taboo_cdf(walk, q, grid, fine)):
+        bound_sized, picked, grid_sum = taboo_cdf(walk, q, grid), [], quad._p_grid_sum
+        monkeypatch.setattr(quad, "_p_grid_sum",
+                            lambda m, rs, times, n: picked.append(n) or grid_sum(m, rs, times, 64))
+        for got, want in zip(bound_sized, taboo_cdf(walk, q, grid)):
             np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-13)
+        assert picked == [32]
 
 
 class TestProductFormReference3d:

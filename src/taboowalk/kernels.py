@@ -1,17 +1,22 @@
 """Fourier kernels: p(t;x,y), G_lambda(x,y), rho_d(x).
 
 All three are integrals over [-pi, pi]^d built from the walk's
-characteristic exponent phi.  This module holds the residue sums and the
-value caches, keyed by rel_tol alone; quadrature.py sizes and refines every
-grid.  Kernel values are read by set: rho_values and green_values send the
+characteristic exponent phi.  This module holds the residue sums and every
+cache: the value caches, keyed by rel_tol alone, and one LRU cache of the
+residue grids and their roots under the byte budget ``CACHE_BYTES``, from
+which a grid whose arrays take more than a quarter of the budget is streamed
+block by block and never kept.  Block sums are added exactly (math.fsum), so
+results repeat bit for bit.  quadrature.py sizes and walks every grid.
+Kernel values are read by set: rho_values and green_values send the
 uncached displacements of one request to one ladder, and rho and
 green_function are their one-element case.  The heat kernel p is a smooth
 torus mean, one p-curve of two times.  For G_lambda and rho, lambda - phi is a
 Laurent polynomial in w = exp(i theta_d) at fixed theta' = (theta_1, ...,
 theta_{d-1}), so the theta_d integral is a sum of residues (Katsura et al.,
-J. Math. Phys. 12, 1971): exact in d = 1, a ladder over the theta' grid in
-d >= 2.  In d >= 3 the walk is transient: rho_d(x) = a (G_0(0) - G_0(x))
-(Spitzer, Principles of Random Walk), from the cached G_0 values.
+J. Math. Phys. 12, 1971): exact in d = 1 but for rounding, whose bound must
+meet rel_tol, and a ladder over the theta' grid in d >= 2.  In d >= 3 the walk
+is transient: rho_d(x) = a (G_0(0) - G_0(x)) (Spitzer, Principles of Random
+Walk), from the cached G_0 values.
 """
 
 from __future__ import annotations
@@ -21,14 +26,49 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import wraps
 from math import comb, fsum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DivergentGreenFunction, NotConverged
 from .model import WalkModel, as_vec, simple_walk_1d
-from .quadrature import (_CACHE, RESIDUE_ROUNDING, QuadratureConfig, _residue_grid, _residue_points,
+from .quadrature import (RESIDUE_ROUNDING, QuadratureConfig, _judged, _residue_grid, _residue_points,
                          axis_integral, default_config, p_curves)
+
+# Bytes of residue grids and roots the grid cache may hold.
+CACHE_BYTES = 64 << 20
+
+
+class _GridCache:
+    """Block tuples keyed by grid, least recently used out, under a byte budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, nbytes: int, build: Callable):
+        """The blocks build() yields, or a stream of them when their arrays, of
+        ``nbytes`` in all, exceed a quarter of the budget."""
+        if nbytes > self.budget // 4:
+            return build()
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key][0]
+        value = tuple(build())
+        size = sum(a.nbytes for block in value for a in block if isinstance(a, np.ndarray))
+        with self._lock:
+            if key not in self._items:  # another thread may have built it meanwhile
+                self._items[key] = (value, size)
+                self.nbytes += size
+            while self.nbytes > self.budget:
+                self.nbytes -= self._items.popitem(last=False)[1][1]
+        return value
+
+
+_CACHE = _GridCache(CACHE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -193,8 +233,11 @@ def _residue_sums(model: WalkModel, lam: float, n: int, rs, mapped: bool = False
 @_batched
 def _green_cached(model: WalkModel, rel_tol: float, lam: float, rs: tuple) -> list:
     d = model.d
-    if d == 1:  # a finite residue sum
-        return _residue_sums(model, lam, 1, rs)
+    if d == 1:  # a finite residue sum, its rounding bound judged against max(|J_r|, |J_0|)
+        todo = tuple(dict.fromkeys(((0,), *rs)))
+        sums = dict(zip(todo, _residue_sums(model, lam, 1, todo)))
+        j0 = abs(sums[(0,)][0])
+        return [_judged("green_function", *sums[r], max(abs(sums[r][0]), j0), rel_tol) for r in rs]
     # lam > 0: analytic in theta', with a peak of width sqrt(lam) at 0, on the
     # graded grid; lam = 0 (d >= 3): a |theta'|^-1 singularity at 0, on the
     # uniform grid, whose midpoint error runs in h^(d-2), h^d, h^(d+2).  Each
@@ -242,8 +285,9 @@ def _rho_cached(model: WalkModel, rel_tol: float, rs: tuple) -> list:
     if model.d == 1:  # |r| a/B, half the residue at w = 1 on the circle, + a (J_0 - J_r)
         slope = a / sum(rate * z[0] ** 2 for z, rate in model.jumps)
         (j0, e0), *js = _residue_sums(model, 0.0, 1, ((0,), *rs))
-        return [(abs(r[0]) * slope + a * (j0 - j), RESIDUE_ROUNDING * abs(r[0]) * slope + a * (e0 + e))
+        vals = [(abs(r[0]) * slope + a * (j0 - j), RESIDUE_ROUNDING * abs(r[0]) * slope + a * (e0 + e))
                 for r, (j, e) in zip(rs, js)]
+        return [_judged("rho", v, e, abs(v), rel_tol) for v, e in vals]
 
     def means(n, ks):  # a (J_0 - J_r) at lam = 0, a |theta_1| cusp at 0: h^2, h^4
         (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks))

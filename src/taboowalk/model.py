@@ -192,8 +192,8 @@ def char_exponent(model: WalkModel, theta: Sequence[float]) -> float:
 
 def char_exponent_grid(model: WalkModel, theta: np.ndarray) -> np.ndarray:
     """phi over an (m, d) array of angles; z and -z give equal terms, so each
-    pair is summed once (z > -z as tuples) at twice the rate.  Point by point:
-    grids build phi from per-axis phases in ``quadrature.phi_blocks``."""
+    pair is summed once (z > -z as tuples) at twice the rate.  Point by point,
+    as the heat-kernel grids of quadrature take it block by block."""
     keep = [z > tuple(-c for c in z) for z, _ in model.jumps]
     return -4.0 * np.sin(theta @ model.support[keep].T / 2.0) ** 2 @ model.rates[keep]
 

@@ -2,19 +2,16 @@
 decision on how a grid is sized and refined until it meets its tolerance.
 
 Two engines.  The heat kernel p(t; 0, r) is a midpoint mean over the torus
-[-pi, pi]^d of exp(phi t) cos(r.theta) (``p_curves``).  As exp(i u.r) =
-prod_j exp(i r_j u_j) on the tensor grid, cos(r.theta) is an outer product of
-per-axis phases (sum factorisation, Orszag 1980), and phi comes from per-axis
-phases too: a one-axis jump is one broadcast add, any other a product
-telescoped over its axes; no sine is taken per grid point.  Only the half grid
-u_0 > 0 is summed, then doubled: phi and cos(r.theta) are even for a symmetric
-walk, and the midpoint grid with n even (odd n raises ValueError) is symmetric.
-It is cut into dense blocks of at most ``_BLOCK_POINTS`` points along the
-leading axis.  The grid is the first n = 16 * 2^k >= 4 max|r_j| (``_floor_level``,
+[-pi, pi]^d of exp(phi t) cos(r.theta) (``p_curves``).  phi and cos(r.theta)
+are even for a symmetric walk, and the midpoint grid with n even (odd n raises
+ValueError) is symmetric, so only the half grid theta_1 > 0 is summed, then
+doubled: it is the residue grid below of d + 1 axes at n / 2, walked in the
+same blocks, with phi (model.char_exponent_grid) and cos(r.theta) taken point
+by point.  The grid is the first n = 16 * 2^k >= 4 max|r_j| (``_floor_level``,
 the floor of the residue ladders too) whose a priori aliasing bound
 (``_alias_bound``) meets the tolerance, n^d at most ``_TORUS_POINTS``: one GEMM
-per sub-block of phi points, rows (r, t_b) against columns of exp(phi tau)
-offsets, so the exp table is read once.  Nothing is refined.
+per sub-block of points, rows (r, t_b) against columns of exp(phi tau)
+offsets, so the exp table is read once.  Nothing is refined or cached.
 
 G_lambda and rho are residue ladders (``axis_integral``) over theta' =
 (theta_1, ..., theta_{d-1}): the theta_d integral at each point of
@@ -28,22 +25,15 @@ takes the last sum (no powers); lambda = 0 is singular at 0, so its grid is
 uniform and the ladder removes h^2, h^4 (rho in d = 2) or h^(d-2), h^d,
 h^(d+2) (G_0 in d >= 3; Lyness, Math. Comp. 30, 1976).
 
-One LRU cache under the byte budget ``CACHE_BYTES`` keeps phi blocks and the
-residue roots.  phi enters at the eviction end, so it stays only while there is
-room or a second curve reads it.  A grid whose value takes more than a quarter
-of the budget is streamed block by block and never kept.  Block sums are added
-exactly (math.fsum), so results repeat bit for bit.  A result that misses its
-tolerance raises NotConverged.
+This module holds no cache: the residue roots are kept by kernels.  A result
+that misses its tolerance raises NotConverged.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,8 +49,6 @@ RESIDUE_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # Points per block: 512 KB per float array keeps the temporaries of a block,
 # and with them the peak memory of a streamed grid, small.
 _BLOCK_POINTS = 1 << 16
-# Bytes of phi blocks and residue roots the grid cache may hold.
-CACHE_BYTES = 64 << 20
 # Doubles in the rows and columns of one heat-kernel GEMM; bounds the peak memory.
 _EXP_BLOCK = 1 << 18
 # Points per axis at the lowest grid floor; caps in points per grid of a residue
@@ -86,121 +74,6 @@ class QuadratureConfig:
 def default_config(d: int) -> QuadratureConfig:
     """rel_tol 1e-8 in d <= 2 and 1e-6 in d >= 3; the grids follow from it."""
     return QuadratureConfig() if d <= 2 else QuadratureConfig(rel_tol=1e-6)
-
-
-class _GridCache:
-    """Block tuples keyed by grid, least recently used out, under a byte budget."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._items: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, nbytes: int, build: Callable, cold: bool = False):
-        """The blocks build() yields, or a stream of them when their arrays, of
-        ``nbytes`` in all, exceed a quarter of the budget.  A ``cold`` value
-        enters at the eviction end."""
-        if nbytes > self.budget // 4:
-            return build()
-        with self._lock:
-            if key in self._items:
-                self._items.move_to_end(key)
-                return self._items[key][0]
-        value = tuple(build())
-        size = sum(a.nbytes for block in value for a in block if isinstance(a, np.ndarray))
-        with self._lock:
-            if key not in self._items:  # another thread may have built it meanwhile
-                self._items[key] = (value, size)
-                self.nbytes += size
-                self._items.move_to_end(key, last=not cold)
-            while self.nbytes > self.budget:
-                self.nbytes -= self._items.popitem(last=False)[1][1]
-        return value
-
-
-_CACHE = _GridCache(CACHE_BYTES)
-
-
-@lru_cache(maxsize=64)
-def _axis_offsets(n: int) -> np.ndarray:
-    """Midpoint offsets (2i + 1 - n)/n in (-1, 1), i = 0..n-1, each within half an
-    ulp: the form -1 + (i + 1/2) 2/n errs by an ulp of 1 next to 0."""
-    ax = (2 * np.arange(n) + 1 - n) / n
-    ax.setflags(write=False)
-    return ax
-
-
-def phi_blocks(model: WalkModel, s: float, n: int):
-    """(i0, rows, phi) for each block of rows i0..i0+rows of the half grid.
-
-    phi is phi(s u) on the block, in C order.  A jump pair z along one axis j
-    adds -4 a(z) sin^2(s z_j u_j / 2), summed per axis; any other adds
-    2 a(z) Re(sum_j prod_{i<j} (1 + A_i) A_j) over the axes with z_j != 0,
-    A_j = exp(i s z_j u_j) - 1 from ``_phases``.
-    """
-    if n % 2:
-        raise ValueError("n must be even for the half-grid fold")
-    d = model.d
-    step = max(1, _BLOCK_POINTS // n ** (d - 1))
-
-    def along(v, j):  # a vector of n values along axis j of the grid
-        return v.reshape((-1,) + (1,) * (d - 1 - j))
-
-    def build():
-        up, axis, pairs = s * _axis_offsets(n)[n // 2 :], np.zeros((d, n // 2)), []
-        for z, a in model.jumps:
-            nz = [j for j in range(d) if z[j]]
-            if z < tuple(-c for c in z):  # z and -z give equal terms: each pair once
-                continue
-            if len(nz) == 1:  # even in u, so summed per axis for u > 0
-                axis[nz[0]] -= 4.0 * a * np.sin(0.5 * (z[nz[0]] * up)) ** 2
-            else:
-                pairs.append((2.0 * a, z, nz))
-        axis = [along(np.concatenate([v[::-1], v]), j) for j, v in enumerate(axis)]
-        em1 = iter(_phases([z[j] for _, z, nz in pairs for j in nz], s, n)[1])  # one call for all
-        pairs = [(a2, [(j, along(next(em1), j)) for j in nz]) for a2, z, nz in pairs]
-        for i0 in range(n // 2, n, step):
-            rows = slice(i0, min(i0 + step, n))
-            ph = axis[0][rows] + sum(axis[1:], 0.0)
-            for a2, axes in pairs:
-                *head, last = [aj[rows] if j == 0 else aj for j, aj in axes]
-                term, prod = 0.0, 1.0
-                for aj in head:
-                    term, prod = term + prod * aj, prod * (1.0 + aj)
-                ph += a2 * (term + prod * last).real
-            ph = ph.ravel()
-            ph.setflags(write=False)
-            yield i0, rows.stop - i0, ph
-
-    return _CACHE.get(("phi", model, float(s), n), 8 * (n**d // 2), build, cold=True)
-
-
-def _phases(r, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(e, e - 1), e = exp(i s r_j u) on the axis offsets u: (d, n), or (m, d, n)
-    for m displacements; e - 1 = -2 sin^2(x/2) + i sin(x) stays accurate near 0.
-
-    The offsets are odd about the middle, so only the upper half is evaluated
-    and the lower half is its mirrored conjugate.
-    """
-    x = np.multiply.outer(np.asarray(r, dtype=float), s * _axis_offsets(n)[n // 2 :])
-    up = -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
-    em1 = np.concatenate([up[..., ::-1].conj(), up], axis=-1)
-    return em1 + 1.0, em1
-
-
-def _cos_weights(e: np.ndarray, i0: int, rows: int) -> np.ndarray:
-    """cos(s u.r) on the block of rows i0..i0+rows, one row per r, from the
-    phases e = _phases(rs, s, n)[0]: outer products of the per-axis phases,
-    real from the last axis on."""
-    a = e[:, 0, i0 : i0 + rows]
-    for j in range(1, e.shape[1] - 1):
-        a = (a[:, :, None] * e[:, j, None, :]).reshape(len(e), -1)
-    if e.shape[1] == 1:
-        return a.real
-    w = a.real[:, :, None] * e[:, -1, None, :].real
-    w -= a.imag[:, :, None] * e[:, -1, None, :].imag
-    return w.reshape(len(e), -1)
 
 
 def _floor_level(rs, per_r: int = 4) -> int:
@@ -248,6 +121,11 @@ def _not_converged(name, value, err) -> NotConverged:
                         value=value, est_error=err)
 
 
+def _judged(name: str, value, err: float, scale: float, rel_tol: float, ok: bool = True):
+    """(value, err) if ok and err <= rel_tol * scale, else its NotConverged."""
+    return (value, err) if ok and err <= rel_tol * scale else _not_converged(name, value, err)
+
+
 def _residue_points(d: int, n: int) -> int:
     """Points of the residue grid of n: n (2n)^(d - 2), or 1 in d = 1."""
     return n * (2 * n) ** (d - 2) if d > 1 else 1
@@ -259,7 +137,8 @@ def _residue_grid(d: int, n: int, mapped: bool):
     first axis and 2n of (-pi, pi) on each other, theta' = u with weight None,
     or, ``mapped``, theta' = u - sin u with weight prod_j (1 - cos u_j), whose
     mean is 1 (Sidi's sin-map: the points cluster at theta' = 0).  d = 1 has
-    the one point theta' = ()."""
+    the one point theta' = ().  Uniform, d + 1 axes at n / 2 give the torus
+    half grid of n points per axis that _p_grid_sum walks."""
     if d == 1:
         yield np.zeros((1, 0)), None
         return
@@ -294,25 +173,29 @@ def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, orde
         for r, v, e, ok in zip(group, vals, errs, oks):
             scale, v = _size(v), float(np.ravel(v)[0])
             e = max(e, RESIDUE_ROUNDING * scale)
-            out[r] = (v, e) if ok and e <= rel_tol * scale else _not_converged(name, v, e)
+            out[r] = _judged(name, v, e, scale, rel_tol, ok)
     return [out[r] for r in rs]
 
 
 def _p_grid_sum(model: WalkModel, rs: tuple, times: np.ndarray, n: int) -> np.ndarray:
     """Midpoint estimates of p(t; 0, r) on equally spaced times, one row per r
-    in rs, n points per axis.
+    in rs, n points per axis (n even, else ValueError).
 
+    The half grid theta_1 > 0 is the residue grid of d + 1 axes at n / 2, walked
+    block by block; phi and cos(r.theta) are taken at each of its points.
     exp(phi t) = exp(phi t_b) exp(phi tau) over blocks of B ~ sqrt(T) offsets
-    tau from starts t_b.  Each sub-block of phi points, its rows and columns at
+    tau from starts t_b.  Each sub-block of points, its rows and columns at
     most ``_EXP_BLOCK`` doubles, is one GEMM of rows (r, t_b), cos(r.theta)
     exp(phi t_b), against columns exp(phi tau): the exp table is read once.
     """
+    if n % 2:
+        raise ValueError("n must be even for the half-grid fold")
     b = int(np.ceil(np.sqrt(len(times))))
     starts, tau = times[::b], times[:b] - times[0]
     q = max(1, _EXP_BLOCK // (len(rs) * len(starts) + b))
-    out, phases = np.zeros((len(rs) * len(starts), b)), _phases(rs, np.pi, n)[0]
-    for i0, rows, ph in phi_blocks(model, np.pi, n):
-        w = _cos_weights(phases, i0, rows)
+    out, r = np.zeros((len(rs) * len(starts), b)), np.array(rs, dtype=float)
+    for th, _ in _residue_grid(model.d + 1, n // 2, False):
+        ph, w = char_exponent_grid(model, th), np.cos(r @ th.T)
         for k0 in range(0, len(ph), q):
             p = ph[k0 : k0 + q]
             lhs = (w[:, None, k0 : k0 + q] * np.exp(np.outer(starts, p))).reshape(-1, len(p))

@@ -41,3 +41,9 @@ def long2d():
     # |z_2| up to 2; the coefficient of exp(2 i theta_2) vanishes at theta_1 = pi/2,
     # and (1, 1) without (1, -1) makes rho(x_1, x_2) differ from rho(x_1, -x_2)
     return validate_model(2, {(1, 0): 0.2, (0, 1): 0.15, (1, 1): 0.05, (1, 2): 0.05, (-1, 2): 0.05})
+
+
+@pytest.fixture(scope="session")
+def skewed3d():
+    # off-axis jumps (1, 1, 1) and (1, -1, 0): phi does not split over the axes
+    return validate_model(3, {(1, 0, 0): 0.2, (0, 1, 0): 0.2, (0, 0, 1): 0.2, (1, 1, 1): 0.05, (1, -1, 0): 0.07})

@@ -30,6 +30,7 @@ from taboowalk import (
     taboo_cdf,
     validate_model,
 )
+from taboowalk import quadrature
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -148,6 +149,20 @@ class TestLimitCommand:
         )
         assert code == 2
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("jumps, x, y, z", [
+        ({(1,): 0.4, (2,): 0.1}, "1", "2", "0"),
+        ({(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05}, "1,0", "2,0", "0,0"),
+    ], ids=["ns1", "w2"])
+    def test_unreachable_rel_tol_exits_3(self, capsys, tmp_path, monkeypatch, jumps, x, y, z):
+        # no kernel value, the exact d = 1 residue sums included, meets 1e-30; a
+        # low cap ends the d = 2 ladder, which no grid lets converge, early
+        monkeypatch.setattr(quadrature, "_GRID_POINTS", 1 << 12)
+        path = tmp_path / "walk.json"
+        save_model(validate_model(len(next(iter(jumps))), jumps), path)
+        code, out = run_cli(capsys, "limit", str(path), "--x", x, "--y", y, "--z", z, "--rel-tol", "1e-30")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "NotConverged"
 
     def test_manifest_records_given_argv(self, capsys, simple_model_file):
         argv = ["limit", simple_model_file, "--x", "2", "--y", "5", "--z", "0"]

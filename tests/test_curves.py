@@ -254,13 +254,12 @@ class TestBatchedPCurves:
         np.testing.assert_allclose(got, _full_grid_p(model, rs, times, n), rtol=0, atol=1e-13)
 
     def test_multi_block_grid_matches_full_grid_reference(self, walk3d, monkeypatch):
-        # several phi blocks, each contracted in several sub-blocks of points
-        monkeypatch.setattr(quadrature, "_CACHE", quadrature._GridCache(quadrature.CACHE_BYTES))
+        # several blocks of the half grid, each contracted in several sub-blocks of points
         monkeypatch.setattr(quadrature, "_BLOCK_POINTS", 4096)
         monkeypatch.setattr(quadrature, "_EXP_BLOCK", 1 << 12)
         rs = ((0, 0, 0), (1, 0, 0), (2, -1, 3))
         times = np.linspace(0.0, 4.0, 41)
-        assert len(list(quadrature.phi_blocks(walk3d, np.pi, 32))) > 1
+        assert len(list(quadrature._residue_grid(4, 16, False))) > 1
         got = quadrature._p_grid_sum(walk3d, rs, times, 32)
         np.testing.assert_allclose(got, _full_grid_p(walk3d, rs, times, 32), rtol=0, atol=1e-13)
 
@@ -274,6 +273,28 @@ class TestBatchedPCurves:
         want = scipy.special.ive([[17], [300]], a * times)
         assert want[1, -1] > 1e-5
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("walk, rs, times", [
+        ("diagonal2d", ((0, 0), (1, 0), (1, 1), (3, -2)), np.linspace(0.0, 5.0, 11)),
+        ("skewed3d", ((0, 0, 0), (1, 0, 0), (1, 1, 1), (1, -1, 0), (3, -2, 1)), np.linspace(0.0, 0.6, 7)),
+    ])
+    def test_diagonal_walks_match_the_embedded_chain(self, walk, rs, times, request):
+        # p(t; 0, r) = sum_k Poisson(a t; k) P(S_k = r), S_k the position after k
+        # jumps, by k steps of the jump law on a box that holds every K-jump path,
+        # P(N_t > K) < 1e-16: no phi, no torus
+        model = request.getfixturevalue(walk)
+        a, d = model.total_rate, model.d
+        big_k = next(k for k in range(1000) if scipy.special.pdtrc(k, a * times[-1]) < 1e-16)
+        reach = big_k * int(np.abs(model.support).max())
+        prob = np.zeros((2 * reach + 1,) * d)
+        prob[(reach,) * d] = 1.0
+        want = np.zeros((len(rs), len(times)))
+        for k in range(big_k + 1):
+            at_r = np.array([prob[tuple(reach + c for c in r)] for r in rs])
+            want += np.outer(at_r, np.exp(-a * times) * (a * times) ** k / math.factorial(k))
+            prob = sum(rate / a * np.roll(prob, z, axis=tuple(range(d))) for z, rate in model.jumps)
+        got, err = p_curves(model, rs, times, default_config(d))
+        assert np.max(np.abs(got - want)) <= err
 
     def test_far_displacement_does_not_alias(self, simple1d):
         # on 256 points per axis r = 1000 aliased to r = 24, and the curve

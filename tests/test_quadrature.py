@@ -9,7 +9,6 @@ from taboowalk import (TabooQuery, TimeGrid, kernels, nearest_neighbor_walk, sim
                        transition_probability, validate_model)
 from taboowalk import quadrature as quad
 from taboowalk.model import char_exponent_grid
-from taboowalk.quadrature import phi_blocks
 
 # (d, n) with more than one block at the default block size
 MULTI_CHUNK = [(1, 1 << 21), (2, 2048), (3, 128)]
@@ -36,8 +35,7 @@ def _skewed_walk(d):
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """An empty grid cache at the default budget, private to the test."""
-    cache = quad._GridCache(quad.CACHE_BYTES)
-    monkeypatch.setattr(quad, "_CACHE", cache)
+    cache = kernels._GridCache(kernels.CACHE_BYTES)
     monkeypatch.setattr(kernels, "_CACHE", cache)
     return cache
 
@@ -110,29 +108,6 @@ def test_factorised_sum_matches_cos_on_every_point(fresh_cache, monkeypatch, str
     assert fresh_cache.nbytes == 0 if streamed else fresh_cache._items
 
 
-@pytest.mark.parametrize("streamed", [False, True])
-@pytest.mark.parametrize("s", [math.pi, math.pi / 8, math.pi * 2.0**-40], ids=["pi", "pi/8", "pi/2^40"])
-@pytest.mark.parametrize("d, n, block", [(1, 64, 8), (2, 32, 96), (3, 16, 64)])
-@pytest.mark.parametrize("walk", [_walk, _skewed_walk], ids=["nn", "skewed"])
-def test_phi_blocks_match_char_exponent_grid(fresh_cache, monkeypatch, walk, d, n, block, s, streamed):
-    # phi from per-axis phases against the point-by-point sine form, on every
-    # point of every block, read from the cache or streamed
-    monkeypatch.setattr(quad, "_BLOCK_POINTS", block)
-    if streamed:
-        monkeypatch.setattr(fresh_cache, "budget", 0)
-    model, ax = walk(d), quad._axis_offsets(n)
-    blocks = list(phi_blocks(model, s, n))
-    assert len(blocks) > 1
-    assert sum(b[1] for b in blocks) == n // 2
-    assert isinstance(phi_blocks(model, s, n), tuple) != streamed
-    for i0, rows, ph in blocks:
-        mesh = np.meshgrid(ax[i0 : i0 + rows], *[ax] * (d - 1), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        want = char_exponent_grid(model, s * pts)
-        assert ph.shape == want.shape
-        assert np.all(np.abs(ph - want) <= 2e-15 * np.abs(want))
-
-
 def test_residue_roots_are_built_once_per_grid(fresh_cache, monkeypatch):
     calls, grid = [], quad._residue_grid
 
@@ -152,7 +127,7 @@ def test_residue_roots_are_built_once_per_grid(fresh_cache, monkeypatch):
 def test_torus_mean_of_cos_is_kronecker_delta(d, n):
     # the p-curve sum at t = 0, where p(0; 0, r) = delta_r0 on every grid
     model = _walk(d)
-    assert len(list(phi_blocks(model, math.pi, n))) > 1
+    assert len(list(quad._residue_grid(d + 1, n // 2, False))) > 1  # the torus half grid
 
     def mean(r):
         return quad._p_grid_sum(model, (r,), np.zeros(1), n)[0, 0]
@@ -163,16 +138,11 @@ def test_torus_mean_of_cos_is_kronecker_delta(d, n):
 
 
 def test_cache_stays_within_its_budget(monkeypatch):
-    cache = quad._GridCache(1 << 20)
-    monkeypatch.setattr(quad, "_CACHE", cache)
+    cache = kernels._GridCache(1 << 20)
     monkeypatch.setattr(kernels, "_CACHE", cache)
     for d in (1, 2, 3):
         model = _skewed_walk(d)
         for n in (16, 32, 64, 128):
-            for s in (math.pi, math.pi / 2, math.pi / 4):
-                phi_blocks(model, s, n)
-                assert cache.nbytes <= cache.budget
-                assert cache.nbytes == sum(size for _, size in cache._items.values())
             for lam in (0.0, 0.3):
                 kernels._residue_sums(model, lam, n, [(1,) * d], lam > 0.0)
                 assert cache.nbytes <= cache.budget
@@ -180,42 +150,33 @@ def test_cache_stays_within_its_budget(monkeypatch):
     assert cache._items
 
 
-def test_large_grids_are_not_cached(monkeypatch):
+def test_large_grids_are_not_cached(fresh_cache):
+    # a p-curve sum leaves the cache empty at any n: phi and cos(r.theta) are
+    # taken point by point and never kept
     model = nearest_neighbor_walk(2)
-    n, rs, times = 1024, ((3, -1),), np.array([0.5])
-    kept = quad._GridCache(64 << 20)
-    monkeypatch.setattr(quad, "_CACHE", kept)
-    want = quad._p_grid_sum(model, rs, times, n)
-    assert len(kept._items) == 1
-
-    small = quad._GridCache(1 << 20)
-    monkeypatch.setattr(quad, "_CACHE", small)
-    assert 8 * n**2 // 2 > small.budget
-    assert not isinstance(phi_blocks(model, math.pi, n), tuple)
-    assert np.array_equal(quad._p_grid_sum(model, rs, times, n), want)
-    assert not small._items and small.nbytes == 0
+    for n in (16, 64, 1024):
+        quad._p_grid_sum(model, ((3, -1),), np.array([0.5]), n)
+        assert not fresh_cache._items and fresh_cache.nbytes == 0
 
 
 def test_odd_n_is_rejected():
     with pytest.raises(ValueError):
-        phi_blocks(simple_walk_1d(), math.pi, 17)
+        quad._p_grid_sum(simple_walk_1d(), ((0,),), np.zeros(1), 17)
 
 
 def test_cache_is_safe_under_threads(monkeypatch):
     import sys
     import threading
 
-    # a budget far below the working set, so threads evict each other's grids
-    cache = quad._GridCache(1 << 16)
-    monkeypatch.setattr(quad, "_CACHE", cache)
+    # a budget below the working set, so threads evict each other's grids: the
+    # grids of n = 16 and 32 may be kept (6.5 KB of roots in all), n = 64 is streamed
+    cache = kernels._GridCache(6 << 10)
     monkeypatch.setattr(kernels, "_CACHE", cache)
     model = _skewed_walk(2)
     grids = [(lam, n) for lam in (0.0, 0.1, 0.5) for n in (16, 32, 64)]
 
-    def read(lam, n):
-        if lam == 0.0:  # the p-curve grid
-            return float(quad._p_grid_sum(model, ((2, 1),), np.array([0.5]), n)[0, 0])
-        return kernels._residue_sums(model, lam, n, [(2, 1)], True)[0]
+    def read(lam, n):  # lam = 0 on the uniform grid, lam > 0 on the graded one
+        return kernels._residue_sums(model, lam, n, [(2, 1)], lam > 0.0)[0]
 
     want = {g: read(*g) for g in grids}
     errors = []

@@ -239,16 +239,17 @@ def _green_cached(model: WalkModel, rel_tol: float, lam: float, rs: tuple) -> li
         j0 = abs(sums[(0,)][0])
         return [_judged("green_function", *sums[r], max(abs(sums[r][0]), j0), rel_tol) for r in rs]
     # lam > 0: analytic in theta', with a peak of width sqrt(lam) at 0, on the
-    # graded grid; lam = 0 (d >= 3): a |theta'|^-1 singularity at 0, on the
-    # uniform grid, whose midpoint error runs in h^(d-2), h^d, h^(d+2).  Each
-    # entry's tolerance is scaled by J_0 = G_lam(0, 0) from its own grids.
-    mapped, zero = lam > 0.0, (0,) * d
+    # graded grid, last sum (as rho in d = 2); lam = 0 (d >= 3): a |theta'|^-1
+    # singularity at 0, on the uniform grid, whose midpoint error runs in
+    # h^(d-2), h^d, h^(d+2).  Each entry's tolerance is scaled by
+    # J_0 = G_lam(0, 0) from its own grids.
+    order, zero = () if lam > 0.0 else (d - 2, d, d + 2), (0,) * d
 
     def means(n, ks):
-        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks), mapped)
+        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks), not order)
         return [np.array((j, j0)) for j, _ in js]
 
-    return axis_integral("green_function", means, rs, rel_tol, () if mapped else (d - 2, d, d + 2), mapped)
+    return axis_integral("green_function", means, rs, rel_tol, order)
 
 
 def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None = None) -> list:
@@ -289,11 +290,13 @@ def _rho_cached(model: WalkModel, rel_tol: float, rs: tuple) -> list:
                 for r, (j, e) in zip(rs, js)]
         return [_judged("rho", v, e, abs(v), rel_tol) for v, e in vals]
 
-    def means(n, ks):  # a (J_0 - J_r) at lam = 0, a |theta_1| cusp at 0: h^2, h^4
-        (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks))
+    # a (J_0 - J_r) at lam = 0 has a |theta_1| cusp at 0: |u|^5 on the graded
+    # grid, whose gaps fall about 64x per doubling, so the ladder takes the last sum
+    def means(n, ks):
+        (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks), True)
         return [a * (j0 - j) for j, _ in js]
 
-    return axis_integral("rho", means, rs, rel_tol, (2, 4), False)
+    return axis_integral("rho", means, rs, rel_tol, ())
 
 
 def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> list:

@@ -19,11 +19,13 @@ G_lambda and rho are residue ladders (``axis_integral``) over theta' =
 ``_refine``, doubles n, one ladder per entry, each entry frozen at the level
 where it would stop alone, from its own floor ``_floor_level`` (8 max|r_j| on the
 graded grid, whose theta' runs twice as fast at u = pi) up to ``_GRID_POINTS``
-points.  The grid and the Richardson powers follow the integrand: lambda > 0
-is analytic but peaked at theta' = 0, so its axes are graded and the ladder
-takes the last sum (no powers); lambda = 0 is singular at 0, so its grid is
-uniform and the ladder removes h^2, h^4 (rho in d = 2) or h^(d-2), h^d,
-h^(d+2) (G_0 in d >= 3; Lyness, Math. Comp. 30, 1976).
+points.  The grid follows the Richardson powers: with none, the axes are
+graded and the ladder takes the last sum; with powers, the grid is uniform.
+G_lambda at lambda > 0 is analytic but peaked at theta' = 0, and rho in d = 2
+has a |theta_1| cusp there, which the grading turns into |u|^5 (its gaps fall
+about 64x per doubling): both are graded.  G_0 in d >= 3 is singular like
+1/|theta'| at 0, so its grid is uniform and the ladder removes h^(d-2), h^d,
+h^(d+2) (Lyness, Math. Comp. 30, 1976).
 
 This module holds no cache: the residue roots are kept by kernels.  A result
 that misses its tolerance raises NotConverged.
@@ -61,8 +63,9 @@ _TORUS_POINTS = 1 << 27
 @dataclass(frozen=True)
 class QuadratureConfig:
     """The relative tolerance of every quadrature.  Each grid follows from it, from
-    the floor 16 * 2^k >= 4 max|r_j| (8 max|r_j| on a graded residue grid) up to
-    2^27 points for a p-curve (_TORUS_POINTS) or _GRID_POINTS for a residue ladder."""
+    the floor 16 * 2^k >= 4 max|r_j| (8 max|r_j| on a graded residue grid: G_lambda
+    at lambda > 0 and rho in d = 2) up to 2^27 points for a p-curve
+    (_TORUS_POINTS) or _GRID_POINTS for a residue ladder."""
 
     rel_tol: float = 1e-8
 
@@ -152,24 +155,25 @@ def _residue_grid(d: int, n: int, mapped: bool):
         yield u - np.sin(u), np.prod(2.0 * np.sin(0.5 * u) ** 2, axis=1)
 
 
-def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, order: tuple,
-                  mapped: bool) -> list:
+def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, order: tuple) -> list:
     """Residue-ladder integrals for each r of rs, as (value, est_error) or its
-    NotConverged; means(n, rs) gives their means on the residue grid of n
-    (``mapped`` or not).  Each entry runs its own ladder, so its value does not
-    depend on the set it is read with.  A mean may be an array: its first
-    element is the value, and the others, which must converge with it, scale
-    its tolerance and its error, which is at least RESIDUE_ROUNDING times that
-    scale."""
-    d, per_r, floors = len(rs[0]), 8 if mapped else 4, {}
+    NotConverged; means(n, rs) gives their means on the residue grid of n,
+    graded (``mapped``) when ``order`` is empty, else uniform.  Each entry runs
+    its own ladder, so its value does not depend on the set it is read with.
+    A mean may be an array: its first element is the value, and the others,
+    which must converge with it, scale its tolerance and its error, which is at
+    least RESIDUE_ROUNDING times that scale.  A rel_tol below RESIDUE_ROUNDING
+    cannot be met, so each entry then sums only the two grids its error
+    estimate needs, and fails."""
+    d, per_r, floors = len(rs[0]), 4 if order else 8, {}
     # the finest grid, _LADDER_FLOOR 2^top, has 2^(d-2) n^(d-1) <= _GRID_POINTS points
     top = (_GRID_POINTS.bit_length() - d + 1) // (d - 1) - _LADDER_FLOOR.bit_length() + 1
     for r in rs:  # each r at its floor, low enough for every power of order
         floors.setdefault(max(0, min(_floor_level((r,), per_r), top - len(order))), []).append(r)
-    out = {}
+    out, most = {}, top + 1 if rel_tol >= RESIDUE_ROUNDING else 2  # levels per ladder
     for k0, group in floors.items():
         vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), _LADDER_FLOOR << k0,
-                                  top + 1 - k0, [0.0] * len(group), rel_tol, order)
+                                  min(top + 1 - k0, most), [0.0] * len(group), rel_tol, order)
         for r, v, e, ok in zip(group, vals, errs, oks):
             scale, v = _size(v), float(np.ravel(v)[0])
             e = max(e, RESIDUE_ROUNDING * scale)

@@ -30,7 +30,6 @@ from taboowalk import (
     taboo_cdf,
     validate_model,
 )
-from taboowalk import quadrature
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -153,11 +152,11 @@ class TestLimitCommand:
     @pytest.mark.parametrize("jumps, x, y, z", [
         ({(1,): 0.4, (2,): 0.1}, "1", "2", "0"),
         ({(1, 0): 0.2, (0, 1): 0.2, (1, 1): 0.05, (1, -1): 0.05}, "1,0", "2,0", "0,0"),
-    ], ids=["ns1", "w2"])
-    def test_unreachable_rel_tol_exits_3(self, capsys, tmp_path, monkeypatch, jumps, x, y, z):
-        # no kernel value, the exact d = 1 residue sums included, meets 1e-30; a
-        # low cap ends the d = 2 ladder, which no grid lets converge, early
-        monkeypatch.setattr(quadrature, "_GRID_POINTS", 1 << 12)
+        ({(1, 0, 0): 1 / 6, (0, 1, 0): 1 / 6, (0, 0, 1): 1 / 6}, "1,0,0", "0,1,0", "0,0,0"),
+    ], ids=["ns1", "w2", "nn3"])
+    def test_unreachable_rel_tol_exits_3(self, capsys, tmp_path, jumps, x, y, z):
+        # no kernel value, the exact d = 1 residue sums included, meets 1e-30,
+        # and no ladder runs on to its cap to find that out
         path = tmp_path / "walk.json"
         save_model(validate_model(len(next(iter(jumps))), jumps), path)
         code, out = run_cli(capsys, "limit", str(path), "--x", x, "--y", y, "--z", z, "--rel-tol", "1e-30")

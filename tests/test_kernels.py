@@ -296,6 +296,25 @@ class TestRho:
         assert rho(walk2d, [1, 1]) == pytest.approx(4.0 / math.pi, rel=1e-8)
         assert rho(walk2d, [2, 0]) == pytest.approx(4.0 - 8.0 / math.pi, rel=1e-7)
 
+    def test_2d_graded_ladder_meets_exact_values(self, walk2d):
+        # the potential kernel of the simple random walk on Z^2 in closed form
+        # (Spitzer, Principles of Random Walk, section 15)
+        exact = {(1, 0): 1.0, (1, 1): 4.0 / math.pi, (2, 0): 4.0 - 8.0 / math.pi, (2, 1): 8.0 / math.pi - 1.0,
+                 (2, 2): 16.0 / (3.0 * math.pi), (3, 0): 17.0 - 48.0 / math.pi,
+                 (3, 1): 92.0 / (3.0 * math.pi) - 8.0, (3, 2): 1.0 + 8.0 / (3.0 * math.pi)}
+        for r, (value, err) in zip(exact, kernels._rho_cached(walk2d, 1e-8, tuple(exact))):
+            assert abs(value - exact[r]) <= err, r
+
+    def test_2d_entries_stop_at_their_second_grid(self, diagonal2d, monkeypatch):
+        # the graded grid turns the |theta_1| cusp into |u|^5: the gaps fall about
+        # 64x per doubling, so each entry meets 1e-8 on the grid after its floor
+        grids = _spy_residue_grids(monkeypatch)
+        for r, want in [((1, 0), [16, 32]), ((3, -1), [32, 64]), ((75, -5), [1024, 2048])]:
+            _clear_value_caches()
+            grids.clear()
+            kernels.rho_values(diagonal2d, [r])
+            assert grids[r] == want, r
+
     @pytest.mark.parametrize("x", [(20, 0), (50, 0), (30, -20)])
     def test_2d_log_asymptote(self, diagonal2d, x):
         # rho(x) = 2 a gamma_2 ln|x|_Q + kappa + O(|x|^-2) (Fukai & Uchiyama,
@@ -518,6 +537,20 @@ def _grids_per_displacement():
         kernels.axis_integral = orig_axis
 
 
+def _spy_residue_grids(monkeypatch):
+    """Record, per nonzero displacement, the n of every residue grid summed for it."""
+    grids, orig = collections.defaultdict(list), kernels._residue_sums
+
+    def spy(model, lam, n, rs, *args):
+        for r in rs:
+            if any(r):
+                grids[tuple(r)].append(n)
+        return orig(model, lam, n, rs, *args)
+
+    monkeypatch.setattr(kernels, "_residue_sums", spy)
+    return grids
+
+
 def _clear_value_caches():
     kernels._rho_cached.cache_clear()
     kernels._green_cached.cache_clear()
@@ -576,8 +609,28 @@ class TestVectorLadder:
         for a, b in zip(answer(q, q.swapped()), answer(q.swapped(), q)):
             assert abs(a - b) <= 1e-14 * abs(a)
 
+    @pytest.mark.parametrize("walk, lam, xs", [
+        ("diagonal2d", None, [(1, 0), (3, -1), (75, -5)]),
+        ("diagonal2d", 0.25, [(1, 0), (75, -5)]),
+        ("walk3d", 0.0, [(1, 0, 0), (40, 0, 0)]),
+    ])
+    def test_unreachable_rel_tol_sums_two_grids(self, walk, lam, xs, request, monkeypatch):
+        # below RESIDUE_ROUNDING no grid can meet rel_tol: each entry sums the two
+        # grids of one gap, its error estimate, and fails with it
+        model, cfg = request.getfixturevalue(walk), QuadratureConfig(rel_tol=1e-30)
+        grids = _spy_residue_grids(monkeypatch)
+        _clear_value_caches()
+        with pytest.raises(NotConverged) as exc:
+            if lam is None:
+                kernels.rho_values(model, xs, cfg)
+            else:
+                kernels.green_values(model, lam, xs, cfg)
+        assert math.isfinite(exc.value.est_error)
+        for x in xs:
+            assert len(grids[x]) == 2 and grids[x][1] == 2 * grids[x][0], x
+
     def test_far_entry_fails_alone(self, diagonal2d, monkeypatch):
-        # a level cap of 256 points lies below the grid floor of (75, -5), 512,
+        # a level cap of 256 points lies below the grid floor of (75, -5), 1024,
         # so it fails; the near entries of its batch are still cached
         near = [(1, 2), (3, -1)]
         _clear_value_caches()

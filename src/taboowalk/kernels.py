@@ -238,15 +238,15 @@ def _green_cached(model: WalkModel, rel_tol: float, lam: float, rs: tuple) -> li
         sums = dict(zip(todo, _residue_sums(model, lam, 1, todo)))
         j0 = abs(sums[(0,)][0])
         return [_judged("green_function", *sums[r], max(abs(sums[r][0]), j0), rel_tol) for r in rs]
-    # lam > 0: analytic in theta', with a peak of width sqrt(lam) at 0, on the
-    # graded grid, last sum (as rho in d = 2); lam = 0 (d >= 3): a |theta'|^-1
-    # singularity at 0, on the uniform grid, whose midpoint error runs in
-    # h^(d-2), h^d, h^(d+2).  Each entry's tolerance is scaled by
-    # J_0 = G_lam(0, 0) from its own grids.
-    order, zero = () if lam > 0.0 else (d - 2, d, d + 2), (0,) * d
+    # on the graded grid.  lam > 0: analytic in theta', with a peak of width
+    # sqrt(lam) at 0, last sum (as rho in d = 2); lam = 0 (d >= 3): a
+    # |theta'|^-1 singularity at 0, which theta' = u^3 / 6 - u^5 / 120 + ...
+    # turns into a midpoint error in h^(3(d-2)), h^(3(d-2)+2).  Each entry's
+    # tolerance is scaled by J_0 = G_lam(0, 0) from its own grids.
+    order, zero = () if lam > 0.0 else (3 * (d - 2), 3 * (d - 2) + 2), (0,) * d
 
     def means(n, ks):
-        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks), not order)
+        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks), True)
         return [np.array((j, j0)) for j, _ in js]
 
     return axis_integral("green_function", means, rs, rel_tol, order)

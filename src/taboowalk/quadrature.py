@@ -8,7 +8,7 @@ ValueError) is symmetric, so only the half grid theta_1 > 0 is summed, then
 doubled: it is the residue grid below of d + 1 axes at n / 2, walked in the
 same blocks, with phi (model.char_exponent_grid) and cos(r.theta) taken point
 by point.  The grid is the first n = 16 * 2^k >= 4 max|r_j| (``_floor_level``,
-the floor of the residue ladders too) whose a priori aliasing bound
+which floors the residue ladders at 8 max|r_j|) whose a priori aliasing bound
 (``_alias_bound``) meets the tolerance, n^d at most ``_TORUS_POINTS``: one GEMM
 per sub-block of points, rows (r, t_b) against columns of exp(phi tau)
 offsets, so the exp table is read once.  Nothing is refined or cached.
@@ -17,15 +17,15 @@ G_lambda and rho are residue ladders (``axis_integral``) over theta' =
 (theta_1, ..., theta_{d-1}): the theta_d integral at each point of
 ``_residue_grid`` is a sum of residues (kernels._residue_sums).  One driver,
 ``_refine``, doubles n, one ladder per entry, each entry frozen at the level
-where it would stop alone, from its own floor ``_floor_level`` (8 max|r_j| on the
-graded grid, whose theta' runs twice as fast at u = pi) up to ``_GRID_POINTS``
-points.  The grid follows the Richardson powers: with none, the axes are
-graded and the ladder takes the last sum; with powers, the grid is uniform.
+where it would stop alone, from its own floor ``_floor_level``, 8 max|r_j| (the
+graded theta' runs twice as fast at u = pi), up to ``_GRID_POINTS`` points.
+Every residue grid is graded (Sidi's sin-map theta' = u - sin u per axis).
 G_lambda at lambda > 0 is analytic but peaked at theta' = 0, and rho in d = 2
 has a |theta_1| cusp there, which the grading turns into |u|^5 (its gaps fall
-about 64x per doubling): both are graded.  G_0 in d >= 3 is singular like
-1/|theta'| at 0, so its grid is uniform and the ladder removes h^(d-2), h^d,
-h^(d+2) (Lyness, Math. Comp. 30, 1976).
+about 64x per doubling): both take the last sum.  G_0 in d >= 3 is singular
+like 1/|theta'| at 0; theta' ~ u^3 / 6 makes its midpoint error run in
+h^(3(d-2)), h^(3(d-2)+2), which the ladder removes (Lyness, Math. Comp. 30,
+1976).
 
 This module holds no cache: the residue roots are kept by kernels.  A result
 that misses its tolerance raises NotConverged.
@@ -63,9 +63,9 @@ _TORUS_POINTS = 1 << 27
 @dataclass(frozen=True)
 class QuadratureConfig:
     """The relative tolerance of every quadrature.  Each grid follows from it, from
-    the floor 16 * 2^k >= 4 max|r_j| (8 max|r_j| on a graded residue grid: G_lambda
-    at lambda > 0 and rho in d = 2) up to 2^27 points for a p-curve
-    (_TORUS_POINTS) or _GRID_POINTS for a residue ladder."""
+    the floor 16 * 2^k >= 4 max|r_j| of a p-curve (8 max|r_j| of a residue ladder)
+    up to 2^27 points for a p-curve (_TORUS_POINTS) or _GRID_POINTS for a residue
+    ladder."""
 
     rel_tol: float = 1e-8
 
@@ -157,19 +157,19 @@ def _residue_grid(d: int, n: int, mapped: bool):
 
 def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, order: tuple) -> list:
     """Residue-ladder integrals for each r of rs, as (value, est_error) or its
-    NotConverged; means(n, rs) gives their means on the residue grid of n,
-    graded (``mapped``) when ``order`` is empty, else uniform.  Each entry runs
+    NotConverged; means(n, rs) gives their means on the graded residue grid of
+    n, and ``order`` holds the Richardson powers of their error.  Each entry runs
     its own ladder, so its value does not depend on the set it is read with.
     A mean may be an array: its first element is the value, and the others,
     which must converge with it, scale its tolerance and its error, which is at
     least RESIDUE_ROUNDING times that scale.  A rel_tol below RESIDUE_ROUNDING
     cannot be met, so each entry then sums only the two grids its error
     estimate needs, and fails."""
-    d, per_r, floors = len(rs[0]), 4 if order else 8, {}
+    d, floors = len(rs[0]), {}
     # the finest grid, _LADDER_FLOOR 2^top, has 2^(d-2) n^(d-1) <= _GRID_POINTS points
     top = (_GRID_POINTS.bit_length() - d + 1) // (d - 1) - _LADDER_FLOOR.bit_length() + 1
-    for r in rs:  # each r at its floor, low enough for every power of order
-        floors.setdefault(max(0, min(_floor_level((r,), per_r), top - len(order))), []).append(r)
+    for r in rs:  # each r at its floor, low enough for two grids and every power of order
+        floors.setdefault(max(0, min(_floor_level((r,), 8), top - max(1, len(order)))), []).append(r)
     out, most = {}, top + 1 if rel_tol >= RESIDUE_ROUNDING else 2  # levels per ladder
     for k0, group in floors.items():
         vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), _LADDER_FLOOR << k0,

@@ -471,7 +471,7 @@ def absorption_limit_bracket(
     mask = box.copy()  # y, z and the halo are absorbing
     mask[[iy, iz]] = 0.0
     # jumps of equal rate share one multiply; they come in +- pairs
-    groups = [(p * mask[core], offsets[probs == p]) for p in np.unique(probs)]
+    groups = [(p * mask[core], offsets[probs == p]) for p in sorted(set(probs.tolist()))]
     part = np.empty((2, span))
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:

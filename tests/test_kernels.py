@@ -241,7 +241,7 @@ class TestResidueLadders:
     @pytest.mark.parametrize("lam", [0.0, 2.0**-16, 0.5])
     @pytest.mark.parametrize("d", [3, 4])
     def test_product_form_reference(self, d, lam):
-        # the 4-D walk runs the h^2, h^4, h^6 ladder at lam = 0
+        # the 4-D walk runs the h^6, h^8 ladder at lam = 0
         xs = [(0,) * d, (1,) + (0,) * (d - 1), (2, -1, 3) + (0,) * (d - 3)]
         for x, got in zip(xs, green_values(nearest_neighbor_walk(d), lam, xs)):
             assert abs(got.value - product_form_green(x, lam)) <= got.est_error, x
@@ -279,6 +279,57 @@ class TestResidueLadders:
         r = math.hypot(*x)
         got = green_function(walk3d, 0.0, (0, 0, 0), x)
         assert abs(got.value * 2.0 * math.pi * r / 3.0 - 1.0) <= r**-2
+
+    def test_3d_green_0_stops_at_n_64(self, walk3d):
+        # theta' = u - sin u ~ u^3 / 6 turns the 1/|theta'| singularity of G_0
+        # into a midpoint error in h^3, h^5: every near entry stops at n = 64
+        xs = [(0, 0, 0), (1, 0, 0), (1, -1, 0)]
+        _clear_value_caches()
+        with _grids_per_displacement() as grids:
+            got = green_values(walk3d, 0.0, xs)
+        assert all(grids[x] == [16, 32, 64] for x in xs), dict(grids)
+        assert abs(got[0].value - WATSON) <= got[0].est_error
+
+    def test_4d_green_0_stops_at_n_32(self):
+        # in d = 4 the graded error runs in h^6, h^8: every near entry stops at n = 32
+        model, xs = nearest_neighbor_walk(4), [(0, 0, 0, 0), (1, 0, 0, 0)]
+        _clear_value_caches()
+        with _grids_per_displacement() as grids:
+            got = green_values(model, 0.0, xs)
+        assert all(grids[x] == [16, 32] for x in xs), dict(grids)
+        last = kernels._residue_sums(model, 0.0, 32, xs, True)
+        for x, g, (j, _) in zip(xs, got, last):
+            want = product_form_green(x, 0.0)
+            assert abs(g.value - want) <= g.est_error, x
+            # removing h^6 leaves a tenth of the error of the last sum (40x less);
+            # removing h^4 instead triples it
+            assert abs(g.value - want) <= 0.1 * abs(j - want), x
+
+    def test_clamped_far_3d_green_0_is_never_silently_wrong(self, walk3d):
+        # the floor of (100, 0, 0), 1024 points, is lowered to 256 so that the
+        # ladder has room for h^3 and h^5: it meets the far field or fails
+        x = (100, 0, 0)
+        _clear_value_caches()
+        with _grids_per_displacement() as grids:
+            try:
+                got = green_function(walk3d, 0.0, (0, 0, 0), x).value
+            except NotConverged:
+                got = None
+        assert grids[x][0] == 256
+        assert got is None or abs(got * 2.0 * math.pi * 100.0 / 3.0 - 1.0) <= 100.0**-2
+
+    def test_floor_clamped_to_the_top_grid_sums_two_grids(self, walk3d, monkeypatch):
+        # with no Richardson powers (lam > 0) a floor above the cap is lowered one
+        # level below it, so the entry has a gap to judge: n = 64 and 128 here
+        monkeypatch.setattr(quadrature, "_GRID_POINTS", 1 << 15)
+        x = (65, 0, 0)
+        _clear_value_caches()
+        with _grids_per_displacement() as grids:
+            try:
+                green_function(walk3d, 0.5, (0, 0, 0), x)
+            except NotConverged as exc:
+                assert math.isfinite(exc.est_error)
+        assert grids[x] == [64, 128]
 
 
 class TestRho:
@@ -630,11 +681,12 @@ class TestVectorLadder:
             assert len(grids[x]) == 2 and grids[x][1] == 2 * grids[x][0], x
 
     def test_far_entry_fails_alone(self, diagonal2d, monkeypatch):
-        # a level cap of 256 points lies below the grid floor of (75, -5), 1024,
-        # so it fails; the near entries of its batch are still cached
+        # a level cap of 128 points lies below the grid floor of (75, -5), 1024,
+        # so it sums 64 and 128 alone, too coarse, and fails; the near entries
+        # of its batch are still cached
         near = [(1, 2), (3, -1)]
         _clear_value_caches()
-        monkeypatch.setattr(quadrature, "_GRID_POINTS", 256)
+        monkeypatch.setattr(quadrature, "_GRID_POINTS", 128)
         with pytest.raises(NotConverged):
             kernels.rho_values(diagonal2d, [near[0], (75, -5), near[1]])
 

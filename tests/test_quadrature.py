@@ -13,9 +13,10 @@ from taboowalk.model import char_exponent_grid
 # (d, n) with more than one block at the default block size
 MULTI_CHUNK = [(1, 1 << 21), (2, 2048), (3, 128)]
 
-# the residue sums at lam = 0 (rho, and G_0 in d >= 3) on the uniform grid, and
-# at lam > 0 (G_lam) on the graded one; a root does not depend on its grid, and
-# an m-point theta_d rule cannot resolve lam = 0 at the graded points near 0
+# the residue sums at lam = 0 (rho, and G_0 in d >= 3) checked on the uniform
+# grid, though every ladder sums them on the graded one, and at lam > 0 (G_lam)
+# on the graded grid; a root does not depend on its grid, and an m-point
+# theta_d rule cannot resolve lam = 0 at the graded points near 0
 RESIDUE_KERNELS = {"rho": (0.0, False), "green": (0.3, True)}
 
 

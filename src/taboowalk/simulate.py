@@ -9,13 +9,17 @@ releases the GIL inside the step loop's ufuncs.  A path's position is kept
 as offsets from its start packed into int64 words, so a jump adds one table
 value per word and the y/z test is one compare per word.
 The absorption bracket solves its box system by a matrix-free conjugate
-gradient in numpy on a padded flat layout of the box; scipy.sparse is
-imported only by its sparse-LU fallback, which runs when the CG residual
-misses its bound.
+gradient in numpy on a padded flat layout of the box.  In d >= 2 the CG is
+preconditioned by the box's sine transform, which solves the Dirichlet
+problem of the walk's axis-even part exactly, so the iteration count does
+not grow with the radius; d = 1 runs plain CG.  scipy.sparse is imported
+only by the sparse-LU fallback, which runs when the CG residual misses its
+bound.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -378,35 +382,43 @@ def _simple_1d_bracket(model: WalkModel, q: TabooQuery) -> tuple[float, float]:
     return val, val
 
 
-def _solve_spd(step, b: np.ndarray, maxiter: int, assemble) -> np.ndarray:
-    """Solve (I - M P M) u = b for each row of b by conjugate gradients
-    (Hestenes & Stiefel 1952), all rows at once.
+def _solve_spd(step, b: np.ndarray, maxiter: int, assemble, precondition) -> np.ndarray:
+    """Solve (I - M P M) u = b for each row of b by preconditioned conjugate
+    gradients (Hestenes & Stiefel 1952), all rows at once.
 
     ``step(u, out)`` writes M P u into ``out``, an array that is zero off
     the box: the chain's one-step operator P killed by the 0/1 mask M.
     P is symmetric for a symmetric walk, so I - M P M is positive definite
-    on the mask.  Each row follows scipy.sparse.linalg.cg's recurrence and
-    stops on its own once ||r|| <= 1e-13 ||b||, or after ``maxiter``
-    iterations.  A row whose true residual exceeds 1e-12 ||b|| is solved
-    again by sparse LU of the matrix ``assemble()`` returns, so the bracket
-    is never silently wrong; only this fallback imports scipy.
+    on the mask.  ``precondition(r)`` returns C^-1 r for an SPD C, zero off
+    the mask; None is C = I, where each row follows
+    scipy.sparse.linalg.cg's recurrence.  Each row stops on its own once
+    ||r|| <= 1e-13 ||b||, once its last r.C^-1 r was not positive (C is
+    not positive definite), or after ``maxiter`` iterations.  A row whose
+    true residual exceeds 1e-12 ||b|| is solved again by sparse LU of the
+    matrix ``assemble()`` returns, so the bracket is never silently wrong;
+    only this fallback imports scipy.
     """
     u = np.zeros_like(b)
     bnorm = np.linalg.norm(b, axis=1)
     live, x, r, p, ap = np.arange(len(b)), u.copy(), b.copy(), u.copy(), u.copy()
     rho_prev = np.ones(len(b))
     for _ in range(maxiter):
-        rho = np.einsum("ij,ij->i", r, r)
-        done = np.sqrt(rho) <= 1e-13 * bnorm[live]
+        rr = np.einsum("ij,ij->i", r, r)
+        done = (np.sqrt(rr) <= 1e-13 * bnorm[live]) | ~(rho_prev > 0)
         if done.any():
             u[live[done]] = x[done]
-            live, x, r, p, ap, rho, rho_prev = (
-                a[~done] for a in (live, x, r, p, ap, rho, rho_prev)
+            live, x, r, p, ap, rr, rho_prev = (
+                a[~done] for a in (live, x, r, p, ap, rr, rho_prev)
             )
             if not live.size:
                 break
+        if precondition is None:
+            z, rho = r, rr
+        else:
+            z = precondition(r)
+            rho = np.einsum("ij,ij->i", r, z)
         p *= (rho / rho_prev)[:, None]
-        p += r
+        p += z
         np.subtract(p, step(p, ap), out=ap)
         alpha = (rho / np.einsum("ij,ij->i", p, ap))[:, None]
         x += alpha * p
@@ -447,6 +459,19 @@ def absorption_limit_bracket(
     padded by a halo as wide as the longest jump, so every jump from a box
     state is one constant flat offset with no wrap-around, and a step of
     the chain is a few shifted slice adds.
+
+    In d >= 2 the CG is preconditioned by the box Dirichlet problem of the
+    walk's axis-even symbol f(theta) = sum_s p_s (1 - prod_j cos(s_j theta_j)),
+    solved exactly by the orthonormal sine transform (DST-I) of the
+    (2r + 1)^d box, one product with the n x n sine matrix per axis: the
+    tau preconditioner of Chan & Ng, SIAM Rev. 38 (1996).  f > 0 on the
+    grid theta_k = pi k / (n + 1), k = 1 .. n, because the support
+    generates Z^d.  For a range-1 walk whose rates are even in each axis
+    this is the box operator itself, and the solve ends after 3 iterations
+    (y and z change it by rank 2); for other walks the iteration count does
+    not grow with the radius.  d = 1 keeps plain CG: there the n x n sine
+    matrix would outgrow the n-state box.  The CG is capped at 10 (2r + 1)
+    iterations, so a stalled solve reaches the LU fallback quickly.
     """
     _check_dims(model, q)
     d, r = model.d, int(box_radius)
@@ -494,11 +519,38 @@ def absorption_limit_bracket(
         n, m = side**d, sp.diags(mask)
         return (sp.identity(n) - m @ sp.diags(probs, offsets, shape=(n, n)) @ m).tocsc()
 
+    precondition = None
+    if d > 1:
+        n = 2 * r + 1
+        k = np.arange(1, n + 1)
+        sine = np.sqrt(2 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))  # symmetric, its own inverse
+        cosines = np.cos(np.multiply.outer(model.support, np.pi * k / (n + 1)))
+        symbol = 1.0 - sum(p * functools.reduce(np.multiply.outer, c) for p, c in zip(probs, cosines))
+        interior = (slice(halo, side - halo),) * d
+        inner = mask.reshape((side,) * d)[interior]
+
+        def sine_transform(v: np.ndarray) -> np.ndarray:
+            """DST-I along every axis of each row of v, shape (rows, n, ..., n):
+            per axis, one batch of products with the sine matrix on the C-order
+            layout, with no transpose."""
+            for j in range(1, d):
+                v = np.matmul(sine, v.reshape(-1, n, n ** (d - j)))
+            return (v.reshape(-1, n) @ sine).reshape((-1,) + (n,) * d)
+
+        def precondition(res: np.ndarray) -> np.ndarray:
+            """C^-1 res on the mask, zero elsewhere: masked, transformed,
+            divided by f, transformed back and masked again."""
+            out = np.zeros_like(res)
+            shape, grid = (len(res),) + (side,) * d, (slice(None),) + interior
+            v = res.reshape(shape)[grid] * inner
+            out.reshape(shape)[grid] = sine_transform(sine_transform(v) / symbol) * inner
+            return out
+
     # rows: indicator of y, indicator of leaving the box
     ends = np.stack([np.zeros_like(box), 1.0 - box])
     ends[0, iy] = 1.0
     # P(absorbed at y inside the box), P(escape through the boundary)
-    u = _solve_spd(step, step(ends, np.zeros_like(ends)), 10 * (2 * r + 1) ** d, assemble)
+    u = _solve_spd(step, step(ends, np.zeros_like(ends)), 10 * (2 * r + 1), assemble, precondition)
 
     if d == 2:
         sep = max(abs(a - b) for a, b in zip(q.y, q.z))

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taboowalk import (
     DegenerateSamples,
@@ -25,6 +27,7 @@ from taboowalk import (
     fit_tail_order,
     nearest_neighbor_walk,
     save_model,
+    support_generates_lattice,
     taboo_limit,
     taboo_tail,
     validate_model,
@@ -494,7 +497,10 @@ class TestAbsorptionOracle:
         assert lo == hi
         assert abs(Fraction(lo) - want) <= 1e-15
 
-    @pytest.mark.parametrize("walk, radius", [("walk2d", 10), ("walk3d", 5)])
+    # skewed3d and long2d (a range-2 jump) are solved by an inexact preconditioner
+    @pytest.mark.parametrize(
+        "walk, radius", [("walk2d", 10), ("walk3d", 5), ("skewed3d", 8), ("long2d", 10)]
+    )
     def test_cg_matches_splu_reference(self, walk, radius, request):
         model = request.getfixturevalue(walk)
         d = model.d
@@ -532,11 +538,111 @@ class TestAbsorptionOracle:
         splu, solve = spla.splu, simulate._solve_spd
         # an iteration cap of 0 leaves the CG at u = 0, whose residual is ||b||
         monkeypatch.setattr(
-            simulate, "_solve_spd", lambda step, b, maxiter, assemble: solve(step, b, 0, assemble)
+            simulate,
+            "_solve_spd",
+            lambda step, b, maxiter, assemble, precondition: solve(step, b, 0, assemble, precondition),
         )
         monkeypatch.setattr(spla, "splu", lambda a: factorised.append(a) or splu(a))
         assert absorption_limit_bracket(walk2d, q, 10) == pytest.approx(want, abs=1e-10)
         assert len(factorised) == 1
+
+    def test_indefinite_preconditioner_falls_back_to_splu(self, walk2d, monkeypatch):
+        # CG with -C^-1 takes the same steps as with C^-1, so only the r.z <= 0
+        # stop keeps it from passing for a solve by an indefinite preconditioner
+        q = TabooQuery((1, 0), (0, 1), (0, 0))
+        want = _splu_bracket(walk2d, q, 10)
+        factorised = []
+        splu, solve = spla.splu, simulate._solve_spd
+        monkeypatch.setattr(
+            simulate,
+            "_solve_spd",
+            lambda step, b, maxiter, assemble, precondition: solve(
+                step, b, maxiter, assemble, lambda r: -precondition(r)
+            ),
+        )
+        monkeypatch.setattr(spla, "splu", lambda a: factorised.append(a) or splu(a))
+        assert absorption_limit_bracket(walk2d, q, 10) == pytest.approx(want, abs=1e-10)
+        assert len(factorised) == 1
+
+    @pytest.mark.parametrize(
+        "walk, radius",
+        [("walk3d", 12), ("walk3d", 15), ("walk2d", 60), ("diagonal2d", 60), ("crossed2d", 30), (4, 6)],
+    )
+    def test_exact_preconditioner_needs_few_steps(self, walk, radius, request):
+        # range 1 and rates even in each axis: the sine transform solves the
+        # box operator exactly, and y, z perturb it by rank 2
+        model = nearest_neighbor_walk(walk) if walk == 4 else request.getfixturevalue(walk)
+        d = model.d
+        q = TabooQuery((1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * d)
+        assert _solve_steps(model, q, radius) <= 5
+
+    def test_inexact_preconditioner_steps_do_not_grow_with_radius(self, skewed3d):
+        q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
+        small, large = (_solve_steps(skewed3d, q, r) for r in (8, 15))
+        assert max(small, large) <= 20
+        assert abs(small - large) <= 2
+
+    def test_d1_runs_plain_cg(self, nonsimple1d, monkeypatch):
+        seen = []
+        solve = simulate._solve_spd
+        monkeypatch.setattr(
+            simulate,
+            "_solve_spd",
+            lambda step, b, maxiter, assemble, precondition: seen.append(precondition)
+            or solve(step, b, maxiter, assemble, precondition),
+        )
+        absorption_limit_bracket(nonsimple1d, TabooQuery((1,), (3,), (0,)), 30)
+        assert seen == [None]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), radius=st.integers(1, 6))
+    def test_random_walks_match_splu(self, data, d, radius):
+        # one rate per +- pair; fewer than d pairs never generate Z^d
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.tuples(*[st.integers(-2, 2)] * d).filter(any), st.floats(0.01, 1.0)),
+                min_size=d,
+                max_size=4,
+                unique_by=lambda jump: max(jump[0], tuple(-c for c in jump[0])),
+            ).filter(lambda pairs: support_generates_lattice([s for s, _ in pairs], d))
+        )
+        model = validate_model(d, pairs)
+        point = st.tuples(*[st.integers(-radius, radius)] * d)
+        x, y = data.draw(point), data.draw(point)
+        q = TabooQuery(x, y, data.draw(point.filter(lambda z: z != y)))
+        n = 2 * radius + 1
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        grid = np.stack(np.meshgrid(*[theta] * d, indexing="ij"), axis=-1)
+        f = sum(
+            p * (1.0 - np.prod(np.cos(grid * s), axis=-1))
+            for s, p in zip(model.support, model.rates / model.total_rate)
+        )
+        assert f.min() > 0.0
+        factorised = []
+        splu = spla.splu
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spla, "splu", lambda a: factorised.append(a) or splu(a))
+            got = absorption_limit_bracket(model, q, radius)
+        assert not factorised
+        assert got == pytest.approx(_splu_bracket(model, q, radius), abs=1e-10)
+
+
+def _solve_steps(model, q, radius):
+    """Applications of the chain's step inside the bracket's solve."""
+    calls = []
+    solve = simulate._solve_spd
+
+    def counted(step, b, maxiter, assemble, precondition):
+        def spy(u, out):
+            calls.append(None)
+            return step(u, out)
+
+        return solve(spy, b, maxiter, assemble, precondition)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_solve_spd", counted)
+        absorption_limit_bracket(model, q, radius)
+    return len(calls)
 
 
 def _splu_bracket(model, q, radius):

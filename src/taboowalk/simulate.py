@@ -9,10 +9,10 @@ releases the GIL inside the step loop's ufuncs.  A path's position is kept
 as offsets from its start packed into int64 words, so a jump adds one table
 value per word and the y/z test is one compare per word.
 The absorption bracket solves its box system by a matrix-free conjugate
-gradient in numpy on a padded flat layout of the box.  In d >= 2 the CG is
-preconditioned by the box's sine transform, which solves the Dirichlet
-problem of the walk's axis-even part exactly, so the iteration count does
-not grow with the radius; d = 1 runs plain CG.  scipy.sparse is imported
+gradient in numpy on a padded flat layout of the box.  For a walk in
+d >= 2 whose rates are even in each axis the CG is preconditioned by the
+box's sine transform, which solves the walk's box Dirichlet problem exactly
+when its range is 1; other walks, and d = 1, run plain CG.  scipy.sparse is imported
 only by the sparse-LU fallback, which runs when the CG residual misses its
 bound.
 """
@@ -460,18 +460,24 @@ def absorption_limit_bracket(
     state is one constant flat offset with no wrap-around, and a step of
     the chain is a few shifted slice adds.
 
-    In d >= 2 the CG is preconditioned by the box Dirichlet problem of the
-    walk's axis-even symbol f(theta) = sum_s p_s (1 - prod_j cos(s_j theta_j)),
-    solved exactly by the orthonormal sine transform (DST-I) of the
-    (2r + 1)^d box, one product with the n x n sine matrix per axis: the
-    tau preconditioner of Chan & Ng, SIAM Rev. 38 (1996).  f > 0 on the
-    grid theta_k = pi k / (n + 1), k = 1 .. n, because the support
-    generates Z^d.  For a range-1 walk whose rates are even in each axis
-    this is the box operator itself, and the solve ends after 3 iterations
-    (y and z change it by rank 2); for other walks the iteration count does
-    not grow with the radius.  d = 1 keeps plain CG: there the n x n sine
-    matrix would outgrow the n-state box.  The CG is capped at 10 (2r + 1)
-    iterations, so a stalled solve reaches the LU fallback quickly.
+    A walk in d >= 2 whose rates are even in each axis (a(z) is unchanged
+    when any one coordinate of z changes sign) has the symbol
+    f(theta) = sum_s p_s (1 - prod_j cos(s_j theta_j)), and its CG is
+    preconditioned by the box Dirichlet problem of f, solved exactly by the
+    orthonormal sine transform (DST-I) of the (2r + 1)^d box, one product
+    with the n x n sine matrix per axis: the tau preconditioner of Chan &
+    Ng, SIAM Rev. 38 (1996).  f > 0 on the grid theta_k = pi k / (n + 1),
+    k = 1 .. n, because the support generates Z^d.  For range 1 this is
+    the box operator itself, and the solve ends after 3 iterations (y and z
+    change it by rank 2), so it is capped at 10 (2r + 1) iterations and a
+    stalled solve reaches the LU fallback quickly.  Longer jumps leave the
+    preconditioner inexact, and the count may grow with the radius (a knight
+    walk with axis rates 1e-3: 28, 42, 52 steps at r = 15, 30, 60), so
+    those solves keep the cap 10 (2r + 1)^d.  Walks that are not axis-even
+    run plain CG under that cap: the sine transform misses the
+    sin(s_j theta_j) products of their symbol, and for walks far from
+    axis-even it was measured to cost more time than it saves.  d = 1 runs
+    plain CG too: there the n x n sine matrix would outgrow the n-state box.
     """
     _check_dims(model, q)
     d, r = model.d, int(box_radius)
@@ -520,7 +526,10 @@ def absorption_limit_bracket(
         return (sp.identity(n) - m @ sp.diags(probs, offsets, shape=(n, n)) @ m).tocsc()
 
     precondition = None
-    if d > 1:
+    axis_even = all(
+        model.rate(z[:j] + (-z[j],) + z[j + 1:]) == p for z, p in model.jumps for j in range(d)
+    )
+    if d > 1 and axis_even:
         n = 2 * r + 1
         k = np.arange(1, n + 1)
         sine = np.sqrt(2 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))  # symmetric, its own inverse
@@ -550,7 +559,9 @@ def absorption_limit_bracket(
     ends = np.stack([np.zeros_like(box), 1.0 - box])
     ends[0, iy] = 1.0
     # P(absorbed at y inside the box), P(escape through the boundary)
-    u = _solve_spd(step, step(ends, np.zeros_like(ends)), 10 * (2 * r + 1), assemble, precondition)
+    exact = precondition is not None and halo == 1
+    maxiter = 10 * (2 * r + 1) ** (1 if exact else d)
+    u = _solve_spd(step, step(ends, np.zeros_like(ends)), maxiter, assemble, precondition)
 
     if d == 2:
         sep = max(abs(a - b) for a, b in zip(q.y, q.z))

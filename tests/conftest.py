@@ -47,3 +47,26 @@ def long2d():
 def skewed3d():
     # off-axis jumps (1, 1, 1) and (1, -1, 0): phi does not split over the axes
     return validate_model(3, {(1, 0, 0): 0.2, (0, 1, 0): 0.2, (0, 0, 1): 0.2, (1, 1, 1): 0.05, (1, -1, 0): 0.07})
+
+
+@pytest.fixture(scope="session")
+def knight2d():
+    # rates even in each axis, jumps of range 2
+    return validate_model(2, {(1, 0): 0.2, (0, 1): 0.2, (2, 1): 0.05, (2, -1): 0.05})
+
+
+@pytest.fixture(scope="session")
+def long3d():
+    # rates even in each axis, one jump of range 2
+    return validate_model(3, {(1, 0, 0): 0.2, (0, 1, 0): 0.2, (0, 0, 1): 0.2, (2, 0, 0): 0.05})
+
+
+@pytest.fixture(scope="session")
+def weakaxes2d():
+    # far from even in each axis: a strong diagonal over weak axis jumps
+    return validate_model(2, {(1, 1): 1.0, (1, 0): 1e-4, (0, 1): 1e-4})
+
+
+@pytest.fixture(scope="session")
+def weakaxes3d():
+    return validate_model(3, {(1, 1, 0): 1.0, (0, 1, 1): 1.0, (1, 0, 0): 1e-3})

@@ -8,13 +8,14 @@ process may use, each thread on a contiguous range of path ids; numpy
 releases the GIL inside the step loop's ufuncs.  A path's position is kept
 as offsets from its start packed into int64 words, so a jump adds one table
 value per word and the y/z test is one compare per word.
-The absorption bracket solves its box system by a matrix-free conjugate
-gradient in numpy on a padded flat layout of the box.  For a walk in
-d >= 2 whose rates are even in each axis the CG is preconditioned by the
-box's sine transform, which solves the walk's box Dirichlet problem exactly
-when its range is 1; other walks, and d = 1, run plain CG.  scipy.sparse is imported
-only by the sparse-LU fallback, which runs when the CG residual misses its
-bound.
+The absorption bracket solves its box system for one vector, the expected
+visits after the first jump from x, which give both the hit and the escape
+probability; it runs a matrix-free conjugate gradient in numpy on a padded
+flat layout of the box.  For a walk in d >= 2 whose rates are even in each
+axis the CG is preconditioned by the box's sine transform, which solves the
+walk's box Dirichlet problem exactly when its range is 1; other walks, and
+d = 1, run plain CG.  scipy.sparse is imported only by the sparse-LU
+fallback, which runs when the CG residual misses its bound.
 """
 
 from __future__ import annotations
@@ -383,58 +384,45 @@ def _simple_1d_bracket(model: WalkModel, q: TabooQuery) -> tuple[float, float]:
 
 
 def _solve_spd(step, b: np.ndarray, maxiter: int, assemble, precondition) -> np.ndarray:
-    """Solve (I - M P M) u = b for each row of b by preconditioned conjugate
-    gradients (Hestenes & Stiefel 1952), all rows at once.
+    """Solve (I - M P M) u = b by preconditioned conjugate gradients
+    (Hestenes & Stiefel 1952).
 
     ``step(u, out)`` writes M P u into ``out``, an array that is zero off
     the box: the chain's one-step operator P killed by the 0/1 mask M.
     P is symmetric for a symmetric walk, so I - M P M is positive definite
     on the mask.  ``precondition(r)`` returns C^-1 r for an SPD C, zero off
-    the mask; None is C = I, where each row follows
-    scipy.sparse.linalg.cg's recurrence.  Each row stops on its own once
-    ||r|| <= 1e-13 ||b||, once its last r.C^-1 r was not positive (C is
-    not positive definite), or after ``maxiter`` iterations.  A row whose
-    true residual exceeds 1e-12 ||b|| is solved again by sparse LU of the
-    matrix ``assemble()`` returns, so the bracket is never silently wrong;
-    only this fallback imports scipy.
+    the mask; None is C = I, scipy.sparse.linalg.cg's recurrence.  The
+    iteration stops once ||r|| <= 1e-13 ||b||, once its last r.C^-1 r was
+    not positive (C is not positive definite), or after ``maxiter``
+    iterations.  If the true residual then exceeds 1e-12 ||b||, u is solved
+    again by sparse LU of the matrix ``assemble()`` returns, so the bracket
+    is never silently wrong; only this fallback imports scipy.
     """
-    u = np.zeros_like(b)
-    bnorm = np.linalg.norm(b, axis=1)
-    live, x, r, p, ap = np.arange(len(b)), u.copy(), b.copy(), u.copy(), u.copy()
-    rho_prev = np.ones(len(b))
+    bnorm = np.linalg.norm(b)
+    x, r, p, ap = np.zeros_like(b), b.copy(), np.zeros_like(b), np.zeros_like(b)
+    rho_prev = 1.0
     for _ in range(maxiter):
-        rr = np.einsum("ij,ij->i", r, r)
-        done = (np.sqrt(rr) <= 1e-13 * bnorm[live]) | ~(rho_prev > 0)
-        if done.any():
-            u[live[done]] = x[done]
-            live, x, r, p, ap, rr, rho_prev = (
-                a[~done] for a in (live, x, r, p, ap, rr, rho_prev)
-            )
-            if not live.size:
-                break
+        rr = r @ r
+        if np.sqrt(rr) <= 1e-13 * bnorm or not rho_prev > 0:
+            break
         if precondition is None:
             z, rho = r, rr
         else:
             z = precondition(r)
-            rho = np.einsum("ij,ij->i", r, z)
-        p *= (rho / rho_prev)[:, None]
+            rho = r @ z
+        p *= rho / rho_prev
         p += z
         np.subtract(p, step(p, ap), out=ap)
-        alpha = (rho / np.einsum("ij,ij->i", p, ap))[:, None]
+        alpha = rho / (p @ ap)
         x += alpha * p
         r -= alpha * ap
         rho_prev = rho
-    u[live] = x
     # a NaN residual fails too
-    resid = np.linalg.norm(b - u + step(u, np.zeros_like(u)), axis=1)
-    bad = ~(resid <= 1e-12 * bnorm)
-    if bad.any():
+    if not np.linalg.norm(b - x + step(x, np.zeros_like(x))) <= 1e-12 * bnorm:
         import scipy.sparse.linalg as spla
 
-        lu = spla.splu(assemble())
-        for i in np.flatnonzero(bad):
-            u[i] = lu.solve(b[i])
-    return u
+        x = spla.splu(assemble()).solve(b)
+    return x
 
 
 def absorption_limit_bracket(
@@ -460,6 +448,12 @@ def absorption_limit_bracket(
     state is one constant flat offset with no wrap-around, and a step of
     the chain is a few shifted slice adds.
 
+    One solve serves both probabilities.  Let ``first`` be the law of the
+    first jump from x and g = (I - M P M)^-1 M first the killed chain's
+    expected visits after that jump (M is 0 at y, z and on the halo).
+    I - M P M is symmetric, so by reciprocity P(absorbed at y) = first[y]
+    + sum_s p_s g[y + s] and P(escape) = first . 1_out + g . (M P 1_out).
+
     A walk in d >= 2 whose rates are even in each axis (a(z) is unchanged
     when any one coordinate of z changes sign) has the symbol
     f(theta) = sum_s p_s (1 - prod_j cos(s_j theta_j)), and its CG is
@@ -472,7 +466,7 @@ def absorption_limit_bracket(
     change it by rank 2), so it is capped at 10 (2r + 1) iterations and a
     stalled solve reaches the LU fallback quickly.  Longer jumps leave the
     preconditioner inexact, and the count may grow with the radius (a knight
-    walk with axis rates 1e-3: 28, 42, 52 steps at r = 15, 30, 60), so
+    walk with axis rates 1e-3: 30, 31, 34 steps at r = 15, 30, 60), so
     those solves keep the cap 10 (2r + 1)^d.  Walks that are not axis-even
     run plain CG under that cap: the sine transform misses the
     sin(s_j theta_j) products of their symbol, and for walks far from
@@ -503,14 +497,14 @@ def absorption_limit_bracket(
     mask[[iy, iz]] = 0.0
     # jumps of equal rate share one multiply; they come in +- pairs
     groups = [(p * mask[core], offsets[probs == p]) for p in sorted(set(probs.tolist()))]
-    part = np.empty((2, span))
+    part = np.empty(span)
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """M P u into out's range [lo, lo + span); out is zero elsewhere."""
-        acc = out[:, core]
+        acc = out[core]
         for g, (weight, offs) in enumerate(groups):
-            dst = part[: len(u)] if g else acc
-            shifted = [u[:, lo + o:lo + o + span] for o in offs]
+            dst = part if g else acc
+            shifted = [u[lo + o:lo + o + span] for o in offs]
             np.add(shifted[0], shifted[1], out=dst)
             for v in shifted[2:]:
                 dst += v
@@ -539,29 +533,27 @@ def absorption_limit_bracket(
         inner = mask.reshape((side,) * d)[interior]
 
         def sine_transform(v: np.ndarray) -> np.ndarray:
-            """DST-I along every axis of each row of v, shape (rows, n, ..., n):
-            per axis, one batch of products with the sine matrix on the C-order
-            layout, with no transpose."""
+            """DST-I along every axis of v, shape (n, ..., n): per axis, one
+            batch of products with the sine matrix on the C-order layout,
+            with no transpose."""
             for j in range(1, d):
                 v = np.matmul(sine, v.reshape(-1, n, n ** (d - j)))
-            return (v.reshape(-1, n) @ sine).reshape((-1,) + (n,) * d)
+            return (v.reshape(-1, n) @ sine).reshape((n,) * d)
 
         def precondition(res: np.ndarray) -> np.ndarray:
             """C^-1 res on the mask, zero elsewhere: masked, transformed,
             divided by f, transformed back and masked again."""
             out = np.zeros_like(res)
-            shape, grid = (len(res),) + (side,) * d, (slice(None),) + interior
-            v = res.reshape(shape)[grid] * inner
-            out.reshape(shape)[grid] = sine_transform(sine_transform(v) / symbol) * inner
+            v = res.reshape((side,) * d)[interior] * inner
+            out.reshape((side,) * d)[interior] = sine_transform(sine_transform(v) / symbol) * inner
             return out
 
-    # rows: indicator of y, indicator of leaving the box
-    ends = np.stack([np.zeros_like(box), 1.0 - box])
-    ends[0, iy] = 1.0
-    # P(absorbed at y inside the box), P(escape through the boundary)
+    # the law of the first jump from x, and the expected visits after it
+    first = np.zeros_like(box)
+    first[ix + offsets] = probs
     exact = precondition is not None and halo == 1
     maxiter = 10 * (2 * r + 1) ** (1 if exact else d)
-    u = _solve_spd(step, step(ends, np.zeros_like(ends)), maxiter, assemble, precondition)
+    visits = _solve_spd(step, first * mask, maxiter, assemble, precondition)
 
     if d == 2:
         sep = max(abs(a - b) for a, b in zip(q.y, q.z))
@@ -569,7 +561,9 @@ def absorption_limit_bracket(
         esc_lo, esc_hi = 0.5 - beta, 0.5 + beta
     else:
         esc_lo, esc_hi = 0.0, 1.0
-    hit, esc = (u + ends)[:, ix + offsets] @ probs
+    # P(absorbed at y inside the box), P(escape through the boundary)
+    hit = first[iy] + visits[iy + offsets] @ probs
+    esc = first @ (1.0 - box) + visits @ step(1.0 - box, np.zeros_like(box))
     return float(hit + esc_lo * esc), float(hit + esc_hi * esc)
 
 

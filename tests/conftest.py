@@ -15,6 +15,12 @@ def nonsimple1d():
 
 
 @pytest.fixture(scope="session")
+def r5():
+    # jumps up to 5: the first jump from x and the gather around y reach +-5
+    return validate_model(1, {(1,): 0.01, (4,): 0.2, (5,): 0.7})
+
+
+@pytest.fixture(scope="session")
 def walk2d():
     return nearest_neighbor_walk(2)
 

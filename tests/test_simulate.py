@@ -498,15 +498,20 @@ class TestAbsorptionOracle:
         assert abs(Fraction(lo) - want) <= 1e-15
 
     # skewed3d and long2d are not axis-even (plain CG); knight2d and long3d
-    # are, with range 2, so the sine transform preconditions them inexactly
+    # are, with range 2, so the sine transform preconditions them inexactly;
+    # r5 runs plain CG in d = 1
     @pytest.mark.parametrize(
         "walk, radius",
-        [("walk2d", 10), ("walk3d", 5), ("skewed3d", 8), ("long2d", 10), ("knight2d", 10), ("long3d", 8)],
+        [("walk2d", 10), ("walk3d", 5), ("skewed3d", 8), ("long2d", 10), ("knight2d", 10), ("long3d", 8),
+         ("r5", 100)],
     )
     def test_cg_matches_splu_reference(self, walk, radius, request):
         model = request.getfixturevalue(walk)
         d = model.d
-        q = TabooQuery((1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * d)
+        if d == 1:
+            q = TabooQuery((2,), (5,), (0,))
+        else:
+            q = TabooQuery((1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * d)
         got = absorption_limit_bracket(model, q, radius)
         want = _splu_bracket(model, q, radius)
         assert got == pytest.approx(want, abs=1e-10)
@@ -655,6 +660,40 @@ class TestAbsorptionOracle:
             got = absorption_limit_bracket(model, q, radius)
         assert not factorised
         assert got == pytest.approx(_splu_bracket(model, q, radius), abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_swapping_y_and_z_completes_the_bracket(self, seed):
+        # the chain ends at y, at z or outside the box, and the d = 2
+        # allowance has esc_lo + esc_hi = 1, so lo(q) + hi(q.swapped()) is
+        # P(y) + P(z) + P(escape) = 1; each of the three is read from the
+        # solve by its own gather, so a term missing from one of them shows
+        rng = np.random.default_rng(seed)
+        d, even = seed % 3 + 1, seed % 2 == 0
+        model = _random_walk(rng, d, even)
+        radius = int(rng.integers(1, 5))
+        x, y, z = (tuple(int(c) for c in rng.integers(-radius, radius + 1, size=d)) for _ in range(3))
+        if y == z:
+            z = tuple(-c for c in y) if any(y) else (radius,) + y[1:]
+        q = TabooQuery(x, y, z)
+        lo, _ = absorption_limit_bracket(model, q, radius)
+        _, hi = absorption_limit_bracket(model, q.swapped(), radius)
+        assert lo + hi == pytest.approx(1.0, abs=1e-10)
+
+
+def _random_walk(rng, d, even):
+    """A symmetric walk from 1 to 4 drawn jumps in [-2, 2]^d that generates
+    Z^d; with ``even`` every sign flip of a drawn jump gets its rate."""
+    while True:
+        rates = {}
+        for _ in range(int(rng.integers(1, 5))):
+            s = tuple(int(c) for c in rng.integers(-2, 3, size=d))
+            p = float(rng.uniform(0.01, 1.0))
+            for signs in itertools.product((1, -1), repeat=d) if even else [(1,) * d]:
+                flip = tuple(c * g for c, g in zip(s, signs))
+                rates[max(flip, tuple(-c for c in flip))] = p
+        rates.pop((0,) * d, None)
+        if rates and support_generates_lattice(list(rates), d):
+            return validate_model(d, rates)
 
 
 def _solve_steps(model, q, radius):

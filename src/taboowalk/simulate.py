@@ -1,13 +1,17 @@
 """Verification oracles: Monte Carlo paths and embedded-chain absorption solves.
 
 The path sampler draws every random number from a counter-based hash of
-(seed, path index, step index), so estimates are bit-identical however the
+(seed, path index, draw index), so estimates are bit-identical however the
 paths are split into blocks or over worker threads, and a path can be
-replayed in isolation.  A block's paths run on up to one thread per CPU the
-process may use, each thread on a contiguous range of path ids; numpy
-releases the GIL inside the step loop's ufuncs.  A path's position is kept
-as offsets from its start packed into int64 words, so a jump adds one table
-value per word and the y/z test is one compare per word.
+replayed in isolation.  Its clock is uniformised: the walk's jump epochs
+are a Poisson(a) process independent of its jump chain, so each path draws
+its jump counts N(t) once, by inverse c.d.f. on a Poisson table, and the
+step loop runs the jump chain alone, with no clock.  A block's paths run on
+up to one thread per CPU the process may use, each thread on a contiguous
+range of path ids; numpy releases the GIL inside the step loop's ufuncs.  A
+path's position is kept as offsets from its start packed into int64 words,
+so a jump adds one table value per word and the y/z test is one compare
+per word.
 The absorption bracket solves its box system for one vector, the expected
 visits after the first jump from x, which give both the hit and the escape
 probability; it runs a matrix-free conjugate gradient in numpy on a padded
@@ -21,6 +25,7 @@ fallback, which runs when the CG residual misses its bound.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -69,12 +74,14 @@ def _path_keys(seed_hash: np.uint64, path_ids: np.ndarray) -> np.ndarray:
 
 
 def _counter(step: int, sub: int) -> int:
-    """Stream counter of draw ``sub`` of jump ``step``, mixed in exact Python ints."""
+    """Stream counter of draw (``step``, ``sub``), mixed in exact Python ints:
+    sub 1 of step s picks jump s, sub 0 of step i is the Poisson count of
+    the i-th gap between the sampled times."""
     return ((2 * step + sub) * 0xD1342543DE82EF95 + 0x9E3779B97F4A7C15) & _MASK64
 
 
 def _draw(keys: np.ndarray, step: int, sub: int) -> np.ndarray:
-    """U[0,1) for draw ``sub`` of jump ``step`` on each key's stream; 53-bit mantissa."""
+    """U[0,1) for draw (``step``, ``sub``) on each key's stream; 53-bit mantissa."""
     z = keys ^ _U64(_counter(step, sub))
     return (_mix64(z, np.empty_like(z)) >> _U64(11)) * 2.0**-53
 
@@ -113,9 +120,11 @@ class SimConfig:
 
     Paths run in fixed-size blocks, so memory does not grow with n_paths,
     and a block's paths are split over worker threads; neither the block
-    size nor the thread count ever affects the result.  ``max_jumps`` caps
-    each path's jumps; a cap that could carry a path out of exact int64
-    positions is rejected when the walk is sampled.
+    size nor the thread count ever affects the result.  Each path's jump
+    budget is its Poisson count N(horizon) of jumps by the horizon.
+    ``max_jumps`` caps each path's jumps: a path whose budget reaches it
+    without absorption is truncated.  A cap that could carry a path out of
+    exact int64 positions is rejected when the walk is sampled.
     """
 
     horizon: float
@@ -137,8 +146,10 @@ class McEstimate:
     """Binomial estimate with diagnostics.
 
     ``truncated_paths`` hit the jump cap and are counted as non-hits;
-    ``undecided_paths`` (cap or horizon reached without absorption) bound
-    the probability mass that could still convert after the horizon.
+    ``undecided_paths`` (the cap or the path's jumps by the horizon spent
+    without absorption) bound the probability mass that could still
+    convert after the horizon.  Both count paths over the horizon, so they
+    are the same for every time of one run.
     """
 
     probability: float
@@ -217,14 +228,60 @@ def _in_threads(fn, spans: list[tuple[int, int]]) -> list:
     return results
 
 
-def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bool):
-    """Yield (path ids, hit times, truncated, undecided) per block of paths.
+def _poisson_table(lam: float, cap: int) -> tuple[int, np.ndarray]:
+    """(k0, cdf): the c.d.f. of Poisson(lam) at k0, k0 + 1, ..., with the
+    mass at and above ``cap`` lumped at cap, so that a U[0,1) draw u maps to
+    the count k0 + (number of entries <= u).
 
-    The walk jumps at exponential(a) epochs; hitting and taboo are checked
-    at jump epochs, which is exact for piecewise-constant paths.  With
-    ``minus_clock`` the first holding time does not count toward the clock.
-    Only paths that hit y before z and by the horizon are listed.  Each
-    block is split into contiguous id ranges, one per worker thread.
+    The pmf runs out from the mode by the ratios p(k + 1)/p(k) = lam/(k + 1)
+    over lam +- 40 sqrt(max(lam, 1)) and is normalised by its sum; by the
+    Chernoff bounds the mass outside that window is below 2^-53.  The table
+    has O(sqrt(lam)) entries, and none above cap.
+    """
+    half = 40.0 * math.sqrt(max(lam, 1.0))
+    lo = max(0, math.floor(lam - half))
+    if lo >= cap:
+        return cap, np.ones(1)
+    mode, hi = math.floor(lam), math.ceil(lam + half)
+    up = np.cumprod(lam / np.arange(mode + 1, hi + 1))  # p(k)/p(mode) for k > mode
+    down = np.cumprod(np.arange(mode, lo, -1) / lam)[::-1]  # and for lo <= k < mode
+    cdf = np.cumsum(np.concatenate([down, [1.0], up]))
+    cdf /= cdf[-1]
+    if hi > cap:
+        cdf = cdf[: cap - lo + 1]
+        cdf[-1] = 1.0
+    return lo, cdf
+
+
+def _jump_counts(keys: np.ndarray, tables: list[tuple[int, np.ndarray]], first: int, cap: int):
+    """Running jump counts of the paths of ``keys``: after the i-th (k0, cdf)
+    of ``tables``, ``first`` plus one count per table so far, each drawn by
+    inverse c.d.f. from draw (i, 0) of the path's stream, capped at cap.
+    Yields one int64 array, updated in place."""
+    total = np.full(keys.size, first, dtype=np.int64)
+    for i, (k0, cdf) in enumerate(tables):
+        total += np.searchsorted(cdf, _draw(keys, i, 0), "right")
+        total += k0
+        yield np.minimum(total, cap, out=total)
+
+
+def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, t_list: Sequence[float], minus_clock: bool):
+    """Yield (path ids, hit steps, hit-by times, truncated, undecided) per
+    block of paths.
+
+    The clock is uniformised (Jensen 1953): the walk's jump epochs are a
+    Poisson(a) process independent of its jump chain, so a path hits y
+    before z by time t exactly when its chain does so at a jump index
+    s < N(t), N(t) ~ Poisson(a t).  Each path draws its counts once: one
+    Poisson increment of N per gap between the sorted times of ``t_list``
+    and the horizon.  With ``minus_clock`` the first jump is at time 0 and
+    every count is one more.  The step loop then runs the jump chain
+    alone; a path whose step index reaches its budget N(horizon) is
+    undecided.  Only paths whose chain hits y before z within the budget
+    are listed, each with its step s and the first sorted time t with
+    s < N(t), recomputed for those paths alone from the same draws, so a
+    hit counts at t' exactly when that time is <= t'.  Each block is split
+    into contiguous id ranges, one per worker thread.
     """
     _check_dims(model, q)
     packing = _Packing(model, q, sim.max_jumps)
@@ -236,13 +293,17 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
     groups = [cuts[g:g + _COMPARED_CUTS] for g in range(0, len(cuts), _COMPARED_CUTS)]
     below_rows = len(groups[0])
     seed_hash = _U64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
-    neg_a = -model.total_rate
+    times = np.array(sorted({*t_list, sim.horizon}))
+    cap = sim.max_jumps + 1  # a budget above max_jumps truncates as max_jumps + 1 does
+    tables = [_poisson_table(model.total_rate * dt, cap) for dt in np.diff(times, prepend=0.0)]
+    first = int(minus_clock)
 
     def walk(lo: int, hi: int):
-        """(hit ids, hit times, truncated, undecided) of paths lo .. hi - 1.
+        """(hit ids, hit steps, hit-by times, truncated, undecided) of paths
+        lo .. hi - 1.
 
         Columns hold every path not yet dropped; ``alive`` marks those still
-        running.  A path that passes the horizon or reaches y or z leaves
+        running.  A path that spends its budget or reaches y or z leaves
         ``alive`` at once, and the columns are compacted once the live share
         falls below _LIVE_SHARE.  Scratch arrays are allocated once and
         viewed at the column length.  Ufunc outputs are passed by position:
@@ -251,7 +312,7 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
         """
         ids = np.arange(lo, hi, dtype=np.uint64)
         keys = _path_keys(seed_hash, ids)
-        clock = np.zeros(ids.size)
+        *_, budget = _jump_counts(keys, tables, first, cap)
         words = np.zeros((packing.n_words, ids.size), dtype=np.int64)
         flat = [np.empty(ids.size, dtype=dt)
                 for dt in (_U64, np.float64, np.uint8, np.intp, np.int64, bool, bool, bool, bool)]
@@ -263,30 +324,21 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
 
         work, u, count, jump, moved, over, at, flag, alive, below = scratch(ids.size)
         alive.fill(True)
-
-        def uniform(step: int, sub: int, scale: float) -> None:
-            """u = scale * 2^53 * _draw(keys, step, sub), hashed in place."""
-            np.bitwise_xor(keys, _U64(_counter(step, sub)), work)
-            np.right_shift(_mix64(work, u.view(_U64)), _SHIFT53, work)
-            np.multiply(work.view(np.int64), scale, u)  # < 2^53: the same value, a faster cast
-
-        hit_ids, hit_times = [], []
+        hit_ids, hit_steps = [], []
         live = ids.size
-        undecided = 0
+        truncated = undecided = 0
         step = 0
         while live:
             if step >= sim.max_jumps:
-                return hit_ids, hit_times, live, undecided + live
-            if not (minus_clock and step == 0):
-                # -u exactly, so that log1p(-u) / -a rounds as -log1p(-u) / a
-                uniform(step, 0, -(2.0**-53))
-                np.log1p(u, u)
-                u /= neg_a
-                clock += u
-            np.greater(clock, sim.horizon, over)
+                truncated = live
+                break
+            np.less_equal(budget, step, over)  # jump `step` comes after the horizon
             over &= alive
             undecided += int(np.count_nonzero(over))
-            uniform(step, 1, 2.0**-53)
+            # u = _draw(keys, step, 1), hashed in place
+            np.bitwise_xor(keys, _U64(_counter(step, 1)), work)
+            np.right_shift(_mix64(work, u.view(_U64)), _SHIFT53, work)
+            np.multiply(work.view(np.int64), 2.0**-53, u)  # < 2^53: the same value, a faster cast
             for g, group in enumerate(groups):
                 rows = below[: len(group)]
                 np.greater_equal(u, group, rows)
@@ -298,23 +350,30 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
             for row, col in zip(table, words):
                 row.take(jump, None, moved, "clip")
                 col += moved
-            np.greater(_equal_codes(words, y_code, at, flag), over, flag)  # at y by the horizon
+            np.greater(_equal_codes(words, y_code, at, flag), over, flag)  # at y within the budget
             flag &= alive
             idx = flag.nonzero()[0]
             if idx.size:
                 hit_ids.append(ids[idx])
-                hit_times.append(clock[idx])
+                hit_steps.append(np.full(idx.size, step))
             over |= at
             over |= _equal_codes(words, z_code, at, flag)
             np.greater(alive, over, alive)  # alive and not ended
             live = int(np.count_nonzero(alive))
             if live < _LIVE_SHARE * ids.size:
                 keep = np.flatnonzero(alive)
-                ids, keys, clock, words = ids[keep], keys[keep], clock[keep], words[:, keep]
+                ids, keys, budget, words = ids[keep], keys[keep], budget[keep], words[:, keep]
                 work, u, count, jump, moved, over, at, flag, alive, below = scratch(live)
                 alive.fill(True)
             step += 1
-        return hit_ids, hit_times, 0, undecided
+        hit_ids = np.concatenate(hit_ids or [np.zeros(0, dtype=np.uint64)])
+        hit_steps = np.concatenate(hit_steps or [np.zeros(0, dtype=np.int64)])
+        # a hit at step s counts at times[i] exactly when s < N(times[i]); late
+        # counts the times at which it does not
+        late = np.zeros(hit_ids.size, dtype=np.intp)
+        for reached in _jump_counts(_path_keys(seed_hash, hit_ids), tables, first, cap):
+            late += reached <= hit_steps
+        return hit_ids, hit_steps, times[late], truncated, undecided + truncated
 
     for lo in range(0, sim.n_paths, _BLOCK_PATHS):
         hi = min(lo + _BLOCK_PATHS, sim.n_paths)
@@ -322,10 +381,9 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, minus_clock: bo
         ends = [lo + (hi - lo) * i // n_workers for i in range(n_workers + 1)]
         parts = _in_threads(walk, list(zip(ends[:-1], ends[1:])))
         yield (
-            np.concatenate([a for p in parts for a in p[0]] or [np.zeros(0, dtype=np.uint64)]),
-            np.concatenate([a for p in parts for a in p[1]] or [np.zeros(0)]),
-            sum(p[2] for p in parts),
+            *(np.concatenate([p[k] for p in parts]) for k in range(3)),
             sum(p[3] for p in parts),
+            sum(p[4] for p in parts),
         )
 
 
@@ -360,8 +418,8 @@ def estimate_taboo_curve(
             raise ValueError(f"t = {t} outside [0, horizon = {sim.horizon}]")
     hits = [0] * len(t_list)
     truncated = undecided = 0
-    for _, times, trunc, und in _hit_blocks(model, q, sim, variant is Variant.MINUS):
-        hits = [h + int(np.count_nonzero(times <= t)) for h, t in zip(hits, t_list)]
+    for _, _, hit_by, trunc, und in _hit_blocks(model, q, sim, t_list, variant is Variant.MINUS):
+        hits = [h + int(np.count_nonzero(hit_by <= t)) for h, t in zip(hits, t_list)]
         truncated += trunc
         undecided += und
     return [_estimate_at(h, sim, truncated, undecided) for h in hits]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,14 @@ from taboowalk import (
     SimConfig,
     TabooQuery,
     TailOrder,
+    TimeGrid,
     Variant,
     absorption_limit_bracket,
     fit_tail_order,
     nearest_neighbor_walk,
     save_model,
     support_generates_lattice,
+    taboo_cdf,
     taboo_limit,
     taboo_tail,
     validate_model,
@@ -44,16 +47,24 @@ from taboowalk.simulate import (
 )
 
 
-def _simulate_hit_times(model, q, sim, minus_clock):
-    """Per-path taboo-hitting times (inf when the event fails by the horizon),
-    for replaying paths one by one; holds one float per path."""
-    hit_times = np.full(sim.n_paths, np.inf)
+def _simulate_hits(model, q, sim, t_list=(), minus_clock=False):
+    """Per-path hit steps (-1 when the chain does not hit y before z within
+    its budget) and hit-by times (inf then), truncated and undecided counts,
+    for replaying paths one by one."""
+    steps = np.full(sim.n_paths, -1, dtype=np.int64)
+    hit_by = np.full(sim.n_paths, np.inf)
     truncated = undecided = 0
-    for ids, times, trunc, und in simulate._hit_blocks(model, q, sim, minus_clock):
-        hit_times[ids.astype(np.int64)] = times
+    for ids, s, by, trunc, und in simulate._hit_blocks(model, q, sim, t_list, minus_clock):
+        steps[ids.astype(np.int64)] = s
+        hit_by[ids.astype(np.int64)] = by
         truncated += trunc
         undecided += und
-    return hit_times, truncated, undecided
+    return steps, hit_by, truncated, undecided
+
+
+def _same(got, want) -> bool:
+    """Hit steps, hit-by times and both counts all equal."""
+    return all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2])) and got[2:] == want[2:]
 
 
 class TestRngStream:
@@ -73,6 +84,62 @@ class TestRngStream:
         c = _draw(_path_keys(seed_hash, ids), 1, 0)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def _poisson_pmf(lam, ks):
+    """Poisson(lam) pmf at the integers ks, from log-gamma."""
+    if lam == 0:
+        return (ks == 0).astype(float)
+    return np.exp(-lam + ks * math.log(lam) - np.array([math.lgamma(k + 1) for k in ks]))
+
+
+def _budgets(lams, first, cap, n, seed):
+    """The jump counts first + one Poisson(lam) per lam in ``lams``, capped
+    at cap, that the sampler draws for paths 0 .. n - 1 of ``seed``."""
+    keys = _path_keys(np.uint64(_mix64_int(seed + 0x9E3779B97F4A7C15)), np.arange(n, dtype=np.uint64))
+    *_, got = simulate._jump_counts(keys, [simulate._poisson_table(lam, cap) for lam in lams], first, cap)
+    return got
+
+
+class TestJumpCounts:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 200.0, 1e4])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_counts_follow_the_poisson_pmf(self, lam, first):
+        # every count expecting at least one path is a cell of its own, the
+        # rest are pooled into a lower and an upper tail; each cell within 5 sigma
+        n = 200_000
+        got = _budgets([lam], first, 10**6 + 1, n, seed=5) - first
+        assert got.min() >= 0
+        ks = np.arange(int(lam + 60 * math.sqrt(lam + 1)))
+        p = _poisson_pmf(lam, ks)
+        lo, hi = np.flatnonzero(n * p >= 1)[[0, -1]]
+        want = np.concatenate([p[lo:hi + 1], [p[:lo].sum(), p[hi + 1:].sum()]])
+        seen = np.concatenate([np.bincount(got, minlength=hi + 1)[lo:hi + 1],
+                               [np.count_nonzero(got < lo), np.count_nonzero(got > hi)]])
+        assert np.all(np.abs(seen - n * want) <= 5 * np.sqrt(n * want * (1 - want)))
+
+    def test_table_lumps_the_mass_above_its_cap(self):
+        k0, cdf = simulate._poisson_table(1e4, 500)
+        assert k0 == 500 and cdf.tolist() == [1.0]
+        k0, cdf = simulate._poisson_table(200.0, 201)
+        assert k0 + len(cdf) - 1 == 201 and cdf[-1] == 1.0
+        assert cdf[-2] == pytest.approx(scipy.special.pdtr(200, 200.0), abs=1e-15)  # P(N <= 200)
+
+    @pytest.mark.parametrize("minus_clock", [False, True])
+    def test_budget_above_max_jumps_truncates(self, simple1d, minus_clock):
+        # y and z out of reach: every path is undecided, and it is truncated
+        # exactly when its budget, N(horizon) or 1 + N(horizon), reaches max_jumps
+        q = TabooQuery((0,), (10**4,), (-10**4,))
+        n, cap = 20_000, 200
+        sim = SimConfig(horizon=200.0, n_paths=n, seed=3, max_jumps=cap)
+        variant = Variant.MINUS if minus_clock else Variant.PLUS
+        est = estimate_taboo_curve(simple1d, q, [50.0, 200.0], sim, variant)[-1]
+        assert est.probability == 0.0 and est.undecided_paths == n
+        # the sampler's budgets sum the draws of the gaps (0, 50] and (50, 200]
+        budget = _budgets([50.0, 150.0], int(minus_clock), cap + 1, n, seed=3)
+        assert est.truncated_paths == np.count_nonzero(budget >= cap)
+        p = _poisson_pmf(200.0, np.arange(cap - int(minus_clock), 1000)).sum()  # P(budget >= cap)
+        assert abs(est.truncated_paths - n * p) <= 5 * math.sqrt(n * p * (1 - p))
 
 
 class TestTabooEstimates:
@@ -123,22 +190,20 @@ class TestTabooEstimates:
 
     def test_epoch_checks_match_reference(self, simple1d):
         # replay 1000 paths in a direct per-path loop with the same RNG and
-        # compare outcome-by-outcome with the vectorized kernel (times only
-        # to 1e-12: scalar and array libm calls differ in the last ulp)
+        # compare outcome by outcome with the vectorized kernel: hit steps,
+        # hit-by times and counts exactly
         q = TabooQuery((1,), (3,), (0,))
         sim = SimConfig(horizon=25.0, n_paths=1000, seed=77)
-        hit, _, _ = _simulate_reference(simple1d, q, sim)
-        got, _, _ = _simulate_hit_times(simple1d, q, sim, minus_clock=False)
-        assert np.array_equal(np.isinf(hit), np.isinf(got))
-        finite = np.isfinite(hit)
-        assert np.allclose(hit[finite], got[finite], rtol=1e-12, atol=0.0)
+        want = _simulate_reference(simple1d, q, sim, [1.0, 4.0])
+        assert set(want[1][want[0] >= 0]) == {1.0, 4.0, 25.0}
+        assert _same(_simulate_hits(simple1d, q, sim, [1.0, 4.0]), want)
 
     @pytest.mark.parametrize(
         "walk, minus_clock",
         [("walk2d", False), ("walk3d", False), ("walk3d", True), ("simple1d", True)],
     )
     def test_blocked_kernel_matches_reference(self, walk, minus_clock, request, monkeypatch):
-        # several blocks with a short last one; outcomes exact, times to 1e-12
+        # several blocks with a short last one; hit steps, hit-by times and counts exact
         model = request.getfixturevalue(walk)
         monkeypatch.setattr(simulate, "_BLOCK_PATHS", 300)
         q = {
@@ -147,13 +212,20 @@ class TestTabooEstimates:
             3: TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0)),
         }[model.d]
         sim = SimConfig(horizon=12.0, n_paths=1000, seed=77, max_jumps=8)
-        want = _simulate_reference(model, q, sim, minus_clock)
-        got = _simulate_hit_times(model, q, sim, minus_clock)
-        assert got[1:] == want[1:]
-        assert want[1] > 0 and np.isfinite(want[0]).any()
-        assert np.array_equal(np.isinf(want[0]), np.isinf(got[0]))
-        finite = np.isfinite(want[0])
-        assert np.allclose(want[0][finite], got[0][finite], rtol=1e-12, atol=0.0)
+        want = _simulate_reference(model, q, sim, [2.0, 5.0], minus_clock)
+        assert want[2] > 0 and (want[0] >= 0).any()
+        assert _same(_simulate_hits(model, q, sim, [2.0, 5.0], minus_clock), want)
+
+    def test_multi_time_estimates_match_taboo_cdf(self, nonsimple1d):
+        # one set of paths read at four times, against the Volterra curve at
+        # step 0.05/a, whose error is about 1e-5
+        q = TabooQuery((2,), (5,), (0,))
+        a = nonsimple1d.total_rate
+        ts = [2.0 / a, 5.0 / a, 10.0 / a, 40.0 / a]
+        curve, _ = taboo_cdf(nonsimple1d, q, TimeGrid(step=0.05 / a, n_steps=800))
+        sim = SimConfig(horizon=ts[-1], n_paths=200_000, seed=2026)
+        for t, est in zip(ts, estimate_taboo_curve(nonsimple1d, q, ts, sim)):
+            assert abs(est.probability - curve.at(t)) <= 4 * est.std_error + 1e-4, t
 
     def test_query_dimension_must_match(self, walk2d):
         with pytest.raises(InvalidQuery):
@@ -161,21 +233,30 @@ class TestTabooEstimates:
                 walk2d, TabooQuery((1,), (2,), (0,)), [1.0], SimConfig(horizon=1.0, n_paths=10, seed=0)
             )
 
-    def test_epoch_checks_equal_dense_monitoring(self, simple1d):
-        # reconstruct full trajectories for 10^3 paths and monitor the taboo
-        # on a dense time grid: for piecewise-constant paths both protocols
-        # must classify every path identically
-        q = TabooQuery((1,), (3,), (0,))
+    @pytest.mark.parametrize("minus_clock", [False, True])
+    def test_hit_counts_at_t_exactly_when_its_step_precedes_n_t(self, simple1d, minus_clock):
+        # rebuild each path's jump chain and counts N(t) from its keyed
+        # stream: the estimate at t counts the path exactly when the chain
+        # hits y before z at a step s < N(t)
+        q = TabooQuery((2,), (3,), (0,))
+        t_list = [0.0, 0.5, 2.0, 6.0]
         sim = SimConfig(horizon=15.0, n_paths=1000, seed=4321)
-        epoch_times, _, _ = _simulate_hit_times(simple1d, q, sim, minus_clock=False)
-        dt = 0.01
+        variant = Variant.MINUS if minus_clock else Variant.PLUS
+        ests = estimate_taboo_curve(simple1d, q, t_list, sim, variant)
+        _, hit_by, _, _ = _simulate_hits(simple1d, q, sim, t_list, minus_clock)
+        counted = np.zeros(len(t_list), dtype=int)
         for i in range(sim.n_paths):
-            jumps, states = _trajectory(simple1d, q, sim, i)
-            dense_hit = _dense_monitor(jumps, states, q, sim.horizon, dt=dt)
-            if math.isinf(epoch_times[i]):
-                assert math.isinf(dense_hit)
-            elif epoch_times[i] <= sim.horizon - dt:
-                assert dense_hit == epoch_times[i]
+            # the strip between z = 0 and y = 3 absorbs the chain within a few steps;
+            # from 2 the first jump reaches y half the time, the minus variant's atom
+            states = _trajectory(simple1d, q, sim, i, sim.max_jumps)
+            reached = _reference_counts(simple1d, sim, t_list, i, minus_clock)
+            s = len(states) - 2 if states[-1] == q.y else math.inf
+            for j, t in enumerate(t_list):
+                assert (hit_by[i] <= t) == (s < reached[t]), (i, t)
+                counted[j] += s < reached[t]
+        assert counted.tolist() == [round(e.probability * sim.n_paths) for e in ests]
+        assert counted[0] > 0 if minus_clock else counted[0] == 0
+        assert 0 < counted[1] < counted[-1]
 
     def test_rejects_nan_time(self, simple1d):
         # nan fails every comparison, so a one-sided check lets it through
@@ -218,54 +299,54 @@ _RANGE2_3D = {(1, 0, 0): 0.1, (0, 1, 0): 0.1, (0, 0, 1): 0.1, (0, 0, 2): 0.05}
 
 
 class TestSplitInvariance:
-    """Hit times, truncated and undecided counts do not depend on how the
+    """Hit steps, hit-by times, truncated and undecided counts do not depend on how the
     paths are split into blocks and over worker threads."""
 
     @pytest.mark.parametrize("walk", ["simple1d", "walk2d", "walk3d"])
     @pytest.mark.parametrize("minus_clock", [False, True])
     def test_bitwise_across_workers_and_blocks(self, walk, minus_clock, request, monkeypatch):
         model = request.getfixturevalue(walk)
-        sim = SimConfig(horizon=15.0, n_paths=3000, seed=8)
-        want = _simulate_hit_times(model, _QUERIES[model.d], sim, minus_clock)
-        assert np.isfinite(want[0]).any() and want[2] > 0
+        # horizon 6: the simple walk's strip (0, 3) leaves about one path in
+        # 3000 undecided at horizon 15
+        sim = SimConfig(horizon=6.0, n_paths=3000, seed=8)
+        want = _simulate_hits(model, _QUERIES[model.d], sim, [2.0, 4.0], minus_clock)
+        assert (want[0] >= 0).any() and want[3] > 0
         monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
         for workers, block in itertools.product((1, 2, 3), (3000, 1100, 257)):
             monkeypatch.setattr(simulate, "_cpus", lambda: workers)
             monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
             assert sampler_workers(sim.n_paths) == workers
-            got = _simulate_hit_times(model, _QUERIES[model.d], sim, minus_clock)
-            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (workers, block)
+            got = _simulate_hits(model, _QUERIES[model.d], sim, [2.0, 4.0], minus_clock)
+            assert _same(got, want), (workers, block)
 
     def test_bitwise_with_truncation(self, walk3d, monkeypatch):
         sim = SimConfig(horizon=15.0, n_paths=2000, seed=8, max_jumps=6)
-        want = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
-        assert want[1] > 0
+        want = _simulate_hits(walk3d, _QUERIES[3], sim)
+        assert want[2] > 0
         monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
         monkeypatch.setattr(simulate, "_cpus", lambda: 3)
-        got = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert _same(_simulate_hits(walk3d, _QUERIES[3], sim), want)
 
     def test_cut_groups_match_one_compare(self, walk3d, monkeypatch):
         sim = SimConfig(horizon=15.0, n_paths=2000, seed=8)
-        want = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        want = _simulate_hits(walk3d, _QUERIES[3], sim)
         monkeypatch.setattr(simulate, "_COMPARED_CUTS", 2)  # five cuts in groups of 2, 2, 1
-        got = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert _same(_simulate_hits(walk3d, _QUERIES[3], sim), want)
 
     def test_more_workers_than_cpus_under_fast_switching(self, walk3d, monkeypatch):
         # each worker writes only its own result slot; a lost or crossed
-        # result would change the hit times or the counts
+        # result would change the hit steps or the counts
         sim = SimConfig(horizon=10.0, n_paths=4000, seed=21)
-        want = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+        want = _simulate_hits(walk3d, _QUERIES[3], sim)
         monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
         monkeypatch.setattr(simulate, "_cpus", lambda: 5)  # more workers than a small test runner has CPUs
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _simulate_hit_times(walk3d, _QUERIES[3], sim, False)
+            got = _simulate_hits(walk3d, _QUERIES[3], sim)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert _same(got, want)
 
     def test_workers_capped_by_cpus_and_path_floor(self, monkeypatch):
         monkeypatch.setattr(simulate, "_cpus", lambda: 4)
@@ -299,13 +380,9 @@ class TestPackedPositions:
         q = _QUERIES[d]
         sim = SimConfig(horizon=8.0, n_paths=600, seed=12)
         assert _Packing(model, q, sim.max_jumps).n_words == 2
-        want = _simulate_reference(model, q, sim)
-        got = _simulate_hit_times(model, q, sim, minus_clock=False)
-        assert got[1:] == want[1:]
-        assert np.isfinite(want[0]).any()
-        assert np.array_equal(np.isinf(want[0]), np.isinf(got[0]))
-        finite = np.isfinite(want[0])
-        assert np.allclose(want[0][finite], got[0][finite], rtol=1e-12, atol=0.0)
+        want = _simulate_reference(model, q, sim, [3.0])
+        assert (want[0] >= 0).any()
+        assert _same(_simulate_hits(model, q, sim, [3.0]), want)
 
     @pytest.mark.parametrize(
         "jumps, d, max_jumps",
@@ -346,86 +423,54 @@ class TestPackedPositions:
             SimConfig(horizon=1.0, n_paths=10, seed=0, max_jumps=max_jumps)
 
 
-def _trajectory(model, q, sim, path_id, max_steps=100_000):
-    """Jump epochs and visited states of one path, same RNG as the kernel."""
-    from taboowalk.simulate import _draw, _mix64_int, _path_keys
-
-    a = model.total_rate
-    support = [tuple(s) for s in model.support]
-    cdf = model.jump_cdf
+def _reference_counts(model, sim, t_list, path_id, minus_clock=False):
+    """{t: N(t)} of one path for each t in t_list and the horizon: the
+    jumps it makes by t, one Poisson increment per gap between the sorted
+    times, each drawn from its keyed stream by inverse c.d.f."""
     seed_hash = np.uint64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
-    pos = q.x
-    clock = 0.0
-    jumps, states = [0.0], [pos]
-    pid = np.array([path_id], dtype=np.uint64)
-    for step in range(max_steps):
-        u1 = float(_draw(_path_keys(seed_hash, pid), step, 0)[0])
-        u2 = float(_draw(_path_keys(seed_hash, pid), step, 1)[0])
-        clock += -np.log1p(-u1) / a
-        if clock > sim.horizon:
-            break
-        k = int(np.searchsorted(cdf, u2, side="right"))
-        pos = tuple(p + s for p, s in zip(pos, support[k]))
-        jumps.append(clock)
-        states.append(pos)
-        if pos == q.y or pos == q.z:
-            break
-    return jumps, states
+    key = _path_keys(seed_hash, np.array([path_id], dtype=np.uint64))
+    cap = sim.max_jumps + 1
+    n, prev, reached = int(minus_clock), 0.0, {}
+    for i, t in enumerate(sorted({*t_list, sim.horizon})):
+        k0, cdf = simulate._poisson_table(model.total_rate * (t - prev), cap)
+        n = min(cap, n + k0 + int(np.searchsorted(cdf, float(_draw(key, i, 0)[0]), side="right")))
+        reached[t], prev = n, t
+    return reached
 
 
-def _dense_monitor(jumps, states, q, horizon, dt):
-    """First dense-grid time at y with no z occupancy since the first jump."""
-    ts = np.arange(1, int(horizon / dt) + 1) * dt
-    idx = np.searchsorted(np.asarray(jumps), ts, side="right") - 1
-    for j in idx:
-        if j >= 1:  # taboo active from the first jump on
-            if states[j] == q.z:
-                return math.inf
-            if states[j] == q.y:
-                # the state is constant since the last jump, so the hit
-                # happened exactly at that jump epoch
-                return jumps[j]
-    return math.inf
-
-
-def _simulate_reference(model, q, sim, minus_clock=False):
-    """Straight-line per-path reference implementation (same RNG keys)."""
-    from taboowalk.simulate import _draw, _mix64_int, _path_keys
-
-    a = model.total_rate
-    support = [tuple(s) for s in model.support]
-    cdf = model.jump_cdf
+def _trajectory(model, q, sim, path_id, n_steps):
+    """States of one path's jump chain from x until it reaches y or z, at
+    most n_steps jumps; same RNG as the kernel."""
     seed_hash = np.uint64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
-    hit = np.full(sim.n_paths, np.inf)
+    key = _path_keys(seed_hash, np.array([path_id], dtype=np.uint64))
+    support = [tuple(s) for s in model.support]
+    states = [q.x]
+    for step in range(n_steps):
+        k = int(np.searchsorted(model.jump_cdf, float(_draw(key, step, 1)[0]), side="right"))
+        states.append(tuple(p + s for p, s in zip(states[-1], support[k])))
+        if states[-1] in (q.y, q.z):
+            break
+    return states
+
+
+def _simulate_reference(model, q, sim, t_list=(), minus_clock=False):
+    """Straight-line per-path reference implementation (same RNG keys):
+    per-path hit steps and hit-by times, truncated and undecided counts."""
+    steps = np.full(sim.n_paths, -1, dtype=np.int64)
+    hit_by = np.full(sim.n_paths, np.inf)
     trunc = und = 0
     for i in range(sim.n_paths):
-        pos = q.x
-        clock = 0.0
-        step = 0
-        while True:
-            if step >= sim.max_jumps:
-                trunc += 1
-                und += 1
-                break
-            pid = np.array([i], dtype=np.uint64)
-            u1 = float(_draw(_path_keys(seed_hash, pid), step, 0)[0])
-            u2 = float(_draw(_path_keys(seed_hash, pid), step, 1)[0])
-            if not (minus_clock and step == 0):
-                clock += -math.log1p(-u1) / a
-            if clock > sim.horizon:
-                und += 1
-                break
-            k = int(np.searchsorted(cdf, u2, side="right"))
-            pos = tuple(p + s for p, s in zip(pos, support[k]))
-            if pos == q.y:
-                hit[i] = clock
-                break
-            if pos == q.z:
-                break
-            step += 1
-        else:
-            continue
-    return hit, trunc, und
+        reached = _reference_counts(model, sim, t_list, i, minus_clock)
+        budget = reached[sim.horizon]
+        states = _trajectory(model, q, sim, i, min(budget, sim.max_jumps))
+        s = len(states) - 2  # the step of the last jump
+        if s >= 0 and states[-1] == q.y:
+            steps[i] = s
+            hit_by[i] = min(t for t, n in reached.items() if s < n)
+        elif s < 0 or states[-1] != q.z:
+            und += 1
+            trunc += budget >= sim.max_jumps
+    return steps, hit_by, trunc, und
 
 
 class TestMinusEstimates:

@@ -9,14 +9,16 @@ block by block and never kept.  Block sums are added exactly (math.fsum), so
 results repeat bit for bit.  quadrature.py sizes and walks every grid.
 Kernel values are read by set: rho_values and green_values send the
 uncached displacements of one request to one ladder, and rho and
-green_function are their one-element case.  The heat kernel p is a smooth
-torus mean, one p-curve of two times.  For G_lambda and rho, lambda - phi is a
-Laurent polynomial in w = exp(i theta_d) at fixed theta' = (theta_1, ...,
-theta_{d-1}), so the theta_d integral is a sum of residues (Katsura et al.,
-J. Math. Phys. 12, 1971): exact in d = 1 but for rounding, whose bound must
-meet rel_tol, and a ladder over the theta' grid in d >= 2.  In d >= 3 the walk
-is transient: rho_d(x) = a (G_0(0) - G_0(x)) (Spitzer, Principles of Random
-Walk), from the cached G_0 values.
+green_function are their one-element case.  A cached read costs one lookup:
+each key (walk, rel_tol, lambda, r) is built once, the walk's hash is cached
+on the model, and a set's hits are read in one pass under one lock.  The heat
+kernel p is a smooth torus mean, one p-curve of two times.  For G_lambda and
+rho, lambda - phi is a Laurent polynomial in w = exp(i theta_d) at fixed
+theta' = (theta_1, ..., theta_{d-1}), so the theta_d integral is a sum of
+residues (Katsura et al., J. Math. Phys. 12, 1971): exact in d = 1 but for
+rounding, whose bound must meet rel_tol, and a ladder over the theta' grid in
+d >= 2.  In d >= 3 the walk is transient: rho_d(x) = a (G_0(0) - G_0(x))
+(Spitzer, Principles of Random Walk), from the cached G_0 values.
 """
 
 from __future__ import annotations
@@ -89,9 +91,13 @@ def canonical_diff(x: Sequence[int], y: Sequence[int], d: int) -> tuple[int, ...
     """
     xv = as_vec(x, d)
     yv = as_vec(y, d)
-    r = tuple(b - a for a, b in zip(xv, yv))
+    return _canonical(tuple(b - a for a, b in zip(xv, yv)))
+
+
+def _canonical(r: tuple) -> tuple:
+    """The larger of the tuples r and -r."""
     neg = tuple(-c for c in r)
-    return max(r, neg)
+    return r if r >= neg else neg
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +139,17 @@ def _batched(compute):
     @wraps(compute)
     def lookup(*args):
         *head, rs = args
+        found = []
         with lock:
-            found = {r: cache[(*head, r)] for r in rs if (*head, r) in cache}
-            for r in found:
-                cache.move_to_end((*head, r))
-        todo = tuple(dict.fromkeys(r for r in rs if r not in found))
-        new = dict(zip(todo, compute(*head, todo) if todo else ()))
+            for key in [(*head, r) for r in rs]:
+                v = cache.get(key)
+                if v is not None:
+                    cache.move_to_end(key)
+                found.append(v)
+        if None not in found:
+            return found
+        todo = tuple(dict.fromkeys(r for r, v in zip(rs, found) if v is None))
+        new = dict(zip(todo, compute(*head, todo)))
         with lock:
             cache.update(((*head, r), v) for r, v in new.items() if not isinstance(v, NotConverged))
             while len(cache) > 4096:
@@ -146,7 +157,7 @@ def _batched(compute):
         for v in new.values():
             if isinstance(v, NotConverged):
                 raise v
-        return [found[r] if r in found else new[r] for r in rs]
+        return [new[r] if v is None else v for r, v in zip(rs, found)]
 
     lookup.cache_clear = cache.clear
     return lookup
@@ -207,7 +218,7 @@ def _residue_sums(model: WalkModel, lam: float, n: int, rs, mapped: bool = False
     are kept in the grid cache.  In d = 1 (n = 1) that is exact but for
     rounding: a root error of a few ulps grows |r| times in w^|r| and about R
     times in psi, hence the bound RESIDUE_ROUNDING (|r| + R) sum_k |term_k|."""
-    big_r, size = max(abs(z[-1]) for z, _ in model.jumps), _residue_points(model.d, n)
+    big_r, size = model.last_axis_reach, _residue_points(model.d, n)
 
     def build():
         for th, weight in _residue_grid(model.d, n, mapped):
@@ -217,16 +228,18 @@ def _residue_sums(model: WalkModel, lam: float, n: int, rs, mapped: bool = False
                     v.setflags(write=False)
             yield block
 
+    # (|r_d|, r', the phase unit): r_d < 0 reads the roots at -theta', the phase of -r'
+    heads = [(abs(r[-1]), r[:-1] if any(r[:-1]) else None, 1j if r[-1] >= 0 else -1j) for r in rs]
     parts, bounds = [[] for _ in rs], [0.0] * len(rs)
     for th, weight, w, ip in _CACHE.get(("residue", model, lam, n, mapped), size * (8 * model.d + 32 * big_r), build):
-        for k, r in enumerate(rs):
-            terms = w ** abs(r[-1]) * ip
+        for k, (m, rp, unit) in enumerate(heads):
+            terms = w**m * ip
             col = terms.sum(axis=1)
-            if any(r[:-1]):  # r_d < 0 reads the roots at -theta': the phase of -r'
-                col = col * np.exp(_dot(th, r[:-1], 1j if r[-1] >= 0 else -1j))
-            parts[k].append(np.sum(col.real if weight is None else weight * col.real))
+            if rp is not None:
+                col = col * np.exp(_dot(th, rp, unit))
+            parts[k].append((col.real if weight is None else weight * col.real).sum())
             if model.d == 1:
-                bounds[k] = RESIDUE_ROUNDING * (abs(r[0]) + big_r) * float(np.abs(terms).sum())
+                bounds[k] = RESIDUE_ROUNDING * (m + big_r) * float(np.abs(terms).sum())
     return [(fsum(part) / size, bound) for part, bound in zip(parts, bounds)]
 
 
@@ -264,8 +277,8 @@ def green_values(model: WalkModel, lam: float, rs, cfg: QuadratureConfig | None 
         raise ValueError("lambda must be finite and >= 0")
     if lam == 0.0 and model.d <= 2:
         raise DivergentGreenFunction(f"G_0 diverges for d = {model.d} (recurrent walk)")
-    rel_tol, zero = (cfg or default_config(model.d)).rel_tol, (0,) * model.d
-    rs = tuple(canonical_diff(zero, r, model.d) for r in rs)
+    rel_tol = (cfg or default_config(model.d)).rel_tol
+    rs = tuple(_canonical(as_vec(r, model.d)) for r in rs)
     return [KernelValue(*v) for v in _green_cached(model, rel_tol, float(lam), rs)]
 
 
@@ -309,7 +322,7 @@ def rho_values(model: WalkModel, xs, cfg: QuadratureConfig | None = None) -> lis
     a (G_0(0) - G_0(x)), from one green_values read.
     """
     zero = (0,) * model.d
-    rs = [canonical_diff(zero, x, model.d) for x in xs]
+    rs = [_canonical(as_vec(x, model.d)) for x in xs]
     nonzero = tuple(r for r in rs if any(r))
     found = iter(())
     if model.d <= 2:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +66,11 @@ class TailAsymptotic:
 
 @dataclass(frozen=True)
 class TabooQuery:
-    """Start x, target y, taboo z (y != z, equal dimensions)."""
+    """Start x, target y, taboo z (y != z, equal dimensions).
+
+    The relative vectors rel_x = x - z, rel_y = y - z and rel_yx = y - x are
+    set once here; they are not fields, so eq, hash and repr see x, y, z alone.
+    """
 
     x: Vec
     y: Vec
@@ -85,23 +88,13 @@ class TabooQuery:
         object.__setattr__(self, "x", xv)
         object.__setattr__(self, "y", yv)
         object.__setattr__(self, "z", zv)
+        object.__setattr__(self, "rel_x", tuple(a - b for a, b in zip(xv, zv)))
+        object.__setattr__(self, "rel_y", tuple(a - b for a, b in zip(yv, zv)))
+        object.__setattr__(self, "rel_yx", tuple(a - b for a, b in zip(yv, xv)))
 
     @property
     def d(self) -> int:
         return len(self.x)
-
-    @cached_property
-    def rel_x(self) -> Vec:
-        return tuple(a - b for a, b in zip(self.x, self.z))
-
-    @cached_property
-    def rel_y(self) -> Vec:
-        return tuple(a - b for a, b in zip(self.y, self.z))
-
-    @cached_property
-    def rel_yx(self) -> Vec:
-        """Y - X = y - x."""
-        return tuple(a - b for a, b in zip(self.y, self.x))
 
     def swapped(self) -> "TabooQuery":
         """Same start, target and taboo exchanged."""

@@ -3,6 +3,13 @@
 A walk is given by its dimension d and a finite symmetric table of jump
 rates a(z) > 0, z in Z^d \\ {0}, with a(z) = a(-z).  The total rate
 a = sum_z a(z) is the parameter of the exponential holding times.
+
+Each model's derived constants live on the model, computed once per
+instance: its hash (the key of every value cache), its spectral scalars
+(gamma_d, B and det B, with B read-only) and the range max|z_d| of the last
+axis that the residue sums take.  A lattice point already in canonical form,
+a tuple of plain ints, passes ``as_vec`` unchanged, so points validated once
+are not checked again on the query path.
 """
 
 from __future__ import annotations
@@ -29,15 +36,33 @@ JumpsLike = Union[Mapping[Sequence[int], float], Iterable[tuple[Sequence[int], f
 
 
 def as_vec(v: Sequence[int], d: int | None = None) -> Vec:
-    """Coerce a lattice point to a tuple of ints, checking dimension if given."""
+    """Coerce a lattice point to a tuple of ints, checking dimension if given.
+    A tuple of plain ints of the right length is returned as it is."""
+    if type(v) is tuple and all(type(c) is int for c in v) and (d is None or len(v) == d):
+        return v
+    return _coerce_vec(v, d)
+
+
+def _coerce_vec(v, d: int | None) -> Vec:
+    """as_vec for any input: ints, numpy ints, bools and integral floats.  Each
+    coordinate must equal its int exactly (an int past 2^53 is not rounded)."""
     if isinstance(v, (int, np.integer)):
         v = (v,)
     out = tuple(int(c) for c in v)
-    if any(c != float(raw) for c, raw in zip(out, v)):
+    if any(c != raw for c, raw in zip(out, v)):
         raise ValueError(f"lattice point has non-integer coordinates: {v!r}")
     if d is not None and len(out) != d:
         raise ValueError(f"expected a {d}-vector, got {out!r}")
     return out
+
+
+@dataclass(frozen=True)
+class SpectralScalars:
+    """gamma_d, the jump-covariance matrix B, and det B for a walk."""
+
+    gamma_d: float
+    hessian: np.ndarray
+    det_b: float
 
 
 @dataclass(frozen=True)
@@ -52,6 +77,13 @@ class WalkModel:
     d: int
     jumps: tuple[tuple[Vec, float], ...]
     total_rate: float
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.d, self.jumps, self.total_rate))
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -71,6 +103,23 @@ class WalkModel:
     def _rate_map(self) -> dict[Vec, float]:
         return dict(self.jumps)
 
+    @cached_property
+    def last_axis_reach(self) -> int:
+        """R = max|z_d| over the support."""
+        return max(abs(z[-1]) for z, _ in self.jumps)
+
+    @cached_property
+    def spectral(self) -> SpectralScalars:
+        """gamma_d, B and det B; raises SingularHessian if det B is not > 0."""
+        support = self.support.astype(float)
+        b = (support * self.rates[:, None]).T @ support
+        det = float(np.linalg.det(b))
+        if not np.isfinite(det) or det <= 0.0:
+            raise SingularHessian(f"det B = {det}")
+        b.setflags(write=False)
+        gamma = (2.0 * np.pi) ** (-self.d / 2.0) / np.sqrt(det)
+        return SpectralScalars(gamma_d=gamma, hessian=b, det_b=det)
+
     @property
     def a(self) -> float:
         return self.total_rate
@@ -84,15 +133,6 @@ class WalkModel:
             "d": self.d,
             "jumps": [{"z": list(z), "rate": r} for z, r in self.jumps],
         }
-
-
-@dataclass(frozen=True)
-class SpectralScalars:
-    """gamma_d, the jump-covariance matrix B, and det B for a walk."""
-
-    gamma_d: float
-    hessian: np.ndarray
-    det_b: float
 
 
 def _lattice_covolume(vectors: list[Vec], d: int) -> int | None:
@@ -199,14 +239,9 @@ def char_exponent_grid(model: WalkModel, theta: np.ndarray) -> np.ndarray:
 
 
 def spectral_scalars(model: WalkModel) -> SpectralScalars:
-    """B_ij = sum_z a(z) z_i z_j and gamma_d = (2 pi)^(-d/2) / sqrt(det B)."""
-    support = model.support.astype(float)
-    b = (support * model.rates[:, None]).T @ support
-    det = float(np.linalg.det(b))
-    if not np.isfinite(det) or det <= 0.0:
-        raise SingularHessian(f"det B = {det}")
-    gamma = (2.0 * np.pi) ** (-model.d / 2.0) / np.sqrt(det)
-    return SpectralScalars(gamma_d=gamma, hessian=b, det_b=det)
+    """B_ij = sum_z a(z) z_i z_j and gamma_d = (2 pi)^(-d/2) / sqrt(det B): the
+    model's one cached object, whose B is read-only."""
+    return model.spectral
 
 
 def tilde_gamma(model: WalkModel, z: Sequence[int]) -> float:

@@ -74,9 +74,13 @@ class QuadratureConfig:
             raise ValueError("rel_tol must be finite and > 0")
 
 
+_DEFAULT_CONFIGS = (QuadratureConfig(), QuadratureConfig(rel_tol=1e-6))
+
+
 def default_config(d: int) -> QuadratureConfig:
-    """rel_tol 1e-8 in d <= 2 and 1e-6 in d >= 3; the grids follow from it."""
-    return QuadratureConfig() if d <= 2 else QuadratureConfig(rel_tol=1e-6)
+    """rel_tol 1e-8 in d <= 2 and 1e-6 in d >= 3; the grids follow from it.
+    The two configs are shared: they are frozen."""
+    return _DEFAULT_CONFIGS[d >= 3]
 
 
 def _floor_level(rs, per_r: int = 4) -> int:
@@ -175,7 +179,7 @@ def axis_integral(name: str, means: Callable, rs: Sequence, rel_tol: float, orde
         vals, errs, oks = _refine(lambda n, ks: means(n, [group[k] for k in ks]), _LADDER_FLOOR << k0,
                                   min(top + 1 - k0, most), [0.0] * len(group), rel_tol, order)
         for r, v, e, ok in zip(group, vals, errs, oks):
-            scale, v = _size(v), float(np.ravel(v)[0])
+            scale, v = _size(v), float(v[0] if isinstance(v, np.ndarray) else v)
             e = max(e, RESIDUE_ROUNDING * scale)
             out[r] = _judged(name, v, e, scale, rel_tol, ok)
     return [out[r] for r in rs]

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from taboowalk import (
     char_exponent,
     green_function,
     green_values,
+    load_model,
     nearest_neighbor_walk,
     rho,
     simple_walk_1d,
@@ -816,6 +818,36 @@ class TestSetReads:
 
         monkeypatch.setattr(kernels, "_residue_sums", no_residues)
         assert (kernels.rho_values(model, xs, other), kernels.green_values(model, 0.25, xs, other)) == want
+
+
+class TestValueCacheKeys:
+    """The value caches are keyed by the walk's value, not by its instance."""
+
+    W2 = Path(__file__).resolve().parents[1] / "perfbench" / "walks" / "w2.json"
+
+    @staticmethod
+    def _answer(model, q):
+        return taboo_limit(model, q), taboo_limit(model, q.swapped()), taboo_tail(model, q).constant
+
+    def test_equal_models_share_entries(self, monkeypatch):
+        first, second = load_model(self.W2), load_model(self.W2)
+        assert first is not second and first == second and hash(first) == hash(second)
+        q = TabooQuery((0, -3), (-2, -3), (-1, 5))
+        _clear_value_caches()
+        want = self._answer(first, q)
+        calls, orig = [], kernels._residue_sums
+
+        def spy(*args):
+            calls.append(args[2:])
+            return orig(*args)
+
+        monkeypatch.setattr(kernels, "_residue_sums", spy)
+        assert self._answer(second, q) == want and calls == []
+        # one rate changed (with its mirror): a different walk, so every value is computed
+        changed = validate_model(2, [(z, 0.3 if z in ((1, 0), (-1, 0)) else r) for z, r in first.jumps])
+        assert changed != first
+        self._answer(changed, q)
+        assert calls
 
 
 def test_value_cache_is_safe_under_threads():

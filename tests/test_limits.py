@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,17 @@ class TestTabooQuery:
     def test_swapped(self):
         q = TabooQuery((1,), (4,), (0,))
         assert q.swapped() == TabooQuery((1,), (0,), (4,))
+
+    def test_relative_vectors_leave_eq_hash_and_repr_alone(self):
+        q = TabooQuery([0, -3], (-2, -3), (np.int64(-1), 5.0))
+        assert (q.rel_x, q.rel_y, q.rel_yx) == ((1, -8), (-1, -8), (-2, 0))
+        assert [f.name for f in dataclasses.fields(q)] == ["x", "y", "z"]
+        assert q == TabooQuery((0, -3), (-2, -3), (-1, 5))
+        assert q != TabooQuery((0, -3), (-2, -3), (-1, 4))
+        assert hash(q) == hash(((0, -3), (-2, -3), (-1, 5)))
+        assert repr(q) == "TabooQuery(x=(0, -3), y=(-2, -3), z=(-1, 5))"
+        s = q.swapped()
+        assert (s.rel_x, s.rel_y, s.rel_yx) == ((2, 0), (1, 8), (-1, 8))
 
 
 class TestHittingLimit:

@@ -154,7 +154,44 @@ class TestCharExponent:
         assert v == char_exponent(m, [-t for t in theta])
 
 
+# coordinates of every kind as_vec meets: ints, numpy ints, bools, integral and
+# non-integral floats (nan and inf too)
+COORDS = st.one_of(st.integers(-(10**20), 10**20), st.integers(-9, 9).map(np.int64), st.booleans(),
+                   st.integers(-9, 9).map(float), st.floats())
+
+
+class TestAsVec:
+    @staticmethod
+    def _outcome(fn, v, d):
+        try:
+            return [(type(c), c) for c in fn(v, d)]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.one_of(st.lists(COORDS, max_size=4), st.lists(COORDS, max_size=4).map(tuple),
+                       st.tuples(*[st.integers(-9, 9)] * 2), COORDS),
+           d=st.one_of(st.none(), st.integers(0, 4)))
+    def test_fast_path_matches_general_path(self, v, d):
+        # the same tuple, or the same exception type and message, on both paths
+        assert self._outcome(taboowalk.model.as_vec, v, d) == self._outcome(taboowalk.model._coerce_vec, v, d)
+
+    def test_tuple_of_ints_is_returned_as_it_is(self):
+        v = (3, -1)
+        assert taboowalk.model.as_vec(v, 2) is v
+        with pytest.raises(ValueError, match="expected a 3-vector"):
+            taboowalk.model.as_vec(v, 3)
+
+
 class TestSpectralScalars:
+    def test_cached_on_the_model_and_read_only(self, walk2d):
+        # one object per model; writing to its B would corrupt every later constant
+        sc = spectral_scalars(walk2d)
+        assert spectral_scalars(walk2d) is sc
+        with pytest.raises(ValueError, match="read-only"):
+            sc.hessian[0, 0] = 1.0
+        assert np.array_equal(sc.hessian, np.diag([0.5, 0.5]))
+
     def test_gamma1_simple(self):
         for a in (1.0, 2.0):
             sc = spectral_scalars(simple_walk_1d(a))

@@ -26,7 +26,7 @@ from .errors import ExtrapolationUnstable, InvalidQuery, StepTooCoarse
 from .kernels import canonical_diff
 from .limits import (TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims, hitting_limit,
                      laplace_taboo, minus_atom, taboo_limit)
-from .model import WalkModel, is_simple_1d
+from .model import WalkModel, _check_int, is_simple_1d
 from .quadrature import ABS_FLOOR, QuadratureConfig, default_config, p_curves
 
 
@@ -40,6 +40,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.step < np.inf:
             raise ValueError("step must be finite and > 0")
+        object.__setattr__(self, "n_steps", _check_int("n_steps", self.n_steps))
         if self.n_steps < 2:
             raise ValueError("n_steps must be >= 2")
 

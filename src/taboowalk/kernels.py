@@ -210,18 +210,19 @@ def _inner_roots(model: WalkModel, lam: float, th: np.ndarray, big_r: int):
     return np.exp(log_w), -1.0 / psi(log_w)
 
 
-def _residue_sums(model: WalkModel, lam: float, n: int, rs, mapped: bool = False) -> list:
-    """(J_r, its rounding bound in d = 1, else 0) for each r of rs: the mean over
-    the residue grid of n (quadrature._residue_grid) of (2 pi)^-1 * integral over
-    theta_d of exp(i r.theta) / (lam - phi), the residue sum exp(+-i r'.theta')
-    sum_k w_k^|r_d| / -psi(w_k), the sign that of r_d.  The grid and its roots
-    are kept in the grid cache.  In d = 1 (n = 1) that is exact but for
-    rounding: a root error of a few ulps grows |r| times in w^|r| and about R
-    times in psi, hence the bound RESIDUE_ROUNDING (|r| + R) sum_k |term_k|."""
+def _residue_sums(model: WalkModel, lam: float, n: int, rs) -> list:
+    """(J_r, its rounding bound in d = 1, else 0) for each r of rs: the mean
+    over the graded residue grid of n (quadrature._residue_grid) of (2 pi)^-1
+    * integral over theta_d of exp(i r.theta) / (lam - phi), the residue sum
+    exp(+-i r'.theta') sum_k w_k^|r_d| / -psi(w_k), the sign that of r_d.
+    The grid and its roots are kept in the grid cache.  In d = 1 (n = 1) that
+    is exact but for rounding: a root error of a few ulps grows |r| times in
+    w^|r| and about R times in psi, hence the bound
+    RESIDUE_ROUNDING (|r| + R) sum_k |term_k|."""
     big_r, size = model.last_axis_reach, _residue_points(model.d, n)
 
     def build():
-        for th, weight in _residue_grid(model.d, n, mapped):
+        for th, weight in _residue_grid(model.d, n, True):
             block = (th, weight, *_inner_roots(model, lam, th, big_r))
             for v in block:
                 if v is not None:
@@ -231,7 +232,7 @@ def _residue_sums(model: WalkModel, lam: float, n: int, rs, mapped: bool = False
     # (|r_d|, r', the phase unit): r_d < 0 reads the roots at -theta', the phase of -r'
     heads = [(abs(r[-1]), r[:-1] if any(r[:-1]) else None, 1j if r[-1] >= 0 else -1j) for r in rs]
     parts, bounds = [[] for _ in rs], [0.0] * len(rs)
-    for th, weight, w, ip in _CACHE.get(("residue", model, lam, n, mapped), size * (8 * model.d + 32 * big_r), build):
+    for th, weight, w, ip in _CACHE.get((model, lam, n), size * (8 * model.d + 32 * big_r), build):
         for k, (m, rp, unit) in enumerate(heads):
             terms = w**m * ip
             col = terms.sum(axis=1)
@@ -259,7 +260,7 @@ def _green_cached(model: WalkModel, rel_tol: float, lam: float, rs: tuple) -> li
     order, zero = () if lam > 0.0 else (3 * (d - 2), 3 * (d - 2) + 2), (0,) * d
 
     def means(n, ks):
-        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks), True)
+        (j0, _), *js = _residue_sums(model, lam, n, (zero, *ks))
         return [np.array((j, j0)) for j, _ in js]
 
     return axis_integral("green_function", means, rs, rel_tol, order)
@@ -306,7 +307,7 @@ def _rho_cached(model: WalkModel, rel_tol: float, rs: tuple) -> list:
     # a (J_0 - J_r) at lam = 0 has a |theta_1| cusp at 0: |u|^5 on the graded
     # grid, whose gaps fall about 64x per doubling, so the ladder takes the last sum
     def means(n, ks):
-        (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks), True)
+        (j0, _), *js = _residue_sums(model, 0.0, n, ((0, 0), *ks))
         return [a * (j0 - j) for j, _ in js]
 
     return axis_integral("rho", means, rs, rel_tol, ())

@@ -43,6 +43,14 @@ def as_vec(v: Sequence[int], d: int | None = None) -> Vec:
     return _coerce_vec(v, d)
 
 
+def _check_int(name: str, v) -> int:
+    """v as a plain int; ValueError unless it is an int or a numpy integer
+    (a bool is neither)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _coerce_vec(v, d: int | None) -> Vec:
     """as_vec for any input: ints, numpy ints, bools and integral floats.  Each
     coordinate must equal its int exactly (an int past 2^53 is not rounded)."""

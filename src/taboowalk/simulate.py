@@ -2,16 +2,16 @@
 
 The path sampler draws every random number from a counter-based hash of
 (seed, path index, draw index), so estimates are bit-identical however the
-paths are split into blocks or over worker threads, and a path can be
-replayed in isolation.  Its clock is uniformised: the walk's jump epochs
-are a Poisson(a) process independent of its jump chain, so each path draws
-its jump counts N(t) once, by inverse c.d.f. on a Poisson table, and the
-step loop runs the jump chain alone, with no clock.  A block's paths run on
-up to one thread per CPU the process may use, each thread on a contiguous
-range of path ids; numpy releases the GIL inside the step loop's ufuncs.  A
-path's position is kept as offsets from its start packed into int64 words,
-so a jump adds one table value per word and the y/z test is one compare
-per word.
+paths are split over worker threads, and a path can be replayed in
+isolation.  Its clock is uniformised: the walk's jump epochs are a
+Poisson(a) process independent of its jump chain, so each path reads its
+jump counts N(t) off one clock uniform, by inverse c.d.f. on a Poisson
+table per time, and the step loop runs the jump chain alone, with no
+clock.  Contiguous spans of paths run on a pool of up to one thread per
+CPU the process may use; numpy releases the GIL inside the step loop's
+ufuncs.  A path's position is kept as offsets from its start packed into
+int64 words, so a jump adds one table value per word and the y/z test is
+one compare per word.
 The absorption bracket solves its box system for one vector, the expected
 visits after the first jump from x, which give both the hit and the escape
 probability; it runs a matrix-free conjugate gradient in numpy on a padded
@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateSamples, QueryOutsideBox
 from .limits import TabooQuery, TailAsymptotic, TailOrder, Variant, _check_dims
-from .model import WalkModel, is_simple_1d
+from .model import WalkModel, _check_int, is_simple_1d
 
 _U64 = np.uint64
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
@@ -75,8 +74,8 @@ def _path_keys(seed_hash: np.uint64, path_ids: np.ndarray) -> np.ndarray:
 
 def _counter(step: int, sub: int) -> int:
     """Stream counter of draw (``step``, ``sub``), mixed in exact Python ints:
-    sub 1 of step s picks jump s, sub 0 of step i is the Poisson count of
-    the i-th gap between the sampled times."""
+    sub 1 of step s picks jump s, and draw (0, 0) is the path's clock
+    uniform, whose Poisson quantiles are its jump counts N(t)."""
     return ((2 * step + sub) * 0xD1342543DE82EF95 + 0x9E3779B97F4A7C15) & _MASK64
 
 
@@ -86,9 +85,10 @@ def _draw(keys: np.ndarray, step: int, sub: int) -> np.ndarray:
     return (_mix64(z, np.empty_like(z)) >> _U64(11)) * 2.0**-53
 
 
-# Paths simulated together; bounds the sampler's memory whatever n_paths is.
+# Most paths in flight at once over all worker threads; bounds the sampler's
+# memory whatever n_paths is.
 _BLOCK_PATHS = 1 << 18
-# Fewest paths of a block worth a worker thread of their own.
+# Fewest paths of the first _BLOCK_PATHS worth a worker thread of their own.
 _WORKER_PATHS = 1 << 15
 # The step loop drops finished paths from its columns once the live share
 # of them falls below this.
@@ -108,9 +108,9 @@ def _cpus() -> int:
 
 
 def sampler_workers(n_paths: int) -> int:
-    """Worker threads the sampler runs a block of min(n_paths, _BLOCK_PATHS)
-    paths on: one per CPU the process may use, each with at least
-    _WORKER_PATHS paths."""
+    """Worker threads the sampler runs n_paths paths on: one per CPU the
+    process may use, each with at least _WORKER_PATHS of the first
+    min(n_paths, _BLOCK_PATHS) paths."""
     return max(1, min(_cpus(), min(n_paths, _BLOCK_PATHS) // _WORKER_PATHS))
 
 
@@ -118,13 +118,15 @@ def sampler_workers(n_paths: int) -> int:
 class SimConfig:
     """Monte Carlo run parameters.
 
-    Paths run in fixed-size blocks, so memory does not grow with n_paths,
-    and a block's paths are split over worker threads; neither the block
-    size nor the thread count ever affects the result.  Each path's jump
-    budget is its Poisson count N(horizon) of jumps by the horizon.
-    ``max_jumps`` caps each path's jumps: a path whose budget reaches it
-    without absorption is truncated.  A cap that could carry a path out of
-    exact int64 positions is rejected when the walk is sampled.
+    Paths run in contiguous spans of about _BLOCK_PATHS / workers paths, at
+    most one span per worker thread at a time, so memory does not grow with
+    n_paths; neither the span size nor the thread count ever affects the
+    result.  Each path's jump budget is its Poisson count N(horizon) of
+    jumps by the horizon.  ``max_jumps`` caps each path's jumps: a path
+    whose budget reaches it without absorption is truncated.  A cap that
+    could carry a path out of exact int64 positions is rejected when the
+    walk is sampled.  ``n_paths``, ``seed`` and ``max_jumps`` must be
+    integers (not bools), and are kept as plain ints.
     """
 
     horizon: float
@@ -133,6 +135,8 @@ class SimConfig:
     max_jumps: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("n_paths", "seed", "max_jumps"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if not 0.0 < self.horizon < np.inf:
             raise ValueError("horizon must be finite and > 0")
         if self.n_paths < 1:
@@ -205,29 +209,6 @@ def _equal_codes(words: np.ndarray, code: np.ndarray, out: np.ndarray, flag: np.
     return out
 
 
-def _in_threads(fn, spans: list[tuple[int, int]]) -> list:
-    """[fn(*span) for span in spans], the first on this thread and each other
-    on a thread of its own; the first exception raised is raised here."""
-    results: list = [None] * len(spans)
-    errors: list[BaseException] = []
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(*spans[i])
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(spans))]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _poisson_table(lam: float, cap: int) -> tuple[int, np.ndarray]:
     """(k0, cdf): the c.d.f. of Poisson(lam) at k0, k0 + 1, ..., with the
     mass at and above ``cap`` lumped at cap, so that a U[0,1) draw u maps to
@@ -253,35 +234,38 @@ def _poisson_table(lam: float, cap: int) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-def _jump_counts(keys: np.ndarray, tables: list[tuple[int, np.ndarray]], first: int, cap: int):
-    """Running jump counts of the paths of ``keys``: after the i-th (k0, cdf)
-    of ``tables``, ``first`` plus one count per table so far, each drawn by
-    inverse c.d.f. from draw (i, 0) of the path's stream, capped at cap.
-    Yields one int64 array, updated in place."""
-    total = np.full(keys.size, first, dtype=np.int64)
-    for i, (k0, cdf) in enumerate(tables):
-        total += np.searchsorted(cdf, _draw(keys, i, 0), "right")
-        total += k0
-        yield np.minimum(total, cap, out=total)
+def _jump_counts(keys: np.ndarray, tables: list[tuple[int, np.ndarray]], first: int):
+    """Jump counts of the paths of ``keys`` at the times of ``tables``, in
+    order: ``first`` plus the count that the path's clock uniform, draw
+    (0, 0) of its stream, maps to by inverse c.d.f. on each (k0, cdf), kept
+    nondecreasing by a running maximum.  Yields one int64 array, updated in
+    place."""
+    u = _draw(keys, 0, 0)
+    total = np.zeros(keys.size, dtype=np.int64)
+    for k0, cdf in tables:
+        yield np.maximum(total, np.searchsorted(cdf, u, "right") + (first + k0), out=total)
 
 
 def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, t_list: Sequence[float], minus_clock: bool):
     """Yield (path ids, hit steps, hit-by times, truncated, undecided) per
-    block of paths.
+    span of paths, in path order.
 
     The clock is uniformised (Jensen 1953): the walk's jump epochs are a
     Poisson(a) process independent of its jump chain, so a path hits y
     before z by time t exactly when its chain does so at a jump index
-    s < N(t), N(t) ~ Poisson(a t).  Each path draws its counts once: one
-    Poisson increment of N per gap between the sorted times of ``t_list``
-    and the horizon.  With ``minus_clock`` the first jump is at time 0 and
-    every count is one more.  The step loop then runs the jump chain
+    s < N(t), N(t) ~ Poisson(a t).  Each path draws one clock uniform u,
+    and N(t) at each sorted time of ``t_list`` and at the horizon is the
+    Poisson(a t) quantile of u, so each N(t) has its exact law and depends
+    on no other time; a running maximum keeps N nondecreasing should two
+    tables round apart.  With ``minus_clock`` the first jump is at time 0
+    and every count is one more.  The step loop then runs the jump chain
     alone; a path whose step index reaches its budget N(horizon) is
     undecided.  Only paths whose chain hits y before z within the budget
     are listed, each with its step s and the first sorted time t with
-    s < N(t), recomputed for those paths alone from the same draws, so a
-    hit counts at t' exactly when that time is <= t'.  Each block is split
-    into contiguous id ranges, one per worker thread.
+    s < N(t), recomputed for those paths alone from the same draw, so a
+    hit counts at t' exactly when that time is <= t'.  The paths run in
+    contiguous spans of ceil(min(n_paths, _BLOCK_PATHS) / W) on a pool of
+    W = sampler_workers(n_paths) threads.
     """
     _check_dims(model, q)
     packing = _Packing(model, q, sim.max_jumps)
@@ -294,9 +278,9 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, t_list: Sequenc
     below_rows = len(groups[0])
     seed_hash = _U64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
     times = np.array(sorted({*t_list, sim.horizon}))
-    cap = sim.max_jumps + 1  # a budget above max_jumps truncates as max_jumps + 1 does
-    tables = [_poisson_table(model.total_rate * dt, cap) for dt in np.diff(times, prepend=0.0)]
     first = int(minus_clock)
+    # a budget above max_jumps truncates as max_jumps + 1 does
+    tables = [_poisson_table(model.total_rate * t, sim.max_jumps + 1 - first) for t in times]
 
     def walk(lo: int, hi: int):
         """(hit ids, hit steps, hit-by times, truncated, undecided) of paths
@@ -312,7 +296,7 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, t_list: Sequenc
         """
         ids = np.arange(lo, hi, dtype=np.uint64)
         keys = _path_keys(seed_hash, ids)
-        *_, budget = _jump_counts(keys, tables, first, cap)
+        *_, budget = _jump_counts(keys, tables, first)
         words = np.zeros((packing.n_words, ids.size), dtype=np.int64)
         flat = [np.empty(ids.size, dtype=dt)
                 for dt in (_U64, np.float64, np.uint8, np.intp, np.int64, bool, bool, bool, bool)]
@@ -371,33 +355,20 @@ def _hit_blocks(model: WalkModel, q: TabooQuery, sim: SimConfig, t_list: Sequenc
         # a hit at step s counts at times[i] exactly when s < N(times[i]); late
         # counts the times at which it does not
         late = np.zeros(hit_ids.size, dtype=np.intp)
-        for reached in _jump_counts(_path_keys(seed_hash, hit_ids), tables, first, cap):
+        for reached in _jump_counts(_path_keys(seed_hash, hit_ids), tables, first):
             late += reached <= hit_steps
         return hit_ids, hit_steps, times[late], truncated, undecided + truncated
 
-    for lo in range(0, sim.n_paths, _BLOCK_PATHS):
-        hi = min(lo + _BLOCK_PATHS, sim.n_paths)
-        n_workers = sampler_workers(hi - lo)
-        ends = [lo + (hi - lo) * i // n_workers for i in range(n_workers + 1)]
-        parts = _in_threads(walk, list(zip(ends[:-1], ends[1:])))
-        yield (
-            *(np.concatenate([p[k] for p in parts]) for k in range(3)),
-            sum(p[3] for p in parts),
-            sum(p[4] for p in parts),
-        )
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it costs every start a few ms
 
-
-def _estimate_at(hits: int, sim: SimConfig, truncated: int, undecided: int) -> McEstimate:
-    n = sim.n_paths
-    p = hits / n
-    return McEstimate(
-        probability=p,
-        std_error=float(np.sqrt(p * (1.0 - p) / n)),
-        n_paths=n,
-        seed=sim.seed,
-        truncated_paths=truncated,
-        undecided_paths=undecided,
-    )
+    n_workers = sampler_workers(sim.n_paths)
+    span = -(-min(sim.n_paths, _BLOCK_PATHS) // n_workers)
+    los = range(0, sim.n_paths, span)
+    pool = ThreadPoolExecutor(n_workers)
+    try:
+        yield from pool.map(walk, los, [min(lo + span, sim.n_paths) for lo in los])
+    finally:
+        pool.shutdown(cancel_futures=True)  # an error or an interrupt starts no queued span
 
 
 def estimate_taboo_curve(
@@ -409,7 +380,7 @@ def estimate_taboo_curve(
 ) -> list[McEstimate]:
     """Monte Carlo estimates of H_{x,y,z}(t) at each t in t_list (t <= sim.horizon).
 
-    All times share one set of paths, counted block by block, so the
+    All times share one set of paths, counted span by span, so the
     estimates are monotone in t.  Variant.MINUS estimates H^-_{x,y,z}(t),
     whose clock starts at the first jump.
     """
@@ -422,7 +393,12 @@ def estimate_taboo_curve(
         hits = [h + int(np.count_nonzero(hit_by <= t)) for h, t in zip(hits, t_list)]
         truncated += trunc
         undecided += und
-    return [_estimate_at(h, sim, truncated, undecided) for h in hits]
+    n = sim.n_paths
+    return [
+        McEstimate(p, float(np.sqrt(p * (1.0 - p) / n)), n, sim.seed,
+                   truncated_paths=truncated, undecided_paths=undecided)
+        for p in (h / n for h in hits)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +508,7 @@ def absorption_limit_bracket(
     plain CG too: there the n x n sine matrix would outgrow the n-state box.
     """
     _check_dims(model, q)
-    d, r = model.d, int(box_radius)
+    d, r = model.d, _check_int("box_radius", box_radius)
     for point in (q.x, q.y, q.z):
         if any(abs(c) > r for c in point):
             raise QueryOutsideBox(f"{point} outside box of radius {r}")

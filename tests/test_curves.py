@@ -57,6 +57,16 @@ def test_time_grid_rejects_bad_step(step):
         TimeGrid(step=step, n_steps=10)
 
 
+@pytest.mark.parametrize("n_steps", [10.0, 2.5, True, "10"])
+def test_time_grid_rejects_non_integer_steps(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        TimeGrid(step=0.1, n_steps=n_steps)
+
+
+def test_time_grid_takes_numpy_integer_steps():
+    assert TimeGrid(step=0.1, n_steps=np.int64(10)).horizon == pytest.approx(1.0)
+
+
 class TestHittingCdf:
     def test_starts_at_zero_and_monotone(self, simple1d, grid40):
         c = hitting_cdf(simple1d, [0], [1], grid40)

@@ -299,7 +299,7 @@ class TestResidueLadders:
         with _grids_per_displacement() as grids:
             got = green_values(model, 0.0, xs)
         assert all(grids[x] == [16, 32] for x in xs), dict(grids)
-        last = kernels._residue_sums(model, 0.0, 32, xs, True)
+        last = kernels._residue_sums(model, 0.0, 32, xs)
         for x, g, (j, _) in zip(xs, got, last):
             want = product_form_green(x, 0.0)
             assert abs(g.value - want) <= g.est_error, x
@@ -594,11 +594,11 @@ def _spy_residue_grids(monkeypatch):
     """Record, per nonzero displacement, the n of every residue grid summed for it."""
     grids, orig = collections.defaultdict(list), kernels._residue_sums
 
-    def spy(model, lam, n, rs, *args):
+    def spy(model, lam, n, rs):
         for r in rs:
             if any(r):
                 grids[tuple(r)].append(n)
-        return orig(model, lam, n, rs, *args)
+        return orig(model, lam, n, rs)
 
     monkeypatch.setattr(kernels, "_residue_sums", spy)
     return grids

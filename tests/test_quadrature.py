@@ -13,11 +13,9 @@ from taboowalk.model import char_exponent_grid
 # (d, n) with more than one block at the default block size
 MULTI_CHUNK = [(1, 1 << 21), (2, 2048), (3, 128)]
 
-# the residue sums at lam = 0 (rho, and G_0 in d >= 3) checked on the uniform
-# grid, though every ladder sums them on the graded one, and at lam > 0 (G_lam)
-# on the graded grid; a root does not depend on its grid, and an m-point
-# theta_d rule cannot resolve lam = 0 at the graded points near 0
-RESIDUE_KERNELS = {"rho": (0.0, False), "green": (0.3, True)}
+# the residue sums at lam = 0 (rho, and G_0 in d >= 3) and at lam > 0 (G_lam),
+# each on the graded grid that every ladder sums
+RESIDUE_KERNELS = {"rho": 0.0, "green": 0.3}
 
 
 def _walk(d):
@@ -42,32 +40,38 @@ def fresh_cache(monkeypatch):
     return cache
 
 
-def _residue_grid_by_hand(d, n, mapped):
-    """(theta', weight) of the whole residue grid, point by point."""
+def _graded(u):
+    """The sin-map u - sin u and its weight 1 - cos u, per point and axis."""
+    return u - np.sin(u), 1.0 - np.cos(u)
+
+
+def _residue_grid_by_hand(d, n):
+    """(theta', weight) of the whole graded residue grid, point by point."""
     if d == 1:
         return np.zeros((1, 0)), np.ones(1)
     axes = [(np.arange(n) + 0.5) * (np.pi / n)] + [(np.arange(2 * n) + 0.5) * (np.pi / n) - np.pi] * (d - 2)
-    u = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    if not mapped:
-        return u, np.ones(len(u))
-    return u - np.sin(u), np.prod(1.0 - np.cos(u), axis=1)
+    th, weight = _graded(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1))
+    return th, np.prod(weight, axis=1)
 
 
-def _brute_force(model, lam, r, n, mapped, m=4096):
-    """Mean over the residue grid of the theta_d integral of f cos(r.theta),
-    f = 1 / (lam - phi), by an m-point midpoint rule in theta_d with phi and
-    cos(r.theta) taken at every point; at lam = 0 the mean of (1 - cos(r.theta)) f,
-    which is finite in every d.  Returns (mean, mean of |f|)."""
+def _brute_force(model, lam, r, n, m=4096):
+    """Mean over the graded residue grid of the theta_d integral of
+    f cos(r.theta), f = 1 / (lam - phi), by an m-point midpoint rule in
+    theta_d with phi and cos(r.theta) taken at every point; at lam = 0 the
+    mean of (1 - cos(r.theta)) f, which is finite in every d.  In d >= 2 the
+    theta_d rule is graded too, so that it resolves the peak of width
+    |theta'| at the theta' points near 0.  Returns (mean, mean of |f|)."""
     d = model.d
-    th, weight = _residue_grid_by_hand(d, n, mapped)
-    td = (np.arange(m) + 0.5) * (2.0 * np.pi / m) - np.pi
+    th, weight = _residue_grid_by_hand(d, n)
+    u = (np.arange(m) + 0.5) * (2.0 * np.pi / m) - np.pi
+    td, td_weight = _graded(u) if d > 1 else (u, np.ones(m))
     total = mass = 0.0
     for k0 in range(0, len(th), 64):
         pts = np.concatenate([np.repeat(th[k0 : k0 + 64], m, axis=0),
                               np.tile(td, len(th[k0 : k0 + 64]))[:, None]], axis=1)
         f = 1.0 / (lam - char_exponent_grid(model, pts))
         c = np.cos(pts @ np.asarray(r, dtype=float))
-        w = np.repeat(weight[k0 : k0 + 64], m)
+        w = np.outer(weight[k0 : k0 + 64], td_weight).ravel()
         total += np.sum(w * (c if lam else 1.0 - c) * f)
         mass += np.sum(w * np.abs(f))
     return total / (m * len(th)), mass / (m * len(th))
@@ -94,14 +98,14 @@ def test_factorised_sum_matches_cos_on_every_point(fresh_cache, monkeypatch, str
     # the residue sums over the theta' grid, their phases exp(i z'.theta') and
     # exp(i r'.theta') from per-point dot products, against phi and cos(r.theta)
     # at every point of a fine theta_d grid; streamed or cached roots
-    lam, mapped = RESIDUE_KERNELS[f]
+    lam = RESIDUE_KERNELS[f]
     monkeypatch.setattr(quad, "_BLOCK_POINTS", block // 4)
     if streamed:
         monkeypatch.setattr(fresh_cache, "budget", 0)
     model = _skewed_walk(d)
-    assert d == 1 or len(list(quad._residue_grid(d, n, mapped))) > 1
-    want, mass = _brute_force(model, lam, r, n, mapped)
-    (j0, _), (jr, _) = kernels._residue_sums(model, lam, n, ((0,) * d, r), mapped)
+    assert d == 1 or len(list(quad._residue_grid(d, n, True))) > 1
+    want, mass = _brute_force(model, lam, r, n)
+    (j0, _), (jr, _) = kernels._residue_sums(model, lam, n, ((0,) * d, r))
     if lam:
         got = jr
     else:  # in d = 1, w = 1 adds half its residue, |r| / B
@@ -120,9 +124,9 @@ def test_residue_roots_are_built_once_per_grid(fresh_cache, monkeypatch):
     monkeypatch.setattr(kernels, "_residue_grid", spy)
     model = _skewed_walk(3)
     for r in [(0, 0, 0), (1, 2, 0), (5, -3, 1)]:
-        kernels._residue_sums(model, 0.5, 32, (r,), True)
+        kernels._residue_sums(model, 0.5, 32, (r,))
         kernels._residue_sums(model, 0.0, 32, (r,))
-    assert calls == [(3, 32, True), (3, 32, False)]
+    assert calls == [(3, 32, True), (3, 32, True)]  # one grid of roots per lam
 
 
 @pytest.mark.parametrize("d, n", MULTI_CHUNK)
@@ -146,7 +150,7 @@ def test_cache_stays_within_its_budget(monkeypatch):
         model = _skewed_walk(d)
         for n in (16, 32, 64, 128):
             for lam in (0.0, 0.3):
-                kernels._residue_sums(model, lam, n, [(1,) * d], lam > 0.0)
+                kernels._residue_sums(model, lam, n, [(1,) * d])
                 assert cache.nbytes <= cache.budget
                 assert cache.nbytes == sum(size for _, size in cache._items.values())
     assert cache._items
@@ -177,8 +181,8 @@ def test_cache_is_safe_under_threads(monkeypatch):
     model = _skewed_walk(2)
     grids = [(lam, n) for lam in (0.0, 0.1, 0.5) for n in (16, 32, 64)]
 
-    def read(lam, n):  # lam = 0 on the uniform grid, lam > 0 on the graded one
-        return kernels._residue_sums(model, lam, n, [(2, 1)], lam > 0.0)[0]
+    def read(lam, n):
+        return kernels._residue_sums(model, lam, n, [(2, 1)])[0]
 
     want = {g: read(*g) for g in grids}
     errors = []

@@ -94,10 +94,12 @@ def _poisson_pmf(lam, ks):
 
 
 def _budgets(lams, first, cap, n, seed):
-    """The jump counts first + one Poisson(lam) per lam in ``lams``, capped
-    at cap, that the sampler draws for paths 0 .. n - 1 of ``seed``."""
+    """The jump counts at the last of the times whose Poisson means are
+    ``lams``, that the sampler draws for paths 0 .. n - 1 of ``seed``: first
+    plus the Poisson quantile of each path's clock uniform, at most cap,
+    kept nondecreasing over the times."""
     keys = _path_keys(np.uint64(_mix64_int(seed + 0x9E3779B97F4A7C15)), np.arange(n, dtype=np.uint64))
-    *_, got = simulate._jump_counts(keys, [simulate._poisson_table(lam, cap) for lam in lams], first, cap)
+    *_, got = simulate._jump_counts(keys, [simulate._poisson_table(lam, cap - first) for lam in lams], first)
     return got
 
 
@@ -135,8 +137,9 @@ class TestJumpCounts:
         variant = Variant.MINUS if minus_clock else Variant.PLUS
         est = estimate_taboo_curve(simple1d, q, [50.0, 200.0], sim, variant)[-1]
         assert est.probability == 0.0 and est.undecided_paths == n
-        # the sampler's budgets sum the draws of the gaps (0, 50] and (50, 200]
-        budget = _budgets([50.0, 150.0], int(minus_clock), cap + 1, n, seed=3)
+        # the sampler's budget is the Poisson(200) quantile of each path's
+        # clock uniform, read after its count at t = 50
+        budget = _budgets([50.0, 200.0], int(minus_clock), cap + 1, n, seed=3)
         assert est.truncated_paths == np.count_nonzero(budget >= cap)
         p = _poisson_pmf(200.0, np.arange(cap - int(minus_clock), 1000)).sum()  # P(budget >= cap)
         assert abs(est.truncated_paths - n * p) <= 5 * math.sqrt(n * p * (1 - p))
@@ -258,6 +261,18 @@ class TestTabooEstimates:
         assert counted[0] > 0 if minus_clock else counted[0] == 0
         assert 0 < counted[1] < counted[-1]
 
+    def test_record_at_t_does_not_depend_on_the_other_times(self, walk3d):
+        # each N(t) is read off the path's one clock uniform: the record at
+        # t = 200 (the horizon) and the hits at t = 50 are the same whatever
+        # else is asked
+        q = TabooQuery((1, 0, 0), (0, 1, 0), (0, 0, 0))
+        sim = SimConfig(horizon=200.0, n_paths=20_000, seed=20240501)
+        lists = ([200.0], [50.0, 200.0], [20.0, 50.0, 100.0, 200.0])
+        runs = [dict(zip(ts, estimate_taboo_curve(walk3d, q, ts, sim))) for ts in lists]
+        assert runs[0][200.0].undecided_paths > 0
+        assert runs[0][200.0] == runs[1][200.0] == runs[2][200.0]
+        assert runs[1][50.0] == runs[2][50.0] and runs[1][50.0].probability > 0
+
     def test_rejects_nan_time(self, simple1d):
         # nan fails every comparison, so a one-sided check lets it through
         q = TabooQuery((2,), (5,), (0,))
@@ -268,6 +283,21 @@ class TestTabooEstimates:
     def test_rejects_nonfinite_horizon(self, horizon):
         with pytest.raises(ValueError):
             SimConfig(horizon=horizon, n_paths=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_paths", True), ("n_paths", 2000.0), ("seed", 1.5), ("seed", False), ("max_jumps", 50.5),
+         ("max_jumps", np.bool_(True)), ("n_paths", "10")],
+    )
+    def test_rejects_non_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{"horizon": 1.0, "n_paths": 10, "seed": 0, field: value})
+
+    def test_takes_numpy_integer_fields(self, simple1d):
+        q = TabooQuery((1,), (3,), (0,))
+        sim = SimConfig(horizon=2.0, n_paths=np.int64(500), seed=np.uint32(4), max_jumps=np.int16(50))
+        want = SimConfig(horizon=2.0, n_paths=500, seed=4, max_jumps=50)
+        assert estimate_taboo_curve(simple1d, q, [2.0], sim) == estimate_taboo_curve(simple1d, q, [2.0], want)
 
     def test_rejects_time_beyond_horizon(self, simple1d):
         q = TabooQuery((2,), (5,), (0,))
@@ -300,7 +330,7 @@ _RANGE2_3D = {(1, 0, 0): 0.1, (0, 1, 0): 0.1, (0, 0, 1): 0.1, (0, 0, 2): 0.05}
 
 class TestSplitInvariance:
     """Hit steps, hit-by times, truncated and undecided counts do not depend on how the
-    paths are split into blocks and over worker threads."""
+    paths are split into spans over worker threads."""
 
     @pytest.mark.parametrize("walk", ["simple1d", "walk2d", "walk3d"])
     @pytest.mark.parametrize("minus_clock", [False, True])
@@ -370,6 +400,37 @@ class TestSplitInvariance:
         with pytest.raises(RuntimeError, match="worker failed"):
             estimate_taboo_curve(walk3d, _QUERIES[3], [5.0], sim)
 
+    def test_worker_exception_starts_no_queued_span(self, walk3d, monkeypatch):
+        # span 0 fails at once while every other span waits at a gate that
+        # opens only after the pool has cancelled its queue: at most the W = 2
+        # spans running and the one its freed thread took next can start
+        from concurrent import futures
+
+        gate, started, keys = threading.Event(), set(), simulate._path_keys
+
+        def gated(seed_hash, ids):
+            if ids.size and ids[0] == 0:
+                raise RuntimeError("worker failed")
+            started.add(int(ids[0]) // 5 if ids.size else None)
+            gate.wait(30)
+            return keys(seed_hash, ids)
+
+        class Pool(futures.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(False, cancel_futures=cancel_futures)
+                gate.set()
+                super().shutdown(wait)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(simulate, "_WORKER_PATHS", 1)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "_BLOCK_PATHS", 10)  # 20 spans of 5 paths
+        monkeypatch.setattr(simulate, "_path_keys", gated)
+        sim = SimConfig(horizon=5.0, n_paths=100, seed=1)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            estimate_taboo_curve(walk3d, _QUERIES[3], [5.0], sim)
+        assert started <= {1, 2, None}
+
 
 class TestPackedPositions:
     @pytest.mark.parametrize(
@@ -425,16 +486,17 @@ class TestPackedPositions:
 
 def _reference_counts(model, sim, t_list, path_id, minus_clock=False):
     """{t: N(t)} of one path for each t in t_list and the horizon: the
-    jumps it makes by t, one Poisson increment per gap between the sorted
-    times, each drawn from its keyed stream by inverse c.d.f."""
+    jumps it makes by t, the Poisson(a t) quantile of its clock uniform
+    (draw (0, 0) of its keyed stream) by inverse c.d.f., at most
+    max_jumps + 1, kept nondecreasing over the sorted times."""
     seed_hash = np.uint64(_mix64_int(sim.seed + 0x9E3779B97F4A7C15))
-    key = _path_keys(seed_hash, np.array([path_id], dtype=np.uint64))
-    cap = sim.max_jumps + 1
-    n, prev, reached = int(minus_clock), 0.0, {}
-    for i, t in enumerate(sorted({*t_list, sim.horizon})):
-        k0, cdf = simulate._poisson_table(model.total_rate * (t - prev), cap)
-        n = min(cap, n + k0 + int(np.searchsorted(cdf, float(_draw(key, i, 0)[0]), side="right")))
-        reached[t], prev = n, t
+    u = float(_draw(_path_keys(seed_hash, np.array([path_id], dtype=np.uint64)), 0, 0)[0])
+    first = int(minus_clock)
+    n, reached = first, {}
+    for t in sorted({*t_list, sim.horizon}):
+        k0, cdf = simulate._poisson_table(model.total_rate * t, sim.max_jumps + 1 - first)
+        n = max(n, first + k0 + int(np.searchsorted(cdf, u, side="right")))
+        reached[t] = n
     return reached
 
 
@@ -531,6 +593,15 @@ class TestAbsorptionOracle:
     def test_query_dimension_is_invalid_query(self, walk2d):
         with pytest.raises(InvalidQuery):
             absorption_limit_bracket(walk2d, TabooQuery((1,), (2,), (0,)), 10)
+
+    @pytest.mark.parametrize("radius", [2.5, 10.0, True])
+    def test_rejects_non_integer_radius(self, walk2d, radius):
+        with pytest.raises(ValueError, match="box_radius must be an integer"):
+            absorption_limit_bracket(walk2d, TabooQuery((1, 0), (0, 1), (0, 0)), radius)
+
+    def test_takes_numpy_integer_radius(self, walk2d):
+        q = TabooQuery((1, 0), (0, 1), (0, 0))
+        assert absorption_limit_bracket(walk2d, q, np.int64(10)) == absorption_limit_bracket(walk2d, q, 10)
 
     @pytest.mark.parametrize(
         "x, y, want",
@@ -861,6 +932,12 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_import_leaves_out_scipy_sparse():
     out = _run_python("import sys, taboowalk; print('scipy.sparse' in sys.modules)")
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # concurrent.futures costs every start a few ms; only the sampler needs it
+    out = _run_python("import sys, taboowalk.cli; print('concurrent.futures' in sys.modules)")
     assert out.stdout.strip() == "False"
 
 
